@@ -11,12 +11,13 @@ window and size budgets the brute-force engines can afford.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from dataclasses import dataclass
 
 from .descriptors import SetDescriptor
-from .errors import UnsupportedFamilyError
+from .errors import BudgetExceededError, UnsupportedFamilyError
 from .families import BlockFamily, chain_capacity_matrix
 from .symbolic import (
     BlockPerm,
@@ -262,40 +263,22 @@ def random_uniform_family(
         ranks = [[bound] * blocks for _ in range(blocks)]
         try:
             window = minimal_window(fam, ranks)
-        except Exception:
+        except BudgetExceededError:
             continue
         if window > max_window:
             continue
         sizes = [len(b.below(window)) for b in fam.blocks]
         if any(s > max_group_points or s < 2 * bound + 2 for s in sizes):
             continue
-        budget = sum(_factorial(s) for s in sizes)
+        budget = sum(math.factorial(s) for s in sizes)
         for i in range(blocks):
             for j in range(blocks):
                 for k in range(1, bound + 1):
-                    budget += _choose(sizes[i], k) * _permutations(sizes[j], k)
+                    budget += math.comb(sizes[i], k) * math.perm(sizes[j], k)
         if budget > 5000:
             continue
         return fam, bound, window
     raise UnsupportedFamilyError("no admissible random family within 400 draws")
-
-
-def _factorial(n: int) -> int:
-    import math
-
-    return math.factorial(n)
-
-
-def _choose(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k)
-
-
-def _permutations(n: int, k: int) -> int:
-    import math
-
-    return math.perm(n, k)
 
 
 def violating_family(rng: random.Random, bound: int) -> BlockFamily:

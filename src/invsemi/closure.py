@@ -1,12 +1,12 @@
-"""Windowed brute-force closure of partial bijections.
+"""Windowed closure of partial bijections.
 
 Everything here works on the points below a fixed window.  Maps are
 encoded as int8 rows (entry x holds the image of x, -1 for undefined),
 so composing a batch against a batch is two numpy indexing operations.
-The closure routine runs breadth-first rounds of compose-and-invert
-with chunking and exact dedup; companion builders enumerate the
-structural candidate sets (windowed block groups plus finite strata) so
-the two routes can be compared element by element.
+The closure routine is a breadth-first search of the right Cayley graph
+over the generators and their inverses, with exact dedup; companion
+builders enumerate the structural candidate sets (windowed block groups
+plus finite strata) so the two routes can be compared element by element.
 """
 
 from __future__ import annotations
@@ -69,14 +69,18 @@ def invert_rows(rows: np.ndarray) -> np.ndarray:
 
 # -- closure ----------------------------------------------------
 
+BLOCK_PRODUCTS = 1 << 19  # composites per batch: bounds memory and budget overshoot
+
 
 @dataclass(frozen=True)
 class ClosureResult:
-    """Closure under composition and inverse, with per-round bookkeeping."""
+    """The generated inverse semigroup, with per-word-length bookkeeping:
+    frontier_sizes[r] counts the elements whose shortest word over the
+    generators and their inverses has length r + 1."""
 
     elements: tuple[PartialBijection, ...]
-    generations: tuple[int, ...]
     frontier_sizes: tuple[int, ...]
+    products: int
     closed: bool
     window: int
 
@@ -85,51 +89,42 @@ class ClosureResult:
 
 
 def closure_of(
-    generators: Sequence[PartialBijection],
-    max_elements: int | None = None,
-    chunk: int = 512,
+    generators: Sequence[PartialBijection], max_elements: int | None = None
 ) -> ClosureResult:
-    """Breadth-first closure of the generators under compose and inverse."""
+    """Inverse semigroup generated by A: each new element is composed with
+    every map of A u A^-1 once, which enumerates it with no inverse pass.
+    Stops unclosed before a batch would take it past max_elements."""
     if not generators:
         raise ValueError("need at least one generator")
     window = generators[0].window
-    all_rows = unique_rows(encode_rows(generators, window))
-    known: dict[bytes, int] = {r.tobytes(): 0 for r in all_rows}
-    frontier = all_rows
-    frontier_sizes = [len(all_rows)]
+    rows = encode_rows(generators, window)
+    gens = unique_rows(np.concatenate([rows, invert_rows(rows)]))
+    seen = {r.tobytes() for r in gens}
+    found = [gens]
+    frontier_sizes = [len(gens)]
+    products = 0
     closed = True
-    round_no = 0
-    while len(frontier):
-        round_no += 1
-        fresh: dict[bytes, np.ndarray] = {}
-
-        def absorb(cand: np.ndarray) -> None:
-            for r in cand:
-                key = r.tobytes()
-                if key not in known and key not in fresh:
-                    fresh[key] = r.copy()
-
-        for left, right in ((all_rows, frontier), (frontier, all_rows)):
-            for start in range(0, len(right), chunk):
-                block = right[start : start + chunk]
-                prods = compose_rows(left, block).reshape(-1, window)
-                absorb(unique_rows(prods))
-        absorb(unique_rows(invert_rows(frontier)))
+    step = max(1, BLOCK_PRODUCTS // len(gens))
+    frontier = gens
+    while closed:
+        fresh: list[np.ndarray] = []
+        for start in range(0, len(frontier), step):
+            prods = compose_rows(frontier[start : start + step], gens).reshape(-1, window)
+            products += len(prods)
+            batch = [r for r in unique_rows(prods) if r.tobytes() not in seen]
+            if max_elements is not None and len(seen) + len(batch) > max_elements:
+                closed = False
+                break
+            seen.update(r.tobytes() for r in batch)
+            fresh += batch
         if not fresh:
             break
-        if max_elements is not None and len(known) + len(fresh) > max_elements:
-            closed = False
-            break
-        new_rows = unique_rows(np.stack(list(fresh.values())))
-        for r in new_rows:
-            known[r.tobytes()] = round_no
-        all_rows = np.concatenate([all_rows, new_rows])
-        frontier = new_rows
-        frontier_sizes.append(len(new_rows))
-    order = unique_rows(all_rows)
+        frontier = np.stack(fresh)
+        found.append(frontier)
+        frontier_sizes.append(len(frontier))
+    order = unique_rows(np.concatenate(found))
     elements = tuple(decode_row(r, window) for r in order)
-    generations = tuple(known[r.tobytes()] for r in order)
-    return ClosureResult(elements, generations, tuple(frontier_sizes), closed, window)
+    return ClosureResult(elements, tuple(frontier_sizes), products, closed, window)
 
 
 # -- structural candidate sets ----------------------------------------------------
@@ -201,20 +196,6 @@ def structural_rows(
     return unique_rows(encode_rows(maps, window))
 
 
-def uniform_union_rows(family: BlockFamily, bound: int, window: int) -> np.ndarray:
-    """Windowed block groups plus all strata of rank <= bound, every block
-    pair, plus the empty map: the union whose closedness tracks whether
-    all pairwise overlaps stay within the bound."""
-    maps = [PartialBijection.empty(window)]
-    for b in family.blocks:
-        maps += windowed_block_group(b, window)
-    pts = [b.below(window) for b in family.blocks]
-    for i in range(len(family.blocks)):
-        for j in range(len(family.blocks)):
-            maps.extend(_strata_maps(pts[i], pts[j], range(1, bound + 1), window))
-    return unique_rows(encode_rows(maps, window))
-
-
 # -- comparisons ----------------------------------------------------
 
 
@@ -249,23 +230,41 @@ def compare_with_structural(
     )
 
 
-def rows_closed_under_ops(rows: np.ndarray, window: int, chunk: int = 512) -> tuple[bool, int]:
-    """Check a row set is closed under composition and inverse.
+def rows_closed_under_ops(rows: np.ndarray, window: int) -> tuple[bool, int]:
+    """All-pairs check that a row set is closed under composition and
+    inverse: the reference oracle for `union_closed`.
 
     Returns (closed, products_checked); stops at the first escape."""
     keys = {r.tobytes() for r in rows}
     checked = 0
-    for start in range(0, len(rows), chunk):
-        block = rows[start : start + chunk]
-        prods = compose_rows(rows, block).reshape(-1, window)
+    step = max(1, BLOCK_PRODUCTS // len(rows))
+    for start in range(0, len(rows), step):
+        prods = compose_rows(rows, rows[start : start + step]).reshape(-1, window)
         checked += len(prods)
-        for r in unique_rows(prods):
-            if r.tobytes() not in keys:
-                return False, checked
-    for r in unique_rows(invert_rows(rows)):
-        if r.tobytes() not in keys:
+        if any(r.tobytes() not in keys for r in unique_rows(prods)):
             return False, checked
-    return True, checked
+    closed = all(r.tobytes() in keys for r in invert_rows(rows))
+    return closed, checked
+
+
+def union_closed(family: BlockFamily, n: int, window: int) -> tuple[bool, int]:
+    """(closed, products composed) for the rank-n union U: block groups,
+    strata of rank <= n and the empty map.  A holds the sparse group
+    generators, one map per stratum and the empty map, so A lies in U;
+    the groups carry any k-tuple to any other, so <A> contains U, and U
+    is closed exactly when <A> is U."""
+    b = len(family.blocks)
+    target = structural_rows(family, window, [[n] * b for _ in range(b)])
+    pts = [blk.below(window) for blk in family.blocks]
+    gens = family_generators(family, window, sparse=True)
+    gens.append(PartialBijection.empty(window))
+    for src in pts:
+        for dst in pts:
+            for k in range(1, min(n, len(src), len(dst)) + 1):
+                gens.append(PartialBijection.of(zip(src[:k], dst[:k]), window))
+    result = closure_of(gens, max_elements=len(target))
+    closed = result.closed and np.array_equal(encode_rows(result.elements, window), target)
+    return closed, result.products
 
 
 # -- the closure bound ----------------------------------------------------
@@ -287,7 +286,7 @@ def check_closure_bound(family: BlockFamily, n: int, window: int | None = None) 
     """Test whether the rank-n union is a subsemigroup.
 
     When every pairwise overlap has at most n points, the windowed union
-    is verified closed under composition and inverse by brute force.
+    is verified closed under composition and inverse by `union_closed`.
     When some overlap is larger, the product of the two block identities
     escapes every stratum of the union; the report carries that witness
     in exact (unwindowed) form.
@@ -327,8 +326,7 @@ def check_closure_bound(family: BlockFamily, n: int, window: int | None = None) 
         )
     if window is None:
         window = minimal_window(family, [[n] * b for _ in range(b)])
-    rows = uniform_union_rows(family, n, window)
-    ok, checked = rows_closed_under_ops(rows, window)
+    ok, checked = union_closed(family, n, window)
     return ClosureBoundReport(
         satisfied=True,
         closed=ok,

@@ -26,6 +26,7 @@ from random import Random
 from typing import Iterable
 
 from .catalog import COMMON_POINT_RULE, BlockRule
+from .closure import GROUP_ENUM_CAP
 from .descriptors import NATURALS, SetDescriptor
 from .errors import BudgetExceededError, InvalidOpenError, WindowMismatchError
 from .families import BlockFamily, _extend_in_block
@@ -482,7 +483,7 @@ def group_open_members(v: BasicOpen, rule: BlockRule, window: int,
     for m in range(max_block + 1):
         blk = rule.block(m)
         prefix = blk.below(window)
-        if len(prefix) > 7:
+        if len(prefix) > GROUP_ENUM_CAP:
             raise BudgetExceededError(
                 f"block {m} has {len(prefix)} points below {window}")
         for perm in itertools.permutations(prefix):

@@ -92,6 +92,17 @@ def test_random_uniform_families_are_uniform(seed):
         assert len(b.below(window)) >= bound + 2
 
 
+def test_random_uniform_family_lets_unexpected_errors_through(monkeypatch):
+    from invsemi import closure
+
+    def broken(family, rank_matrix):
+        raise RuntimeError("internal failure")
+
+    monkeypatch.setattr(closure, "minimal_window", broken)
+    with pytest.raises(RuntimeError, match="internal failure"):
+        random_uniform_family(random.Random(1))
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2))
 def test_violating_families_overshoot_the_bound(seed, bound):

@@ -17,6 +17,7 @@ from invsemi import (
     minimal_window,
 )
 from invsemi.closure import (
+    BLOCK_PRODUCTS,
     compose_rows,
     decode_row,
     encode_rows,
@@ -25,7 +26,7 @@ from invsemi.closure import (
     rows_closed_under_ops,
     sparse_group_generators,
     structural_rows,
-    uniform_union_rows,
+    union_closed,
     unique_rows,
     windowed_block_group,
 )
@@ -90,6 +91,7 @@ def test_closure_budget():
     result = closure_of(gens, max_elements=50)
     assert not result.closed  # stopped before the frontier burst the budget
     assert result.size() <= 50
+    assert result.products <= BLOCK_PRODUCTS  # the first batch already overflows
 
 
 def test_block_group_enumeration():
@@ -123,6 +125,8 @@ def test_disjoint_family_closure_sizes():
         result = closure_of(family_generators(fam, window))
         assert result.size() == expected
         assert result.closed
+        # every element times every deduplicated generator, once
+        assert result.products == result.size() * result.frontier_sizes[0]
         diff = compare_with_structural(result, fam)
         assert diff.matches, (diff.missing, diff.extra)
 
@@ -132,6 +136,7 @@ def test_common_point_closure_matches_structure():
     result = closure_of(family_generators(fam, 8))
     assert result.size() == 193
     assert result.closed
+    assert result.products == result.size() * result.frontier_sizes[0]
     diff = compare_with_structural(result, fam)
     assert diff.matches
     assert diff.closure_size == diff.structural_size == 193
@@ -147,9 +152,10 @@ def test_structural_rows_are_closed():
 def test_union_with_too_small_bound_is_not_closed():
     fam = bound_example()
     w = minimal_window(fam, [[1, 1], [1, 1]])
-    rows = uniform_union_rows(fam, 1, w)
+    rows = structural_rows(fam, w, [[1, 1], [1, 1]])
     closed, _ = rows_closed_under_ops(rows, w)
     assert not closed  # identity composite has rank 2
+    assert union_closed(fam, 1, w)[0] is False
 
 
 def test_closure_bound_satisfied_branch():
@@ -179,6 +185,27 @@ def test_closure_bound_on_random_families(seed):
     fam, bound, window = random_uniform_family(rng)
     report = check_closure_bound(fam, bound, window)
     assert report.satisfied and report.closed
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_union_closed_matches_all_pairs_oracle(seed):
+    fam, bound, window = random_uniform_family(random.Random(seed))
+    b = len(fam.blocks)
+    for n in range(max(bound - 1, 0), bound + 1):
+        rows = structural_rows(fam, window, [[n] * b for _ in range(b)])
+        assert union_closed(fam, n, window)[0] == rows_closed_under_ops(rows, window)[0]
+
+
+def test_union_closed_above_every_overlap():
+    # strata of rank above every overlap are no products of block-group
+    # maps, so only the per-stratum generators reach them
+    for fam, n in ((dyadic_disjoint_family(2), 1), (common_point_family(3), 2)):
+        b = len(fam.blocks)
+        rows = structural_rows(fam, 8, [[n] * b for _ in range(b)])
+        assert rows_closed_under_ops(rows, 8)[0]
+        closed, products = union_closed(fam, n, 8)
+        assert closed and products < len(rows) ** 2
 
 
 def test_minimal_window_covers_the_data():
