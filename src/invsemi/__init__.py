@@ -5,7 +5,7 @@ engine, constrained subsemigroups, and the pointwise-partial topology
 with its convergence and isolation certificates.
 """
 
-from .descriptors import EMPTY, NATURALS, SetDescriptor, finite_intersection_size
+from .descriptors import EMPTY, NATURALS, SetDescriptor
 from .errors import (
     BudgetExceededError,
     InvalidOpenError,
@@ -33,8 +33,6 @@ from .symbolic import (
     format_sym,
     im_set,
     is_empty_sym,
-    is_finite_sym,
-    is_partial_identity_sym,
     parse_sym,
     partial_identity,
     project_to_window,

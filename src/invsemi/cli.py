@@ -37,6 +37,7 @@ from .families import (
     chain_capacity_matrix,
     factorize,
     find_chain,
+    is_generated,
     stratum_options,
     verify_chain,
     verify_factorization,
@@ -225,12 +226,8 @@ def cmd_stratify(args) -> int:
     fam = _load_family(args.family)
     f = parse_sym(args.element, fam.blocks)
     tag = classify(f, fam.blocks)
-    capacity = chain_capacity_matrix(fam)
     options = stratum_options(f, fam) if tag.kind == "finite" else []
-    generated = (
-        tag.kind in ("group", "empty")
-        or (tag.kind == "finite" and any(tag.k <= capacity[i][j] for i, j in options))
-    )
+    generated = is_generated(f, fam, chain_capacity_matrix(fam))
     report = {
         "element": format_sym(f, fam.blocks),
         "kind": tag.kind,

@@ -304,7 +304,7 @@ def check_closure_bound(family: BlockFamily, n: int, window: int | None = None) 
     violation = next(((s, i, j) for s, i, j in overlaps if s > n), None)
     if violation is not None:
         size, i, j = violation
-        meet = family.blocks[i].intersect(family.blocks[j])
+        meet = family.meet(i, j)
         witness = {
             "i": i,
             "j": j,
@@ -360,7 +360,7 @@ def minimal_window(family: BlockFamily, rank_matrix: list[list[int]]) -> int:
     overlap_pts: set[int] = set()
     for i in range(b):
         for j in range(i + 1, b):
-            overlap_pts.update(family.blocks[i].intersect(family.blocks[j]).points())
+            overlap_pts.update(family.meet(i, j).points())
     for w in range(1, MAX_WINDOW + 1):
         if all(p < w for p in overlap_pts) and all(
             len(family.blocks[i].below(w)) >= needs[i] for i in range(b)

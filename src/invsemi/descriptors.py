@@ -205,10 +205,12 @@ class SetDescriptor:
         return SetDescriptor.build(add=add, remove=remove, modulus=self.modulus, residues=res)
 
     def with_points(self, points: Iterable[int]) -> "SetDescriptor":
-        return self.union(SetDescriptor.from_points(points))
+        return SetDescriptor.build(self.add + tuple(points), self.remove, self.modulus, self.residues)
 
     def without_points(self, points: Iterable[int]) -> "SetDescriptor":
-        return self.difference(SetDescriptor.from_points(points))
+        drop = set(points)
+        keep = [x for x in self.add if x not in drop]
+        return SetDescriptor.build(keep, self.remove + tuple(drop), self.modulus, self.residues)
 
     def subset_of(self, other: "SetDescriptor") -> bool:
         return self.difference(other).is_empty()
@@ -297,11 +299,6 @@ class SetDescriptor:
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-def finite_intersection_size(a: SetDescriptor, b: SetDescriptor) -> int | None:
-    """Size of the intersection, or None when it is infinite."""
-    return a.intersect(b).size()
 
 
 EMPTY = SetDescriptor.empty()

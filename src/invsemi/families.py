@@ -32,6 +32,10 @@ from .symbolic import (
 class BlockFamily:
     blocks: tuple[SetDescriptor, ...]
     name: str = field(default="", compare=False)
+    # pairwise meets, computed once while validating; None on the diagonal
+    _meets: tuple[tuple[SetDescriptor | None, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.blocks) < 2:
@@ -39,23 +43,29 @@ class BlockFamily:
         for i, b in enumerate(self.blocks):
             if not b.is_infinite():
                 raise ValueError(f"block {i} is finite")
-        for i in range(len(self.blocks)):
-            for j in range(i + 1, len(self.blocks)):
+        b = len(self.blocks)
+        meets: list[list[SetDescriptor | None]] = [[None] * b for _ in range(b)]
+        for i in range(b):
+            for j in range(i + 1, b):
                 meet = self.blocks[i].intersect(self.blocks[j])
                 if meet.is_infinite():
                     raise ValueError(f"blocks {i} and {j} overlap infinitely")
                 if self.blocks[i] == self.blocks[j]:
                     raise ValueError(f"blocks {i} and {j} are equal")
+                meets[i][j] = meets[j][i] = meet
+        object.__setattr__(self, "_meets", tuple(map(tuple, meets)))
 
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def intersection_size(self, i: int, j: int) -> int:
+    def meet(self, i: int, j: int) -> SetDescriptor:
+        """The finite overlap of two different blocks."""
         if i == j:
             raise ValueError("same block: intersection is the block itself")
-        size = self.blocks[i].intersect(self.blocks[j]).size()
-        assert size is not None
-        return size
+        return self._meets[i][j]
+
+    def intersection_size(self, i: int, j: int) -> int:
+        return len(self.meet(i, j).points())
 
     def intersection_matrix(self) -> list[list[int | None]]:
         """Pairwise overlap sizes; None on the diagonal (infinite)."""
@@ -274,7 +284,7 @@ def _extend_in_block(block: SetDescriptor, mapping: dict[int, int]) -> SymElemen
 def _two_factor(family: BlockFamily, i: int, j: int, fmap: dict[int, int]) -> list[SymElement]:
     # Exact when the map rank equals the overlap size: the first factor
     # pushes the domain onto the whole overlap, so nothing else sneaks in.
-    meet = sorted(family.blocks[i].intersect(family.blocks[j]).points())
+    meet = family.meet(i, j).points()
     dom = sorted(fmap)
     assert len(dom) == len(meet)
     lower = _extend_in_block(family.blocks[i], dict(zip(dom, meet)))
@@ -287,9 +297,8 @@ def _descent_factors(family: BlockFamily, i: int, j: int, fmap: dict[int, int]) 
     # the pad sent outside block i so the identity factor kills it, until
     # the padded rank fills the overlap and the two-factor base applies.
     bi, bj = family.blocks[i], family.blocks[j]
-    meet = bi.intersect(bj)
-    n = meet.size()
-    assert n is not None
+    meet = family.meet(i, j)
+    n = len(meet.points())
     factors: list[SymElement] = []
     current = dict(fmap)
     while len(current) < n:
@@ -314,12 +323,11 @@ def _chain_factors(
     dom = sorted(fmap)
     ways = []
     for a, c in zip(route, route[1:]):
-        meet = family.blocks[a].intersect(family.blocks[c])
-        ways.append(meet.first_members(k))
+        ways.append(family.meet(a, c).first_members(k))
     factors = [_extend_in_block(family.blocks[route[0]], dict(zip(dom, ways[0])))]
     for t in range(1, len(route) - 1):
         block = family.blocks[route[t]]
-        gate = family.blocks[route[t - 1]].intersect(block)
+        gate = family.meet(route[t - 1], route[t])
         nxt = family.blocks[route[t + 1]]
         mapping = dict(zip(ways[t - 1], ways[t]))
         strays = [p for p in gate.points() if p not in mapping]
@@ -335,7 +343,7 @@ def _chain_factors(
 
 def _empty_factors(family: BlockFamily) -> list[SymElement]:
     b0, b1 = family.blocks[0], family.blocks[1]
-    meet = b0.intersect(b1)
+    meet = family.meet(0, 1)
     if meet.is_empty():
         return [partial_identity(b0), partial_identity(b1)]
     pts = list(meet.points())

@@ -101,14 +101,6 @@ class PartialBijection:
         keep = set(points)
         return PartialBijection(tuple(p for p in self.pairs if p[0] in keep), self.window)
 
-    def domain_projection(self) -> "PartialBijection":
-        """The idempotent f^-1 f: identity on the domain."""
-        return PartialBijection.identity_on(self.domain(), self.window)
-
-    def image_projection(self) -> "PartialBijection":
-        """The idempotent f f^-1: identity on the image."""
-        return PartialBijection.identity_on(self.image(), self.window)
-
     # -- literals ----------------------------------------------------
 
     def format_literal(self) -> str:
@@ -152,11 +144,3 @@ def all_partial_bijections(window: int) -> list[PartialBijection]:
             for img in itertools.permutations(pts, k):
                 out.append(PartialBijection.of(zip(dom, img), window))
     return out
-
-
-def compose(f: PartialBijection, g: PartialBijection) -> PartialBijection:
-    return f.compose(g)
-
-
-def inverse(f: PartialBijection) -> PartialBijection:
-    return f.inverse()

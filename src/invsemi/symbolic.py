@@ -193,17 +193,8 @@ def sym_inverse(f: SymElement) -> SymElement:
     return IdFin(f.base, flipped)
 
 
-def is_partial_identity_sym(f: SymElement) -> bool:
-    return isinstance(f, IdFin) and not f.pairs
-
-
 def is_empty_sym(f: SymElement) -> bool:
     return isinstance(f, IdFin) and not f.pairs and f.base.is_empty()
-
-
-def is_finite_sym(f: SymElement) -> bool:
-    """True when the element is a finite partial bijection."""
-    return isinstance(f, IdFin) and not f.base.is_infinite()
 
 
 # -- composition ----------------------------------------------------

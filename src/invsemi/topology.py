@@ -392,6 +392,18 @@ def _spot_check(schema, x: int, claim) -> str | None:
 # isolation inside the union semigroup of an infinite block rule
 
 
+def _group_blocks(v: BasicOpen, blocks: Iterable[tuple[int, SetDescriptor]]
+                  ) -> tuple[tuple[int, SymElement], ...]:
+    """The numbered blocks whose group meets the open, each with a member:
+    every required pair lies inside the block and no forbidden point does."""
+    return tuple(
+        (m, _extend_in_block(blk, dict(v.positive)))
+        for m, blk in blocks
+        if all(x in blk and y in blk for x, y in v.positive)
+        and not any(p in blk for p in v.forbid_dom + v.forbid_im)
+    )
+
+
 @dataclass(frozen=True)
 class RuleOpenReport:
     """Exact accounting of the members of a basic open within the union
@@ -444,13 +456,7 @@ def rule_open_members(v: BasicOpen, rule: BlockRule) -> RuleOpenReport:
 
     cpts = v.constraint_points()
     relevant = sorted({rule.owner(p) for p in cpts if p >= 1})
-    group_blocks = []
-    for m in relevant:
-        blk = rule.block(m)
-        if all(x in blk and y in blk for x, y in pos) \
-                and not any(p in blk for p in v.forbid_dom) \
-                and not any(p in blk for p in v.forbid_im):
-            group_blocks.append((m, _extend_in_block(blk, dict(pos))))
+    group_blocks = _group_blocks(v, ((m, rule.block(m)) for m in relevant))
 
     pos_fits_tail = all(x == 0 and y == 0 for x, y in pos) \
         and (rule.shared_zero or not pos)
@@ -458,7 +464,7 @@ def rule_open_members(v: BasicOpen, rule: BlockRule) -> RuleOpenReport:
     tail = pos_fits_tail and not (rule.shared_zero and zero_forbidden)
 
     return RuleOpenReport(v, empty_member, rank_one, rank_one_infinite,
-                          tuple(group_blocks), tail)
+                          group_blocks, tail)
 
 
 def low_rank_open_members(v: BasicOpen, rule: BlockRule, window: int) -> list[SymElement]:
@@ -714,12 +720,7 @@ def family_open_members(v: BasicOpen, family: BlockFamily, bound: int) -> Family
     srcs = [x for x, _ in pos]
     tgts = [y for _, y in pos]
 
-    group_blocks = []
-    for c, blk in enumerate(family.blocks):
-        if all(x in blk and y in blk for x, y in pos) \
-                and not any(p in blk for p in v.forbid_dom) \
-                and not any(p in blk for p in v.forbid_im):
-            group_blocks.append((c, _extend_in_block(blk, dict(pos))))
+    group_blocks = _group_blocks(v, enumerate(family.blocks))
 
     fits = [
         (i, j)
@@ -733,7 +734,7 @@ def family_open_members(v: BasicOpen, family: BlockFamily, bound: int) -> Family
         finite_member = fin_map(pos)
     extension_unbounded = bool(fits) and bound > len(pos)
 
-    return FamilyOpenReport(v, bound, tuple(group_blocks), finite_member,
+    return FamilyOpenReport(v, bound, group_blocks, finite_member,
                             extension_unbounded, empty_member)
 
 

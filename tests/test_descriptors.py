@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invsemi import SetDescriptor, finite_intersection_size
+from invsemi import SetDescriptor
 from invsemi.descriptors import EMPTY, NATURALS
 
 PROBE = 150  # membership is eventually periodic, small horizon suffices
@@ -109,7 +109,7 @@ def test_iteration_and_least_outside(a):
 
 @given(descriptors, descriptors)
 def test_finite_intersection_size(a, b):
-    n = finite_intersection_size(a, b)
+    n = a.intersect(b).size()
     common = points_below(a) & points_below(b)
     if n is None:
         # infinite overlap: membership keeps recurring along a residue class
@@ -119,12 +119,21 @@ def test_finite_intersection_size(a, b):
         assert n == len(common)
 
 
-@given(descriptors, st.sets(st.integers(0, 60), max_size=3))
-def test_point_patching(a, pts):
+@given(descriptors, st.data())
+def test_point_patching(a, data):
+    # mix free points with tail, added and removed points of `a`
+    pts = data.draw(st.sets(st.integers(0, 60), max_size=3))
+    tail = [x for x in range(60) if x % a.modulus in a.residues]
+    for known in (tail, a.add, a.remove):
+        if known:
+            pts |= data.draw(st.sets(st.sampled_from(known), max_size=2))
     added = a.with_points(pts)
     removed = a.without_points(pts)
     assert points_below(added) == points_below(a) | {p for p in pts if p < PROBE}
     assert points_below(removed) == points_below(a) - pts
+    # canonical equality with the boolean-algebra route
+    assert added == a.union(SetDescriptor.from_points(pts))
+    assert removed == a.difference(SetDescriptor.from_points(pts))
 
 
 @settings(max_examples=30)

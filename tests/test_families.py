@@ -6,6 +6,7 @@ matrices for the catalog examples and then require the two routes to
 agree on randomized families.
 """
 
+import math
 import random
 
 import pytest
@@ -38,6 +39,7 @@ from invsemi.catalog import (
     marker_family,
     random_uniform_family,
     unequal_example,
+    violating_family,
 )
 from invsemi.symbolic import compose_chain
 
@@ -127,6 +129,36 @@ CATALOG = [
     marker_family(4, {(0, 1): 1, (1, 2): 2, (2, 3): 3, (0, 3): 1}, name="path4"),
     marker_family(2, {(0, 1): 4}, name="pair4"),
 ]
+
+
+def _overlap_by_membership(x, y):
+    # past the largest patch point both blocks are periodic, so a finite
+    # overlap lies below that point plus the lcm of the two moduli
+    top = max(x.add + x.remove + y.add + y.remove + (0,))
+    limit = top + 1 + math.lcm(x.modulus, y.modulus)
+    return sum(1 for p in range(limit) if x.member(p) and y.member(p))
+
+
+OVERLAP_FAMILIES = CATALOG + [
+    random_uniform_family(random.Random(seed))[0] for seed in range(8)
+] + [violating_family(random.Random(seed), seed % 3) for seed in range(8)]
+
+
+@pytest.mark.parametrize("fam", OVERLAP_FAMILIES, ids=lambda f: f.name)
+def test_stored_meets_match_fresh_intersections(fam):
+    b = len(fam.blocks)
+    for i in range(b):
+        for j in range(b):
+            if i != j:
+                assert fam.meet(i, j) == fam.blocks[i].intersect(fam.blocks[j])
+    assert fam.intersection_matrix() == [
+        [None if i == j else _overlap_by_membership(fam.blocks[i], fam.blocks[j])
+         for j in range(b)]
+        for i in range(b)
+    ]
+    renamed = BlockFamily(fam.blocks, name=fam.name + "-renamed")
+    assert renamed == fam and hash(renamed) == hash(fam)
+    assert renamed.intersection_matrix() == fam.intersection_matrix()
 
 
 @pytest.mark.parametrize("fam", CATALOG, ids=lambda f: f.name)
