@@ -14,7 +14,6 @@ from .errors import (
     NotInjectiveError,
     OutOfDomainError,
     ParseError,
-    UnsupportedCompositionError,
     UnsupportedFamilyError,
     WindowMismatchError,
 )
@@ -40,6 +39,7 @@ from .symbolic import (
     sym_compose,
     sym_defined_at,
     sym_element,
+    sym_graph,
     sym_inverse,
 )
 from .families import (

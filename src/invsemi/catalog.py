@@ -23,12 +23,11 @@ from .symbolic import (
     BlockPerm,
     SymElement,
     block_perm,
-    dom_set,
     fin_map,
-    im_set,
     is_empty_sym,
     partial_identity,
     sym_element,
+    sym_graph,
 )
 
 
@@ -112,11 +111,10 @@ class BlockRule:
             return self.block_index_of(f.block) is not None
         if f.base.is_infinite():
             return not f.pairs and self.block_index_of(f.base) is not None
-        rank = len(f.base.points()) + len(f.pairs)
-        if rank > self.rank_bound:
+        graph = sym_graph(f)
+        if len(graph) > self.rank_bound:
             return False
-        pts = dom_set(f).points() + im_set(f).points()
-        return all(self.covers(x) for x in pts)
+        return all(self.covers(x) and self.covers(y) for x, y in graph)
 
 
 COMMON_POINT_RULE = BlockRule("common-point-dyadic", shared_zero=True, rank_bound=1)

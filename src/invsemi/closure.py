@@ -109,9 +109,12 @@ def closure_of(
     while closed:
         fresh: list[np.ndarray] = []
         for start in range(0, len(frontier), step):
-            prods = compose_rows(frontier[start : start + step], gens).reshape(-1, window)
-            products += len(prods)
-            batch = [r for r in unique_rows(prods) if r.tobytes() not in seen]
+            left = frontier[start : start + step]
+            products += len(left) * len(gens)
+            # no name holds the composites, so they are freed before the
+            # next batch is composed
+            distinct = unique_rows(compose_rows(left, gens).reshape(-1, window))
+            batch = [r for r in distinct if r.tobytes() not in seen]
             if max_elements is not None and len(seen) + len(batch) > max_elements:
                 closed = False
                 break

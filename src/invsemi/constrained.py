@@ -34,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .closure import compose_rows, encode_rows
+from .closure import BLOCK_PRODUCTS, compose_rows, encode_rows
 from .descriptors import NATURALS, SetDescriptor
 from .pbij import PartialBijection, all_partial_bijections
 from .symbolic import (
@@ -48,7 +48,6 @@ from .symbolic import (
     sym_compose,
     sym_element,
 )
-from .errors import UnsupportedCompositionError
 
 SetLike = Union[SetDescriptor, frozenset, set, tuple, list]
 
@@ -243,12 +242,10 @@ def _composition_escape(model: CollectionModel, window: int):
         return 0, None
     rows = encode_rows(members, window)
     seen = set()
-    n = len(members)
-    chunk = 256
+    step = max(1, BLOCK_PRODUCTS // len(members))
     checked = 0
-    for lo in range(0, n, chunk):
-        left = rows[lo:lo + chunk]
-        prods = compose_rows(left, rows).reshape(-1, window)
+    for lo in range(0, len(members), step):
+        prods = compose_rows(rows[lo:lo + step], rows).reshape(-1, window)
         checked += prods.shape[0]
         for r in prods:
             key = r.tobytes()
@@ -381,10 +378,7 @@ def check_collection_laws(model: CollectionModel, window: int = 5,
     escape4 = None
     pairs_checked = 0
     for f, g in itertools.product(pool4, repeat=2):
-        try:
-            h = sym_compose(f, g)
-        except UnsupportedCompositionError:
-            continue
+        h = sym_compose(f, g)
         pairs_checked += 1
         if not in_co_constrained(h, model):
             escape4 = (f, g, h)

@@ -21,10 +21,6 @@ class ParseError(InvsemiError):
     """Raised on malformed literals for maps, elements or set descriptors."""
 
 
-class UnsupportedCompositionError(InvsemiError):
-    """Raised when a symbolic composite leaves the supported normal forms."""
-
-
 class InvalidOpenError(InvsemiError):
     """Raised when basic-open data is inconsistent (clashing constraints)."""
 

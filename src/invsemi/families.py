@@ -21,10 +21,8 @@ from .symbolic import (
     block_perm,
     classify,
     compose_chain,
-    dom_set,
-    im_set,
     partial_identity,
-    sym_apply,
+    sym_graph,
 )
 
 
@@ -229,14 +227,13 @@ def find_chain(family: BlockFamily, i: int, j: int, m: int) -> ChainCertificate 
 
 def stratum_options(f: SymElement, family: BlockFamily) -> list[tuple[int, int]]:
     """All (i, j) with the domain inside block i and the image inside block j."""
-    dom = dom_set(f).points()
-    im = im_set(f).points()
+    graph = sym_graph(f)
     outs = []
     for i, bi in enumerate(family.blocks):
-        if not all(bi.member(x) for x in dom):
+        if not all(bi.member(x) for x, _ in graph):
             continue
         for j, bj in enumerate(family.blocks):
-            if all(bj.member(y) for y in im):
+            if all(bj.member(y) for _, y in graph):
                 outs.append((i, j))
     return outs
 
@@ -374,7 +371,7 @@ def factorize(
         capacity = chain_capacity_matrix(family)
     k = tag.k
     assert k is not None and k >= 1
-    fmap = {x: sym_apply(f, x) for x in dom_set(f).points()}
+    fmap = dict(sym_graph(f))
     for i, j in stratum_options(f, family):
         if k > capacity[i][j]:
             continue

@@ -112,14 +112,7 @@ class PartialBijection:
         m = re.match(r"^\s*\{(?P<body>[^}]*)\}@(?P<window>\d+)\s*$", text)
         if not m:
             raise ParseError(f"bad partial bijection literal: {text!r}")
-        body = m.group("body").strip()
-        pairs = []
-        if body:
-            for chunk in body.split(","):
-                pm = re.match(r"^\s*(\d+)\s*->\s*(\d+)\s*$", chunk)
-                if not pm:
-                    raise ParseError(f"bad pair {chunk!r} in {text!r}")
-                pairs.append((int(pm.group(1)), int(pm.group(2))))
+        pairs = parse_pairs(m.group("body"))
         try:
             return cls.of(pairs, int(m.group("window")))
         except (NotInjectiveError, ValueError) as exc:
@@ -127,6 +120,19 @@ class PartialBijection:
 
     def __str__(self) -> str:
         return self.format_literal()
+
+
+def parse_pairs(body: str) -> list[Pair]:
+    """Parse a comma-separated ``a->b`` list; blank means no pairs."""
+    if not body.strip():
+        return []
+    pairs = []
+    for chunk in body.split(","):
+        m = re.match(r"^\s*(\d+)\s*->\s*(\d+)\s*$", chunk)
+        if not m:
+            raise ParseError(f"bad pair {chunk!r}")
+        pairs.append((int(m.group(1)), int(m.group(2))))
+    return pairs
 
 
 def all_partial_bijections(window: int) -> list[PartialBijection]:

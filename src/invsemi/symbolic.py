@@ -15,6 +15,9 @@ the base, and an ``IdFin`` whose patch permutes a fixed set over an
 infinite carrier is promoted to a ``BlockPerm``.  Construct through
 :func:`sym_element` or the named helpers; the dataclass constructors
 reject non-canonical data.
+
+Any two elements compose, permutations of distinct blocks that overlap
+infinitely included: the composite is again one of the two shapes.
 """
 
 from __future__ import annotations
@@ -26,10 +29,9 @@ from .errors import (
     NotInjectiveError,
     OutOfDomainError,
     ParseError,
-    UnsupportedCompositionError,
     WindowMismatchError,
 )
-from .pbij import Pair, PartialBijection
+from .pbij import Pair, PartialBijection, parse_pairs
 
 
 def _check_pairs(pairs: tuple[Pair, ...]) -> None:
@@ -173,6 +175,12 @@ def im_set(f: SymElement) -> SetDescriptor:
     return f.base.with_points(t for _, t in f.pairs)
 
 
+def sym_graph(f: SymElement) -> tuple[Pair, ...]:
+    """Sorted (x, f(x)) pairs of an element with a finite domain;
+    ValueError when the domain is infinite."""
+    return tuple(sorted(f.pairs + tuple((x, x) for x in _carrier(f).points())))
+
+
 def sym_apply(f: SymElement, x: int) -> int:
     for s, t in f.pairs:
         if s == x:
@@ -201,79 +209,18 @@ def is_empty_sym(f: SymElement) -> bool:
 
 
 def sym_compose(f: SymElement, g: SymElement) -> SymElement:
-    """f after g: acts as x -> f(g(x)) where both steps are defined."""
-    if isinstance(f, IdFin) and isinstance(g, IdFin):
-        return _compose_idfin_idfin(f, g)
-    if isinstance(f, BlockPerm) and isinstance(g, BlockPerm):
-        return _compose_perm_perm(f, g)
-    if isinstance(f, BlockPerm):
-        return _compose_perm_idfin(f, g)
-    return _compose_idfin_perm(f, g)
+    """f after g: acts as x -> f(g(x)) where both steps are defined.
 
-
-def _compose_idfin_idfin(f: IdFin, g: IdFin) -> SymElement:
-    after = dict(f.pairs)
+    Off the finitely many moved points both maps fix their carriers, so
+    the composite is the identity on the meet of the carriers minus the
+    moved points, patched by what happens at the moved points.
+    """
+    moved = {s for s, _ in f.pairs + g.pairs}
     pairs = []
-    for x, gx in g.pairs:
-        if f.base.member(gx):
-            pairs.append((x, gx))
-        elif gx in after:
-            pairs.append((x, after[gx]))
-    for s, fs in f.pairs:
-        if g.base.member(s):
-            pairs.append((s, fs))
-    return sym_element(g.base.intersect(f.base), pairs)
-
-
-def _compose_perm_perm(f: BlockPerm, g: BlockPerm) -> SymElement:
-    if f.block == g.block:
-        after = dict(f.pairs)
-        first = dict(g.pairs)
-        sources = set(after) | set(first)
-        pairs = []
-        for x in sources:
-            y = first.get(x, x)
-            pairs.append((x, after.get(y, y)))
-        return sym_element(f.block.without_points(sources), pairs)
-    meet = f.block.intersect(g.block)
-    if meet.is_infinite():
-        raise UnsupportedCompositionError(
-            "permutations of distinct blocks with infinite overlap"
-        )
-    first_inv = {t: s for s, t in g.pairs}
-    after = dict(f.pairs)
-    pairs = []
-    for y in meet.points():
-        pairs.append((first_inv.get(y, y), after.get(y, y)))
-    return sym_element(EMPTY, pairs)
-
-
-def _compose_perm_idfin(f: BlockPerm, g: IdFin) -> SymElement:
-    after = dict(f.pairs)
-    pairs = []
-    for s, fs in f.pairs:
-        if g.base.member(s):
-            pairs.append((s, fs))
-    for x, gx in g.pairs:
-        if f.block.member(gx):
-            pairs.append((x, after.get(gx, gx)))
-    base = g.base.intersect(f.block).without_points(after.keys())
-    return sym_element(base, pairs)
-
-
-def _compose_idfin_perm(f: IdFin, g: BlockPerm) -> SymElement:
-    first = dict(g.pairs)
-    after = dict(f.pairs)
-    pairs = []
-    for x, gx in g.pairs:
-        if f.base.member(gx):
-            pairs.append((x, gx))
-        elif gx in after:
-            pairs.append((x, after[gx]))
-    for q, fq in f.pairs:
-        if q not in first and g.block.member(q):
-            pairs.append((q, fq))
-    base = g.block.intersect(f.base).without_points(first.keys())
+    for x in moved:
+        if sym_defined_at(g, x) and sym_defined_at(f, y := sym_apply(g, x)):
+            pairs.append((x, sym_apply(f, y)))
+    base = _carrier(f).intersect(_carrier(g)).without_points(moved)
     return sym_element(base, pairs)
 
 
@@ -342,15 +289,14 @@ def classify(f: SymElement, blocks: tuple[SetDescriptor, ...]) -> StratumTag:
                 if b == f.base:
                     return StratumTag("group", i, i, None)
         return StratumTag("outside")
-    dom = dom_set(f).points()
-    if not dom:
+    graph = sym_graph(f)
+    if not graph:
         return StratumTag("empty", None, None, 0)
-    im = im_set(f).points()
-    i = next((n for n, b in enumerate(blocks) if all(b.member(x) for x in dom)), None)
-    j = next((n for n, b in enumerate(blocks) if all(b.member(y) for y in im)), None)
+    i = next((n for n, b in enumerate(blocks) if all(b.member(x) for x, _ in graph)), None)
+    j = next((n for n, b in enumerate(blocks) if all(b.member(y) for _, y in graph)), None)
     if i is None or j is None:
         return StratumTag("outside")
-    return StratumTag("finite", i, j, len(dom))
+    return StratumTag("finite", i, j, len(graph))
 
 
 # -- literals ----------------------------------------------------
@@ -378,21 +324,6 @@ def format_sym(f: SymElement, blocks: tuple[SetDescriptor, ...] | None = None) -
     if f.base.is_empty():
         return "fin(%s)" % _pairs_text(f.pairs)
     return "idplus(%s; %s)" % (_block_name(f.base, blocks), _pairs_text(f.pairs))
-
-
-def _parse_pairs(body: str) -> list[Pair]:
-    import re
-
-    body = body.strip()
-    if not body:
-        return []
-    pairs = []
-    for chunk in body.split(","):
-        m = re.match(r"^\s*(\d+)\s*->\s*(\d+)\s*$", chunk)
-        if not m:
-            raise ParseError(f"bad pair {chunk!r}")
-        pairs.append((int(m.group(1)), int(m.group(2))))
-    return pairs
 
 
 def _parse_carrier(name: str, blocks: tuple[SetDescriptor, ...] | None) -> SetDescriptor:
@@ -424,14 +355,14 @@ def parse_sym(text: str, blocks: tuple[SetDescriptor, ...] | None = None) -> Sym
     head, body = m.group("head"), m.group("body")
     try:
         if head == "fin":
-            return fin_map(_parse_pairs(body))
+            return fin_map(parse_pairs(body))
         if head == "id":
             return partial_identity(_parse_carrier(body, blocks))
         carrier_text, _, pairs_text = body.partition(";")
         if not _ :
             raise ParseError(f"{head} literal needs ';' between carrier and pairs")
         carrier = _parse_carrier(carrier_text, blocks)
-        pairs = _parse_pairs(pairs_text)
+        pairs = parse_pairs(pairs_text)
         if head == "perm":
             return block_perm(carrier, pairs)
         return sym_element(carrier, pairs)

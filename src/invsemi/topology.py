@@ -32,7 +32,6 @@ from .errors import BudgetExceededError, InvalidOpenError, WindowMismatchError
 from .families import BlockFamily, _extend_in_block
 from .pbij import PartialBijection
 from .symbolic import (
-    BlockPerm,
     IdFin,
     SymElement,
     block_perm,
@@ -47,7 +46,9 @@ from .symbolic import (
     sym_apply,
     sym_compose,
     sym_defined_at,
+    sym_graph,
     sym_inverse,
+    _carrier,
 )
 
 Pair = tuple[int, int]
@@ -249,9 +250,7 @@ class GrowingExtensionSeq:
     def element(self, n: int) -> SymElement:
         src = next(itertools.islice(self._fresh_dom().iter_members(), n, None))
         tgt = next(itertools.islice(self._fresh_im().iter_members(), n, None))
-        pairs = [(x, sym_apply(self.base, x)) for x in dom_set(self.base).points()]
-        pairs.append((src, tgt))
-        return fin_map(pairs)
+        return fin_map(sym_graph(self.base) + ((src, tgt),))
 
     def eventual(self, x: int):
         if sym_defined_at(self.base, x):
@@ -275,23 +274,17 @@ class GroupNeighborSeq:
         if not dom_set(self.base).is_infinite():
             raise ValueError("base must live on an infinite block")
 
-    def _block(self) -> SetDescriptor:
-        return self.base.block if isinstance(self.base, BlockPerm) else self.base.base
-
-    def _moving(self) -> tuple[Pair, ...]:
-        return self.base.pairs if isinstance(self.base, BlockPerm) else ()
-
     def _pool(self) -> SetDescriptor:
-        return self._block().without_points([x for x, _ in self._moving()])
+        return _carrier(self.base).without_points([x for x, _ in self.base.pairs])
 
     def element(self, n: int) -> SymElement:
         a, b = itertools.islice(self._pool().iter_members(), 2 * n, 2 * n + 2)
-        return block_perm(self._block(), self._moving() + ((a, b), (b, a)))
+        return block_perm(_carrier(self.base), self.base.pairs + ((a, b), (b, a)))
 
     def eventual(self, x: int):
-        if x not in self._block():
+        if x not in _carrier(self.base):
             return ("out", 0)
-        move = dict(self._moving())
+        move = dict(self.base.pairs)
         if x in move:
             return ("in", 0, move[x])
         r = _rank_of(self._pool(), x)
@@ -559,12 +552,11 @@ def rule_isolation(f: SymElement, rule: BlockRule) -> IsolationVerdict:
             schema = BlockIdentitySeq(rule)
             note = "limit of the disjoint block identities"
         return IsolationVerdict(f, False, None, schema, note)
-    if isinstance(f, BlockPerm) or dom_set(f).is_infinite():
+    if _carrier(f).is_infinite():
         return IsolationVerdict(
             f, False, None, GroupNeighborSeq(f),
             "limit of its own block group: perturb by far transpositions")
-    pairs = [(x, sym_apply(f, x)) for x in dom_set(f).points()]
-    (src, tgt), = pairs
+    (src, tgt), = sym_graph(f)
     if src == 0 and tgt == 0:
         return IsolationVerdict(
             f, False, None, BlockIdentitySeq(rule),
@@ -768,7 +760,7 @@ def family_isolation(f: SymElement, family: BlockFamily, bound: int) -> Isolatio
                                 "limit of singleton identities inside the "
                                 "first block")
     # finite member of rank k <= bound
-    pairs = tuple((x, sym_apply(f, x)) for x in dom_set(f).points())
+    pairs = sym_graph(f)
     if tag.k < bound:
         schema = GrowingExtensionSeq(f, family.blocks[tag.i], family.blocks[tag.j])
         return IsolationVerdict(f, False, None, schema,

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from invsemi import PartialBijection
+from invsemi import NATURALS, PartialBijection, SetDescriptor, block_perm, fin_map, sym_element
 
 
 def compose_dicts(f: dict, g: dict) -> dict:
@@ -49,6 +49,36 @@ def random_partial_injection(rng: random.Random, window: int) -> PartialBijectio
     points = [x for x in range(window) if rng.random() < 0.5]
     targets = rng.sample(range(window), len(points))
     return PartialBijection.of(zip(points, targets), window)
+
+
+OVERLAP_BOUND = 12
+OVERLAPPING_CARRIERS = (
+    NATURALS,
+    SetDescriptor.residue_class(0, 2),
+    NATURALS.without_points([2]),
+)
+
+
+def overlapping_sym_element(rng: random.Random):
+    """A symbolic element over carriers that pairwise overlap infinitely:
+    a permutation of one of them, an ``idplus`` patch on one of them, or
+    a finite map, with all finite data below OVERLAP_BOUND."""
+    carrier = rng.choice(OVERLAPPING_CARRIERS)
+    kind = rng.choice(["perm", "perm", "idplus", "fin"])
+    if kind == "perm":
+        sup = rng.sample(carrier.below(OVERLAP_BOUND), rng.randint(2, 4))
+        img = sup[:]
+        while img == sup:
+            rng.shuffle(img)
+        return block_perm(carrier, zip(sup, img))
+    if kind == "fin":
+        k = rng.randint(0, 4)
+        pts = range(OVERLAP_BOUND)
+        return fin_map(zip(rng.sample(pts, k), rng.sample(pts, k)))
+    base = carrier.without_points(rng.sample(carrier.below(OVERLAP_BOUND), rng.randint(1, 3)))
+    free = [x for x in range(OVERLAP_BOUND) if not base.member(x)]
+    k = rng.randint(1, min(3, len(free)))
+    return sym_element(base, zip(rng.sample(free, k), rng.sample(free, k)))
 
 
 @pytest.fixture

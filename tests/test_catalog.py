@@ -21,7 +21,18 @@ from invsemi.catalog import (
     sym_element_pool,
     violating_family,
 )
-from invsemi.symbolic import block_perm, empty_map, sym_compose
+from invsemi.symbolic import (
+    BlockPerm,
+    block_perm,
+    dom_set,
+    empty_map,
+    format_sym,
+    im_set,
+    is_empty_sym,
+    sym_compose,
+)
+
+from conftest import overlapping_sym_element
 
 
 def test_dyadic_blocks_partition_the_positives():
@@ -125,7 +136,30 @@ def test_pool_stays_inside_the_window_guarantee():
             v < SYM_POOL_POINT_BOUND for p in f.pairs for v in p
         )
         g = random_sym_element(rng)
-        sym_compose(f, g)  # never refuses on pool elements
+        sym_compose(f, g)
+
+
+def rank_and_cover_member(rule, f):
+    """Rule membership by building the domain and image descriptors."""
+    if is_empty_sym(f):
+        return True
+    if isinstance(f, BlockPerm):
+        return rule.block_index_of(f.block) is not None
+    if f.base.is_infinite():
+        return not f.pairs and rule.block_index_of(f.base) is not None
+    if len(f.base.points()) + len(f.pairs) > rule.rank_bound:
+        return False
+    return all(rule.covers(x) for x in dom_set(f).points() + im_set(f).points())
+
+
+def test_rule_membership_matches_rank_and_cover():
+    rng = random.Random(11)
+    elements = [fin_map([(a, b)]) for a in range(12) for b in range(12)]
+    for _ in range(300):
+        elements += [random_sym_element(rng), overlapping_sym_element(rng)]
+    for rule in (COMMON_POINT_RULE, DISJOINT_RULE):
+        for f in elements:
+            assert rule.member(f) == rank_and_cover_member(rule, f), format_sym(f)
 
 
 def test_random_block_permutation_lands_in_the_block():

@@ -122,6 +122,13 @@ def test_collection_laws_hold(model):
         assert v.holds, (model.kind, v.law, v.detail)
 
 
+def test_superset_law_composes_every_pool_pair():
+    # the 15-element symbolic pool includes permutations of blocks that
+    # overlap infinitely; every ordered pair must compose
+    law4 = check_collection_laws(CollectionModel("all"), window=4, seed=1)[3]
+    assert law4.detail.startswith(f"{15 * 15} symbolic composites")
+
+
 def test_initial_segments_really_escape():
     # the collection is not subset-closed and composition leaves it
     verdicts = check_collection_laws(CollectionModel("initial-segments"), window=4)

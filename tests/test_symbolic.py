@@ -30,6 +30,7 @@ from invsemi import (
     sym_compose,
     sym_defined_at,
     sym_element,
+    sym_graph,
     sym_inverse,
     im_set,
 )
@@ -39,12 +40,23 @@ from invsemi.catalog import (
     random_sym_element,
 )
 
+from conftest import overlapping_sym_element
+
 EVENS = SetDescriptor.residue_class(0, 2)
 ODDS = SetDescriptor.residue_class(1, 2)
 
 
 def sampled_elements(seed):
     return random_sym_element(random.Random(seed))
+
+
+def overlapping_elements(seed):
+    return overlapping_sym_element(random.Random(seed))
+
+
+# the catalog pool meets in single points; the second sampler permutes
+# carriers that overlap infinitely
+SAMPLERS = (sampled_elements, overlapping_elements)
 
 
 sym_seeds = st.integers(0, 2**32 - 1)
@@ -111,11 +123,12 @@ def test_apply_and_membership():
 @settings(max_examples=200)
 @given(sym_seeds, sym_seeds)
 def test_projection_commutes_with_composition(s1, s2):
-    f, g = sampled_elements(s1), sampled_elements(s2)
-    for window in (16, 32):
-        lhs = project_to_window(sym_compose(f, g), window)
-        rhs = project_to_window(f, window).compose(project_to_window(g, window))
-        assert lhs == rhs
+    for sample in SAMPLERS:
+        f, g = sample(s1), sample(s2)
+        for window in (16, 32):
+            lhs = project_to_window(sym_compose(f, g), window)
+            rhs = project_to_window(f, window).compose(project_to_window(g, window))
+            assert lhs == rhs
 
 
 @given(sym_seeds)
@@ -132,14 +145,27 @@ def test_inverse_is_an_involution(s):
 
 @given(sym_seeds, sym_seeds)
 def test_inversion_reverses_products(s1, s2):
-    f, g = sampled_elements(s1), sampled_elements(s2)
-    assert sym_inverse(sym_compose(f, g)) == sym_compose(sym_inverse(g), sym_inverse(f))
+    for sample in SAMPLERS:
+        f, g = sample(s1), sample(s2)
+        assert sym_inverse(sym_compose(f, g)) == sym_compose(sym_inverse(g), sym_inverse(f))
 
 
 @given(sym_seeds, sym_seeds, sym_seeds)
 def test_symbolic_composition_is_associative(s1, s2, s3):
-    f, g, h = sampled_elements(s1), sampled_elements(s2), sampled_elements(s3)
-    assert sym_compose(sym_compose(f, g), h) == sym_compose(f, sym_compose(g, h))
+    for sample in SAMPLERS:
+        f, g, h = sample(s1), sample(s2), sample(s3)
+        assert sym_compose(sym_compose(f, g), h) == sym_compose(f, sym_compose(g, h))
+
+
+@given(sym_seeds)
+def test_graph_lists_the_pairs_of_finite_elements(s):
+    for sample in SAMPLERS:
+        f = sample(s)
+        if dom_set(f).is_infinite():
+            with pytest.raises(ValueError):
+                sym_graph(f)
+        else:
+            assert sym_graph(f) == tuple((x, sym_apply(f, x)) for x in dom_set(f).points())
 
 
 @given(sym_seeds)
