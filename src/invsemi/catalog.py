@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .descriptors import SetDescriptor
 from .errors import BudgetExceededError, UnsupportedFamilyError
-from .families import BlockFamily, chain_capacity_matrix
+from .families import BlockFamily
 from .symbolic import (
     BlockPerm,
     SymElement,

@@ -1,19 +1,22 @@
 """Windowed closure of partial bijections.
 
 Everything here works on the points below a fixed window.  Maps are
-encoded as int8 rows (entry x holds the image of x, -1 for undefined),
-so composing a batch against a batch is two numpy indexing operations.
+kept as int8 rows (entry x holds the image of x, -1 for undefined), so
+composing a batch against a batch is two numpy indexing operations.
 The closure routine is a breadth-first search of the right Cayley graph
 over the generators and their inverses, with exact dedup; companion
 builders enumerate the structural candidate sets (windowed block groups
-plus finite strata) so the two routes can be compared element by element.
+plus finite strata) straight into rows, so the two routes are compared
+row by row.  Rows become ``PartialBijection``s only when a caller asks
+to see the maps.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,10 +40,16 @@ def unique_rows(rows: np.ndarray) -> np.ndarray:
 # -- encoding ----------------------------------------------------
 
 
-def encode_rows(maps: Sequence[PartialBijection], window: int) -> np.ndarray:
+def blank_rows(count: int, window: int) -> np.ndarray:
+    """`count` empty maps.  The builders allocate through here, so the
+    int8 window check comes before any point is written."""
     if window > MAX_WINDOW:
         raise BudgetExceededError(f"window {window} exceeds the int8 limit {MAX_WINDOW}")
-    out = np.full((len(maps), window), -1, dtype=np.int8)
+    return np.full((count, window), -1, dtype=np.int8)
+
+
+def encode_rows(maps: Sequence[PartialBijection], window: int) -> np.ndarray:
+    out = blank_rows(len(maps), window)
     for n, f in enumerate(maps):
         if f.window != window:
             raise WindowMismatchError(f"map window {f.window}, engine window {window}")
@@ -72,20 +81,25 @@ def invert_rows(rows: np.ndarray) -> np.ndarray:
 BLOCK_PRODUCTS = 1 << 19  # composites per batch: bounds memory and budget overshoot
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosureResult:
-    """The generated inverse semigroup, with per-word-length bookkeeping:
-    frontier_sizes[r] counts the elements whose shortest word over the
-    generators and their inverses has length r + 1."""
+    """The generated inverse semigroup as `rows`, its distinct int8 rows
+    sorted bytewise (`elements` decodes them), with per-word-length
+    bookkeeping: frontier_sizes[r] counts the elements whose shortest word
+    over the generators and their inverses has length r + 1."""
 
-    elements: tuple[PartialBijection, ...]
+    rows: np.ndarray
     frontier_sizes: tuple[int, ...]
     products: int
     closed: bool
     window: int
 
+    @property
+    def elements(self) -> tuple[PartialBijection, ...]:
+        return tuple(decode_row(r, self.window) for r in self.rows)
+
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.rows)
 
 
 def closure_of(
@@ -126,8 +140,7 @@ def closure_of(
         found.append(frontier)
         frontier_sizes.append(len(frontier))
     order = unique_rows(np.concatenate(found))
-    elements = tuple(decode_row(r, window) for r in order)
-    return ClosureResult(elements, tuple(frontier_sizes), products, closed, window)
+    return ClosureResult(order, tuple(frontier_sizes), products, closed, window)
 
 
 # -- structural candidate sets ----------------------------------------------------
@@ -136,17 +149,22 @@ def closure_of(
 GROUP_ENUM_CAP = 7  # 7! = 5040 permutations; past this, enumeration is refused
 
 
-def windowed_block_group(block: SetDescriptor, window: int) -> list[PartialBijection]:
-    """Every permutation of the block's points below the window."""
+def group_rows(block: SetDescriptor, window: int) -> np.ndarray:
+    """Every permutation of the block's points below the window, one row
+    each, in `itertools.permutations` order."""
     pts = block.below(window)
     if len(pts) > GROUP_ENUM_CAP:
         raise BudgetExceededError(
             f"block has {len(pts)} points below {window}; refusing {len(pts)}! permutations"
         )
-    return [
-        PartialBijection.of(zip(pts, img), window)
-        for img in itertools.permutations(pts)
-    ]
+    rows = blank_rows(math.factorial(len(pts)), window)
+    rows[:, pts] = list(itertools.permutations(pts))
+    return rows
+
+
+def windowed_block_group(block: SetDescriptor, window: int) -> list[PartialBijection]:
+    """Every permutation of the block's points below the window."""
+    return [decode_row(r, window) for r in group_rows(block, window)]
 
 
 def sparse_group_generators(block: SetDescriptor, window: int) -> list[PartialBijection]:
@@ -171,15 +189,6 @@ def family_generators(
     return maps
 
 
-def _strata_maps(
-    pi: list[int], pj: list[int], ranks: Iterable[int], window: int
-) -> Iterable[PartialBijection]:
-    for k in ranks:
-        for dom in itertools.combinations(pi, k):
-            for img in itertools.permutations(pj, k):
-                yield PartialBijection.of(zip(dom, img), window)
-
-
 def structural_rows(
     family: BlockFamily, window: int, capacity: list[list[int]] | None = None
 ) -> np.ndarray:
@@ -188,15 +197,17 @@ def structural_rows(
     empty map.  Returned as deduplicated sorted rows."""
     if capacity is None:
         capacity = chain_capacity_matrix(family)
-    maps = [PartialBijection.empty(window)]
-    for b in family.blocks:
-        maps += windowed_block_group(b, window)
+    parts = [group_rows(b, window) for b in family.blocks] + [blank_rows(1, window)]
     pts = [b.below(window) for b in family.blocks]
-    for i in range(len(family.blocks)):
-        for j in range(len(family.blocks)):
-            ranks = range(1, capacity[i][j] + 1)
-            maps.extend(_strata_maps(pts[i], pts[j], ranks, window))
-    return unique_rows(encode_rows(maps, window))
+    for i, src in enumerate(pts):
+        for j, dst in enumerate(pts):
+            for k in range(1, min(capacity[i][j], len(src), len(dst)) + 1):
+                images = list(itertools.permutations(dst, k))
+                for dom in itertools.combinations(src, k):
+                    rows = blank_rows(len(images), window)
+                    rows[:, dom] = images
+                    parts.append(rows)
+    return unique_rows(np.concatenate(parts))
 
 
 # -- comparisons ----------------------------------------------------
@@ -215,7 +226,7 @@ def compare_with_structural(
     result: ClosureResult, family: BlockFamily, capacity: list[list[int]] | None = None
 ) -> StructuralDiff:
     target = structural_rows(family, result.window, capacity)
-    got = encode_rows(result.elements, result.window)
+    got = result.rows
     target_keys = {r.tobytes() for r in target}
     got_keys = {r.tobytes() for r in got}
     missing = tuple(
@@ -266,7 +277,7 @@ def union_closed(family: BlockFamily, n: int, window: int) -> tuple[bool, int]:
             for k in range(1, min(n, len(src), len(dst)) + 1):
                 gens.append(PartialBijection.of(zip(src[:k], dst[:k]), window))
     result = closure_of(gens, max_elements=len(target))
-    closed = result.closed and np.array_equal(encode_rows(result.elements, window), target)
+    closed = result.closed and np.array_equal(result.rows, target)
     return closed, result.products
 
 

@@ -32,9 +32,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Union
 
-import numpy as np
-
-from .closure import BLOCK_PRODUCTS, compose_rows, encode_rows
+from .closure import BLOCK_PRODUCTS, compose_rows, decode_row, encode_rows
 from .descriptors import NATURALS, SetDescriptor
 from .pbij import PartialBijection, all_partial_bijections
 from .symbolic import (
@@ -241,22 +239,17 @@ def _composition_escape(model: CollectionModel, window: int):
     if not members:
         return 0, None
     rows = encode_rows(members, window)
-    seen = set()
+    # the members are every windowed map whose domain and image the model
+    # holds, so a composite lies in S(C) exactly when its row is a member's
+    keys = {r.tobytes() for r in rows}
     step = max(1, BLOCK_PRODUCTS // len(members))
     checked = 0
     for lo in range(0, len(members), step):
         prods = compose_rows(rows[lo:lo + step], rows).reshape(-1, window)
         checked += prods.shape[0]
         for r in prods:
-            key = r.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            pairs = tuple((x, int(y)) for x, y in enumerate(r) if y >= 0)
-            dom = frozenset(x for x, _ in pairs)
-            img = frozenset(y for _, y in pairs)
-            if not (model.contains(dom) and model.contains(img)):
-                return checked, PartialBijection.of(pairs, window)
+            if r.tobytes() not in keys:
+                return checked, decode_row(r, window)
     return checked, None
 
 

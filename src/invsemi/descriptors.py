@@ -11,7 +11,7 @@ the package leans on for hashing and deduplication.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .errors import ParseError
@@ -193,16 +193,7 @@ class SetDescriptor:
         return self._pointwise(other, lambda a, b: a and not b)
 
     def complement(self) -> "SetDescriptor":
-        res = [r for r in range(self.modulus) if r not in self.residues]
-        finite = set(self.add) | set(self.remove)
-        res_set = set(res)
-        add, remove = [], []
-        for x in finite:
-            if not self.member(x):
-                add.append(x)
-            elif x % self.modulus in res_set:
-                remove.append(x)
-        return SetDescriptor.build(add=add, remove=remove, modulus=self.modulus, residues=res)
+        return NATURALS.difference(self)
 
     def with_points(self, points: Iterable[int]) -> "SetDescriptor":
         return SetDescriptor.build(self.add + tuple(points), self.remove, self.modulus, self.residues)

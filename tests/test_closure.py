@@ -1,6 +1,7 @@
 """Windowed closure engine against the naive dict oracle and the
 structural description of the generated union."""
 
+import itertools
 import random
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invsemi import (
+    BlockFamily,
     BudgetExceededError,
     PartialBijection,
     SetDescriptor,
@@ -18,6 +20,7 @@ from invsemi import (
 )
 from invsemi.closure import (
     BLOCK_PRODUCTS,
+    MAX_WINDOW,
     compose_rows,
     decode_row,
     encode_rows,
@@ -37,7 +40,9 @@ from invsemi.catalog import (
     dyadic_disjoint_family,
     random_uniform_family,
 )
+from invsemi.families import chain_capacity_matrix
 from conftest import closure_dicts, compose_dicts, invert_dict, random_partial_injection
+from test_families import CATALOG
 
 
 def test_encode_decode_round_trip(rng):
@@ -214,3 +219,83 @@ def test_minimal_window_covers_the_data():
     assert w > 17  # the overlap points must be visible
     for block in fam.blocks:
         assert len(block.below(w)) >= 2
+
+
+# -- row builders against the object route ----------------------------------------------------
+
+
+def _structural_oracle(family, window, capacity):
+    """Every block-group and stratum map built as a PartialBijection, then
+    encoded and deduplicated."""
+    pts = [blk.below(window) for blk in family.blocks]
+    maps = [PartialBijection.empty(window)]
+    for p in pts:
+        maps += [PartialBijection.of(zip(p, img), window) for img in itertools.permutations(p)]
+    for i, src in enumerate(pts):
+        for j, dst in enumerate(pts):
+            for k in range(1, capacity[i][j] + 1):
+                for dom in itertools.combinations(src, k):
+                    for img in itertools.permutations(dst, k):
+                        maps.append(PartialBijection.of(zip(dom, img), window))
+    return unique_rows(encode_rows(maps, window))
+
+
+def _row_builder_cases():
+    # catalog families at the widest window up to 24 with at most five
+    # points per block, which keeps the object route to about a second
+    for fam in CATALOG:
+        b = len(fam.blocks)
+        window = max(
+            w for w in range(1, 25) if all(len(blk.below(w)) <= 5 for blk in fam.blocks)
+        )
+        bound = max(fam.intersection_size(i, j) for i in range(b) for j in range(b) if i != j)
+        yield pytest.param(fam, window, bound, id=fam.name)
+    for seed in range(8):
+        fam, bound, window = random_uniform_family(random.Random(seed))
+        yield pytest.param(fam, window, bound, id=f"uniform-{seed}")
+
+
+@pytest.mark.parametrize("fam, window, bound", _row_builder_cases())
+def test_structural_rows_match_the_object_route(fam, window, bound):
+    b = len(fam.blocks)
+    uniform = [[[n] * b for _ in range(b)] for n in range(bound + 2)]
+    for capacity in [chain_capacity_matrix(fam)] + uniform:
+        rows = structural_rows(fam, window, capacity)
+        want = _structural_oracle(fam, window, capacity)
+        assert rows.dtype == np.int8
+        assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+
+
+def test_block_group_keeps_the_permutation_order():
+    cases = (
+        (common_point_block(0), 8),
+        (SetDescriptor.naturals(), 7),  # GROUP_ENUM_CAP points
+        (SetDescriptor.residue_class(0, 20), 15),  # one point
+        (SetDescriptor.residue_class(5, 20), 4),  # no point: the empty map
+    )
+    for block, window in cases:
+        pts = block.below(window)
+        want = [PartialBijection.of(zip(pts, img), window) for img in itertools.permutations(pts)]
+        assert windowed_block_group(block, window) == want
+
+
+def test_closure_rows_are_the_encoded_elements(rng):
+    runs = [
+        closure_of([random_partial_injection(rng, 6) for _ in range(3)]),
+        closure_of(family_generators(common_point_family(3), 8)),
+        closure_of(windowed_block_group(SetDescriptor.naturals(), 6)[:30], max_elements=50),
+    ]
+    for result in runs:
+        encoded = encode_rows(result.elements, result.window)
+        assert result.rows.dtype == np.int8
+        assert np.array_equal(result.rows, encoded)
+        assert np.array_equal(unique_rows(encoded), encoded)  # sorted bytewise, distinct
+        assert result.size() == len(result.elements)
+
+
+def test_row_builders_refuse_windows_past_the_int8_limit():
+    fam = BlockFamily((SetDescriptor.residue_class(0, 20), SetDescriptor.residue_class(1, 20)))
+    with pytest.raises(BudgetExceededError):
+        structural_rows(fam, MAX_WINDOW + 1)
+    with pytest.raises(BudgetExceededError):
+        windowed_block_group(fam.blocks[0], MAX_WINDOW + 1)

@@ -10,6 +10,7 @@ from invsemi import (
     EMPTY_IDEAL,
     FIN_IDEAL,
     IdealModel,
+    PartialBijection,
     SetDescriptor,
     check_collection_laws,
     fin_map,
@@ -21,6 +22,8 @@ from invsemi import (
     sym_compose,
 )
 from invsemi.catalog import evens, odds
+from invsemi.closure import BLOCK_PRODUCTS, compose_rows, encode_rows
+from invsemi.constrained import _composition_escape, _windowed_members
 from invsemi.topology import BasicOpen, open_contains, random_basic_open
 
 
@@ -151,6 +154,52 @@ def test_hereditary_collections_have_no_escape():
             continue
         verdicts = check_collection_laws(model, window=4)
         assert verdicts[0].applicable and verdicts[0].holds
+
+
+def _escape_asking_the_model(model, window):
+    """The scan that asks the model about each distinct composite's domain
+    and image, in the same row-major order."""
+    members = _windowed_members(model, window)
+    if not members:
+        return 0, None
+    rows = encode_rows(members, window)
+    seen = set()
+    step = max(1, BLOCK_PRODUCTS // len(members))
+    checked = 0
+    for lo in range(0, len(members), step):
+        prods = compose_rows(rows[lo:lo + step], rows).reshape(-1, window)
+        checked += prods.shape[0]
+        for r in prods:
+            key = r.tobytes()
+            if key in seen:
+                continue
+            seen.add(key)
+            pairs = tuple((x, int(y)) for x, y in enumerate(r) if y >= 0)
+            dom = frozenset(x for x, _ in pairs)
+            img = frozenset(y for _, y in pairs)
+            if not (model.contains(dom) and model.contains(img)):
+                return checked, PartialBijection.of(pairs, window)
+    return checked, None
+
+
+ESCAPE_MODELS = [
+    CollectionModel("at-most-n", n=1),
+    CollectionModel("at-most-n", n=2),
+    CollectionModel("at-most-n", n=3),
+    CollectionModel("schreier"),
+    CollectionModel("initial-segments"),
+    CollectionModel("ideal-members", ideal=FIN_IDEAL),
+    CollectionModel("co-ideal", ideal=FIN_IDEAL),
+    CollectionModel("all"),
+]
+
+
+@pytest.mark.parametrize(
+    "model", ESCAPE_MODELS, ids=lambda m: m.kind if m.n is None else f"{m.kind}-{m.n}"
+)
+def test_composition_escape_matches_asking_the_model(model):
+    for window in (3, 4, 5):
+        assert _composition_escape(model, window) == _escape_asking_the_model(model, window)
 
 
 # -- the open-set escape witness -----------------------------------------
