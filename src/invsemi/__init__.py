@@ -64,7 +64,6 @@ from .closure import (
     family_generators,
     minimal_window,
     structural_rows,
-    windowed_block_group,
 )
 from .catalog import (
     COMMON_POINT_RULE,
@@ -109,7 +108,6 @@ from .topology import (
     family_open_members,
     isolated_inverse_check,
     open_contains,
-    open_contains_map,
     random_basic_open,
     rank_one_certificate,
     rule_isolation,

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .descriptors import SetDescriptor
-from .errors import BudgetExceededError, WindowMismatchError
+from .errors import BudgetExceededError, NotInjectiveError, WindowMismatchError
 from .families import BlockFamily, chain_capacity_matrix
 from .pbij import PartialBijection
 
@@ -35,6 +35,11 @@ def unique_rows(rows: np.ndarray) -> np.ndarray:
     flat = np.ascontiguousarray(rows)
     keys = flat.view(np.dtype((np.void, flat.shape[1]))).ravel()
     return np.unique(keys).view(np.int8).reshape(-1, flat.shape[1])
+
+
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a contiguous array, in order."""
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
 
 
 # -- encoding ----------------------------------------------------
@@ -56,6 +61,19 @@ def encode_rows(maps: Sequence[PartialBijection], window: int) -> np.ndarray:
         for s, t in f.pairs:
             out[n, s] = t
     return out
+
+
+def _check_rows(rows: np.ndarray) -> None:
+    """Raise unless `rows` is a 2-D int8 array of partial injections: every
+    entry is -1 or a point below the window, and no two points of a row
+    share an image."""
+    if rows.ndim != 2 or rows.dtype != np.int8:
+        raise ValueError("generator rows must be a 2-D int8 array")
+    if rows.min() < -1 or rows.max() >= rows.shape[1]:
+        raise ValueError("point outside window")
+    ordered = np.sort(rows, axis=1)
+    if np.any((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)):
+        raise NotInjectiveError("repeated target point")
 
 
 def decode_row(row: np.ndarray, window: int) -> PartialBijection:
@@ -103,17 +121,22 @@ class ClosureResult:
 
 
 def closure_of(
-    generators: Sequence[PartialBijection], max_elements: int | None = None
+    generators: np.ndarray | Sequence[PartialBijection], max_elements: int | None = None
 ) -> ClosureResult:
-    """Inverse semigroup generated by A: each new element is composed with
-    every map of A u A^-1 once, which enumerates it with no inverse pass.
-    Stops unclosed before a batch would take it past max_elements."""
-    if not generators:
+    """Inverse semigroup generated by A, given as an (n, window) int8 row
+    array or as maps (encoded once here): each new element is composed
+    with every map of A u A^-1 once, which enumerates it with no inverse
+    pass.  Stops unclosed before a batch would take it past max_elements."""
+    if len(generators) == 0:
         raise ValueError("need at least one generator")
-    window = generators[0].window
-    rows = encode_rows(generators, window)
+    if isinstance(generators, np.ndarray):
+        _check_rows(generators)
+        rows = generators
+    else:
+        rows = encode_rows(generators, generators[0].window)
+    window = rows.shape[1]
     gens = unique_rows(np.concatenate([rows, invert_rows(rows)]))
-    seen = {r.tobytes() for r in gens}
+    seen = set(_row_keys(gens))
     found = [gens]
     frontier_sizes = [len(gens)]
     products = 0
@@ -121,22 +144,24 @@ def closure_of(
     step = max(1, BLOCK_PRODUCTS // len(gens))
     frontier = gens
     while closed:
-        fresh: list[np.ndarray] = []
+        fresh: list[bytes] = []
         for start in range(0, len(frontier), step):
             left = frontier[start : start + step]
             products += len(left) * len(gens)
             # no name holds the composites, so they are freed before the
             # next batch is composed
-            distinct = unique_rows(compose_rows(left, gens).reshape(-1, window))
-            batch = [r for r in distinct if r.tobytes() not in seen]
-            if max_elements is not None and len(seen) + len(batch) > max_elements:
+            new = set(_row_keys(unique_rows(compose_rows(left, gens).reshape(-1, window))))
+            new -= seen
+            if max_elements is not None and len(seen) + len(new) > max_elements:
                 closed = False
                 break
-            seen.update(r.tobytes() for r in batch)
-            fresh += batch
+            seen |= new
+            # bytewise order, as `unique_rows` gave them: the frontier
+            # does not depend on the iteration order of the set
+            fresh += sorted(new)
         if not fresh:
             break
-        frontier = np.stack(fresh)
+        frontier = np.frombuffer(b"".join(fresh), dtype=np.int8).reshape(-1, window)
         found.append(frontier)
         frontier_sizes.append(len(frontier))
     order = unique_rows(np.concatenate(found))
@@ -162,11 +187,6 @@ def group_rows(block: SetDescriptor, window: int) -> np.ndarray:
     return rows
 
 
-def windowed_block_group(block: SetDescriptor, window: int) -> list[PartialBijection]:
-    """Every permutation of the block's points below the window."""
-    return [decode_row(r, window) for r in group_rows(block, window)]
-
-
 def sparse_group_generators(block: SetDescriptor, window: int) -> list[PartialBijection]:
     """A transposition and a full cycle: enough to regrow the whole group."""
     pts = block.below(window)
@@ -180,13 +200,14 @@ def sparse_group_generators(block: SetDescriptor, window: int) -> list[PartialBi
     return maps
 
 
-def family_generators(
-    family: BlockFamily, window: int, sparse: bool = False
-) -> list[PartialBijection]:
-    maps: list[PartialBijection] = []
-    for b in family.blocks:
-        maps += sparse_group_generators(b, window) if sparse else windowed_block_group(b, window)
-    return maps
+def family_generators(family: BlockFamily, window: int, sparse: bool = False) -> np.ndarray:
+    """The generators of the block groups as int8 rows: every element of
+    each windowed group, or with `sparse` a transposition and a full cycle
+    per block."""
+    if sparse:
+        maps = [f for b in family.blocks for f in sparse_group_generators(b, window)]
+        return encode_rows(maps, window)
+    return np.concatenate([group_rows(b, window) for b in family.blocks])
 
 
 def structural_rows(
@@ -227,6 +248,8 @@ def compare_with_structural(
 ) -> StructuralDiff:
     target = structural_rows(family, result.window, capacity)
     got = result.rows
+    if np.array_equal(got, target):  # both sorted and distinct
+        return StructuralDiff(True, (), (), len(got), len(target))
     target_keys = {r.tobytes() for r in target}
     got_keys = {r.tobytes() for r in got}
     missing = tuple(
@@ -270,13 +293,15 @@ def union_closed(family: BlockFamily, n: int, window: int) -> tuple[bool, int]:
     b = len(family.blocks)
     target = structural_rows(family, window, [[n] * b for _ in range(b)])
     pts = [blk.below(window) for blk in family.blocks]
-    gens = family_generators(family, window, sparse=True)
-    gens.append(PartialBijection.empty(window))
+    gens = [family_generators(family, window, sparse=True), blank_rows(1, window)]
     for src in pts:
         for dst in pts:
-            for k in range(1, min(n, len(src), len(dst)) + 1):
-                gens.append(PartialBijection.of(zip(src[:k], dst[:k]), window))
-    result = closure_of(gens, max_elements=len(target))
+            # row k - 1 maps src[:k] onto dst[:k], for k = 1 .. its rank cap
+            stratum = blank_rows(min(n, len(src), len(dst)), window)
+            for r in range(len(stratum)):
+                stratum[r:, src[r]] = dst[r]
+            gens.append(stratum)
+    result = closure_of(np.concatenate(gens), max_elements=len(target))
     closed = result.closed and np.array_equal(result.rows, target)
     return closed, result.products
 

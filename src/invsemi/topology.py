@@ -26,11 +26,9 @@ from random import Random
 from typing import Iterable
 
 from .catalog import COMMON_POINT_RULE, BlockRule
-from .closure import GROUP_ENUM_CAP
 from .descriptors import NATURALS, SetDescriptor
-from .errors import BudgetExceededError, InvalidOpenError, WindowMismatchError
+from .errors import InvalidOpenError
 from .families import BlockFamily, _extend_in_block
-from .pbij import PartialBijection
 from .symbolic import (
     IdFin,
     SymElement,
@@ -132,23 +130,6 @@ def open_contains(v: BasicOpen, f: SymElement) -> bool:
         return False
     img = im_set(f)
     return not any(p in img for p in v.forbid_im)
-
-
-def open_contains_map(v: BasicOpen, f: PartialBijection) -> bool:
-    """Membership for a windowed map; the window must cover every
-    constraint point, otherwise membership is not decided by the data."""
-    pts = v.constraint_points()
-    if pts and max(pts) >= f.window:
-        raise WindowMismatchError(
-            f"open constrains point {max(pts)} outside window {f.window}")
-    m = f.as_dict()
-    for x, y in v.positive:
-        if m.get(x) != y:
-            return False
-    if any(p in m for p in v.forbid_dom):
-        return False
-    hits = set(m.values())
-    return not any(p in hits for p in v.forbid_im)
 
 
 def random_basic_open(rng: Random, member: SymElement | None = None,
@@ -472,24 +453,6 @@ def low_rank_open_members(v: BasicOpen, rule: BlockRule, window: int) -> list[Sy
             if rule.member(g) and open_contains(v, g):
                 hits.append(g)
     return hits
-
-
-def group_open_members(v: BasicOpen, rule: BlockRule, window: int,
-                       max_block: int) -> list[SymElement]:
-    """Brute-force enumeration of group members supported below the
-    window, for cross-checking the decision logic on small instances."""
-    out = []
-    for m in range(max_block + 1):
-        blk = rule.block(m)
-        prefix = blk.below(window)
-        if len(prefix) > GROUP_ENUM_CAP:
-            raise BudgetExceededError(
-                f"block {m} has {len(prefix)} points below {window}")
-        for perm in itertools.permutations(prefix):
-            g = block_perm(blk, tuple(zip(prefix, perm)))
-            if open_contains(v, g):
-                out.append(g)
-    return out
 
 
 def rank_one_certificate(src: int, tgt: int, rule: BlockRule) -> BasicOpen:

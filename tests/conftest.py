@@ -5,11 +5,24 @@ set-of-frozensets breadth-first closure.  Engine results are checked
 against these, never the other way around.
 """
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from invsemi import NATURALS, PartialBijection, SetDescriptor, block_perm, fin_map, sym_element
+from invsemi.closure import (
+    BLOCK_PRODUCTS,
+    GROUP_ENUM_CAP,
+    compose_rows,
+    decode_row,
+    group_rows,
+    invert_rows,
+    unique_rows,
+)
+from invsemi.errors import BudgetExceededError, WindowMismatchError
+from invsemi.topology import open_contains
 
 
 def compose_dicts(f: dict, g: dict) -> dict:
@@ -45,10 +58,82 @@ def closure_dicts(generators, max_size=50000):
     return seen
 
 
+def closure_by_row_scan(rows, max_elements=None, batch_products=BLOCK_PRODUCTS):
+    """Reference for `closure_of` on int8 rows: the same breadth-first
+    search in the same batches, with each batch's distinct composites
+    scanned row by row against the elements seen so far.
+
+    Returns (rows, frontier_sizes, products, closed)."""
+    window = rows.shape[1]
+    gens = unique_rows(np.concatenate([rows, invert_rows(rows)]))
+    seen = {r.tobytes() for r in gens}
+    found = [gens]
+    step = max(1, batch_products // len(gens))
+    products = 0
+    closed = True
+    while closed:
+        fresh = []
+        for start in range(0, len(found[-1]), step):
+            left = found[-1][start : start + step]
+            products += len(left) * len(gens)
+            distinct = unique_rows(compose_rows(left, gens).reshape(-1, window))
+            batch = [r for r in distinct if r.tobytes() not in seen]
+            if max_elements is not None and len(seen) + len(batch) > max_elements:
+                closed = False  # the batches before this one still count
+                break
+            seen.update(r.tobytes() for r in batch)
+            fresh += batch
+        if not fresh:
+            break
+        found.append(np.stack(fresh))
+    return unique_rows(np.concatenate(found)), tuple(map(len, found)), products, closed
+
+
 def random_partial_injection(rng: random.Random, window: int) -> PartialBijection:
     points = [x for x in range(window) if rng.random() < 0.5]
     targets = rng.sample(range(window), len(points))
     return PartialBijection.of(zip(points, targets), window)
+
+
+def windowed_block_group(block: SetDescriptor, window: int) -> list[PartialBijection]:
+    """Every permutation of the block's points below the window, as maps
+    in `itertools.permutations` order."""
+    return [decode_row(r, window) for r in group_rows(block, window)]
+
+
+def open_contains_map(v, f: PartialBijection) -> bool:
+    """Membership of a windowed map in a basic open; the window must
+    cover every constraint point, otherwise membership is not decided by
+    the data."""
+    pts = v.constraint_points()
+    if pts and max(pts) >= f.window:
+        raise WindowMismatchError(
+            f"open constrains point {max(pts)} outside window {f.window}")
+    m = f.as_dict()
+    for x, y in v.positive:
+        if m.get(x) != y:
+            return False
+    if any(p in m for p in v.forbid_dom):
+        return False
+    hits = set(m.values())
+    return not any(p in hits for p in v.forbid_im)
+
+
+def group_open_members(v, rule, window: int, max_block: int) -> list:
+    """Brute-force enumeration of the group members supported below the
+    window that lie in the open."""
+    out = []
+    for m in range(max_block + 1):
+        blk = rule.block(m)
+        prefix = blk.below(window)
+        if len(prefix) > GROUP_ENUM_CAP:
+            raise BudgetExceededError(
+                f"block {m} has {len(prefix)} points below {window}")
+        for perm in itertools.permutations(prefix):
+            g = block_perm(blk, tuple(zip(prefix, perm)))
+            if open_contains(v, g):
+                out.append(g)
+    return out
 
 
 OVERLAP_BOUND = 12

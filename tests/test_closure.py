@@ -1,16 +1,24 @@
 """Windowed closure engine against the naive dict oracle and the
 structural description of the generated union."""
 
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import invsemi
 from invsemi import (
     BlockFamily,
     BudgetExceededError,
+    ClosureResult,
+    NotInjectiveError,
     PartialBijection,
     SetDescriptor,
     check_closure_bound,
@@ -31,7 +39,6 @@ from invsemi.closure import (
     structural_rows,
     union_closed,
     unique_rows,
-    windowed_block_group,
 )
 from invsemi.catalog import (
     bound_example,
@@ -41,7 +48,14 @@ from invsemi.catalog import (
     random_uniform_family,
 )
 from invsemi.families import chain_capacity_matrix
-from conftest import closure_dicts, compose_dicts, invert_dict, random_partial_injection
+from conftest import (
+    closure_by_row_scan,
+    closure_dicts,
+    compose_dicts,
+    invert_dict,
+    random_partial_injection,
+    windowed_block_group,
+)
 from test_families import CATALOG
 
 
@@ -299,3 +313,110 @@ def test_row_builders_refuse_windows_past_the_int8_limit():
         structural_rows(fam, MAX_WINDOW + 1)
     with pytest.raises(BudgetExceededError):
         windowed_block_group(fam.blocks[0], MAX_WINDOW + 1)
+    for sparse in (False, True):
+        with pytest.raises(BudgetExceededError):
+            family_generators(fam, MAX_WINDOW + 1, sparse=sparse)
+
+
+# -- row input and the batch dedup ----------------------------------------------------
+
+
+def _generator_cases():
+    # every family at the widest window (up to 16, or its own) with at most
+    # four points per block, which keeps the full-group closures small
+    fams = [(fam, 16) for fam in CATALOG]
+    for seed in range(8):
+        fam, _, window = random_uniform_family(random.Random(seed))
+        fams.append((fam, window))
+    for fam, top in fams:
+        window = max(
+            w for w in range(1, top + 1) if all(len(blk.below(w)) <= 4 for blk in fam.blocks)
+        )
+        yield pytest.param(fam, window, id=f"{fam.name}-w{window}")
+
+
+@pytest.mark.parametrize("fam, window", _generator_cases())
+def test_row_and_map_generators_close_alike(fam, window):
+    full = family_generators(fam, window)
+    sparse = family_generators(fam, window, sparse=True)
+    assert full.dtype == sparse.dtype == np.int8
+    whole = closure_of(full)
+    assert np.array_equal(whole.rows, closure_of(sparse).rows)
+    for gens in (full, sparse):
+        maps = [decode_row(r, window) for r in gens]
+        for cap in (None, whole.size() // 2):
+            got, want = closure_of(gens, cap), closure_of(maps, cap)
+            assert np.array_equal(got.rows, want.rows)
+            assert got.frontier_sizes == want.frontier_sizes
+            assert (got.products, got.closed) == (want.products, want.closed)
+
+
+@pytest.mark.parametrize("fam, window", _generator_cases())
+def test_batch_dedup_matches_a_row_scan(fam, window, monkeypatch):
+    # small batches split every round, so the order of each frontier
+    # decides where a budget stops the search
+    monkeypatch.setattr("invsemi.closure.BLOCK_PRODUCTS", 64)
+    gens = family_generators(fam, window, sparse=True)
+    size = closure_of(gens).size()
+    for cap in (None, size // 2, size - 1):
+        got = closure_of(gens, cap)
+        rows, frontier_sizes, products, closed = closure_by_row_scan(gens, cap, 64)
+        assert np.array_equal(got.rows, rows)
+        assert (got.frontier_sizes, got.products, got.closed) == (frontier_sizes, products, closed)
+
+
+_DIGEST = """
+import hashlib
+from invsemi import closure
+from invsemi.catalog import common_point_family
+closure.BLOCK_PRODUCTS = 64
+gens = closure.family_generators(common_point_family(3), 9, sparse=True)
+for cap in (None, 60, 150):  # the budgets stop the search inside a round
+    r = closure.closure_of(gens, cap)
+    print(hashlib.sha256(r.rows.tobytes() + repr((r.frontier_sizes, r.products)).encode())
+          .hexdigest())
+"""
+
+
+def test_closure_does_not_depend_on_the_hash_seed():
+    # the dedup iterates sets of bytes, whose order follows PYTHONHASHSEED
+    src = str(Path(invsemi.__file__).resolve().parents[1])
+    digests = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _DIGEST], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        digests.add(out.stdout)
+    assert len(digests) == 1
+    assert len(digests.pop().split()) == 3
+
+
+def test_closure_refuses_rows_that_are_no_partial_injections():
+    swap = encode_rows([PartialBijection.of([(0, 1), (1, 0)], 4)], 4)
+    assert closure_of(swap).size() == 2  # the swap and the identity on {0, 1}
+    bad = [
+        (swap.astype(np.int16), ValueError, "2-D int8"),
+        (swap[0], ValueError, "2-D int8"),
+        (np.array([[4, -1, -1, -1]], np.int8), ValueError, "outside window"),
+        (np.array([[-2, -1, -1, -1]], np.int8), ValueError, "outside window"),
+        (np.array([[2, -1, 2, -1]], np.int8), NotInjectiveError, "repeated target"),
+    ]
+    for rows, error, message in bad:
+        with pytest.raises(error, match=message):
+            closure_of(rows)
+
+
+def test_structural_diff_names_the_missing_and_extra_maps():
+    fam, window = common_point_family(3), 8
+    target = structural_rows(fam, window)
+    # rank 2 from block 0 to block 1, past their chain capacity of 1
+    foreign = PartialBijection.of([(1, 2), (3, 6)], window)
+    assert foreign not in {decode_row(r, window) for r in target}
+    rows = unique_rows(np.concatenate([np.delete(target, 5, axis=0),
+                                       encode_rows([foreign], window)]))
+    result = ClosureResult(rows, (len(rows),), 0, True, window)
+    diff = compare_with_structural(result, fam)
+    assert not diff.matches
+    assert diff.missing == (decode_row(target[5], window),)
+    assert diff.extra == (foreign,)
+    assert (diff.closure_size, diff.structural_size) == (len(target), len(target))

@@ -18,7 +18,6 @@ from invsemi import (
     check_convergence,
     family_isolation,
     open_contains,
-    open_contains_map,
     project_to_window,
     random_basic_open,
     rank_one_certificate,
@@ -51,10 +50,10 @@ from invsemi.topology import (
     GroupNeighborSeq,
     GrowingExtensionSeq,
     SingletonIdentitySeq,
-    group_open_members,
     isolated_inverse_check,
     low_rank_open_members,
 )
+from conftest import group_open_members, open_contains_map
 
 EVENS = SetDescriptor.residue_class(0, 2)
 ODDS = SetDescriptor.residue_class(1, 2)
