@@ -102,12 +102,13 @@ from .topology import (
     GroupNeighborSeq,
     GrowingExtensionSeq,
     IsolationVerdict,
+    OpenReport,
     SingletonIdentitySeq,
     check_convergence,
     family_isolation,
-    family_open_members,
     isolated_inverse_check,
     open_contains,
+    open_members,
     random_basic_open,
     rank_one_certificate,
     rule_isolation,

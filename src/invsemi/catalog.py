@@ -15,6 +15,7 @@ import math
 import random
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .descriptors import SetDescriptor
 from .errors import BudgetExceededError, UnsupportedFamilyError
@@ -70,15 +71,22 @@ class BlockRule:
     describes one block per natural number.  Both rules here ride on the
     dyadic partition: `shared_zero` adjoins the point 0 to every block
     (so any two blocks meet exactly in {0}); without it the blocks are
-    pairwise disjoint.  `rank_bound` is the overlap bound the associated
-    union semigroup respects: finite maps of rank up to the bound are
-    members alongside the finitely supported block permutations and the
-    empty map.
+    pairwise disjoint.  The associated union semigroup holds the finitely
+    supported block permutations, the empty map, and the finite maps of
+    rank up to `rank_bound`, the size of the overlap of any two blocks.
+    Its opens are accounted for as for a finite family, over the blocks
+    that own a constraint point plus `first_free_block`, which stands in
+    for every later block.
     """
 
     name: str
     shared_zero: bool
-    rank_bound: int
+
+    @property
+    def rank_bound(self) -> int:
+        """The size of the overlap of any two blocks: 1 with the shared
+        point, 0 without."""
+        return int(self.shared_zero)
 
     def block(self, n: int) -> SetDescriptor:
         return common_point_block(n) if self.shared_zero else dyadic_block(n)
@@ -88,6 +96,11 @@ class BlockRule:
         if x <= 0:
             return None
         return dyadic_owner(x)
+
+    def first_free_block(self, points: Iterable[int]) -> int:
+        """The least block index owning none of the points."""
+        owners = {self.owner(p) for p in points}
+        return next(n for n in itertools.count() if n not in owners)
 
     def covers(self, x: int) -> bool:
         return x >= 1 or (x == 0 and self.shared_zero)
@@ -117,8 +130,8 @@ class BlockRule:
         return all(self.covers(x) and self.covers(y) for x, y in graph)
 
 
-COMMON_POINT_RULE = BlockRule("common-point-dyadic", shared_zero=True, rank_bound=1)
-DISJOINT_RULE = BlockRule("disjoint-dyadic", shared_zero=False, rank_bound=0)
+COMMON_POINT_RULE = BlockRule("common-point-dyadic", shared_zero=True)
+DISJOINT_RULE = BlockRule("disjoint-dyadic", shared_zero=False)
 
 
 def dyadic_disjoint_family(count: int = 3) -> BlockFamily:

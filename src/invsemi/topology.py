@@ -16,6 +16,12 @@ Isolation of a point within one of the catalogued union semigroups is
 decided by certificate: an explicit basic open together with an
 accounting of every member the open admits, or an explicit converging
 sequence of distinct members when the point is a limit point.
+
+One routine, `open_members`, does the accounting over a finite list of
+numbered blocks and a rank bound.  A finite family passes all of its
+blocks.  An infinite block rule passes the blocks that own a constraint
+point plus the least block that owns none, which stands in for the
+whole tail, and the rule's rank bound, which is its block overlap.
 """
 
 from __future__ import annotations
@@ -363,82 +369,82 @@ def _spot_check(schema, x: int, claim) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# isolation inside the union semigroup of an infinite block rule
-
-
-def _group_blocks(v: BasicOpen, blocks: Iterable[tuple[int, SetDescriptor]]
-                  ) -> tuple[tuple[int, SymElement], ...]:
-    """The numbered blocks whose group meets the open, each with a member:
-    every required pair lies inside the block and no forbidden point does."""
-    return tuple(
-        (m, _extend_in_block(blk, dict(v.positive)))
-        for m, blk in blocks
-        if all(x in blk and y in blk for x, y in v.positive)
-        and not any(p in blk for p in v.forbid_dom + v.forbid_im)
-    )
+# member accounting of a basic open
 
 
 @dataclass(frozen=True)
-class RuleOpenReport:
-    """Exact accounting of the members of a basic open within the union
-    semigroup of a block rule: block permutation groups, finite maps of
-    rank up to the rule's bound, and the empty map."""
+class OpenReport:
+    """Exact accounting of the members of a basic open within a union
+    semigroup of block groups: the qualifying block groups (each with a
+    member), the finite map the required pairs themselves form, whether
+    finite members extend without bound, and the empty map."""
 
     open: BasicOpen
-    empty_member: bool
-    rank_one: tuple[SymElement, ...]
-    rank_one_infinite: bool
     group_blocks: tuple[tuple[int, SymElement], ...]
-    group_tail_infinite: bool
+    finite_member: SymElement | None
+    extension_unbounded: bool
+    empty_member: bool
 
     def is_singleton(self) -> bool:
         # a qualifying group block admits infinitely many members by
         # composing any witness with transpositions of far block points
-        if self.rank_one_infinite or self.group_tail_infinite or self.group_blocks:
+        if self.group_blocks or self.extension_unbounded:
             return False
-        return int(self.empty_member) + len(self.rank_one) == 1
+        return int(self.empty_member) + int(self.finite_member is not None) == 1
 
     def sole_member(self) -> SymElement | None:
         if not self.is_singleton():
             return None
-        return self.rank_one[0] if self.rank_one else empty_map()
+        return self.finite_member if self.finite_member is not None else empty_map()
 
 
-def rule_open_members(v: BasicOpen, rule: BlockRule) -> RuleOpenReport:
-    """Decide the membership structure of a basic open in the rule's
-    union semigroup without enumerating any permutation group.
+def open_members(v: BasicOpen, blocks: Iterable[tuple[int, SetDescriptor]],
+                 bound: int) -> OpenReport:
+    """Decide what the basic open admits from the union of the numbered
+    blocks' permutation groups, the finite maps of rank up to `bound`
+    with domain inside one block and image inside one block, and the
+    empty map, without enumerating any group.
 
     A block group meets the open exactly when every required pair sits
-    inside the block and no forbidden point does; the infinitely many
-    blocks beyond the constraint points behave identically, so they are
-    settled wholesale by the tail flag.
+    inside the block and no forbidden point does.  The finite members
+    must contain the required pairs, so when the rank budget exceeds
+    the number of required pairs there are infinitely many extensions
+    through fresh block points; equality leaves exactly the pairs
+    themselves, provided their sources fit one block and their targets
+    fit one block.
     """
+    blocks = tuple(blocks)
     pos = v.positive
-    empty_member = not pos
+    group_blocks = tuple(
+        (m, _extend_in_block(blk, dict(pos)))
+        for m, blk in blocks
+        if all(x in blk and y in blk for x, y in pos)
+        and not any(p in blk for p in v.forbid_dom + v.forbid_im)
+    )
+    fits = (any(all(x in blk for x, _ in pos) for _, blk in blocks)
+            and any(all(y in blk for _, y in pos) for _, blk in blocks))
+    finite_member = fin_map(pos) if pos and fits and len(pos) <= bound else None
+    return OpenReport(v, group_blocks, finite_member, fits and bound > len(pos),
+                      not pos)
 
-    if rule.rank_bound < 1 or len(pos) > 1:
-        rank_one: tuple[SymElement, ...] = ()
-        rank_one_infinite = False
-    elif len(pos) == 1:
-        (x, y), = pos
-        ok = rule.covers(x) and rule.covers(y)
-        rank_one = (fin_map([(x, y)]),) if ok else ()
-        rank_one_infinite = False
-    else:
-        rank_one = ()
-        rank_one_infinite = True  # fresh pairs beyond the forbids always fit
 
+# ---------------------------------------------------------------------------
+# isolation inside the union semigroup of an infinite block rule
+
+
+def rule_open_members(v: BasicOpen, rule: BlockRule) -> OpenReport:
+    """Decide the membership structure of a basic open in the rule's
+    union semigroup.
+
+    Only the blocks that own a constraint point can differ from one
+    another; every other block meets the open exactly as the
+    least-indexed of them does.  That block stands in for the infinite
+    tail, which qualifies exactly when its index is in `group_blocks`.
+    """
     cpts = v.constraint_points()
-    relevant = sorted({rule.owner(p) for p in cpts if p >= 1})
-    group_blocks = _group_blocks(v, ((m, rule.block(m)) for m in relevant))
-
-    pos_fits_tail = all(x == 0 and y == 0 for x, y in pos) \
-        and (rule.shared_zero or not pos)
-    zero_forbidden = 0 in v.forbid_dom or 0 in v.forbid_im
-    tail = pos_fits_tail and not (rule.shared_zero and zero_forbidden)
-
-    return RuleOpenReport(v, empty_member, rank_one, rank_one_infinite,
-                          group_blocks, tail)
+    owned = {rule.owner(p) for p in cpts if p >= 1}
+    indices = sorted(owned | {rule.first_free_block(cpts)})
+    return open_members(v, ((m, rule.block(m)) for m in indices), rule.rank_bound)
 
 
 def low_rank_open_members(v: BasicOpen, rule: BlockRule, window: int) -> list[SymElement]:
@@ -594,10 +600,7 @@ def shared_identity_interior_probe(trials: int = 100, seed: int = 0,
     ok = sole
     for _ in range(trials):
         v = random_basic_open(rng, member=product, bound=bound)
-        owners = {rule.owner(p) for p in v.forbid_dom + v.forbid_im}
-        n = 0
-        while n in owners:
-            n += 1
+        n = rule.first_free_block(v.forbid_dom + v.forbid_im)
         witness = partial_identity(rule.block(n))
         good = (open_contains(v, witness) and rule.member(witness)
                 and witness != product)
@@ -636,61 +639,6 @@ def isolated_inverse_check(elements: Iterable[SymElement],
 
 # ---------------------------------------------------------------------------
 # isolation inside the bounded union of a finite block family
-
-
-@dataclass(frozen=True)
-class FamilyOpenReport:
-    """Membership structure of a basic open in the rank-bounded union
-    semigroup of a finite block family."""
-
-    open: BasicOpen
-    bound: int
-    group_blocks: tuple[tuple[int, SymElement], ...]
-    finite_member: SymElement | None
-    extension_unbounded: bool
-    empty_member: bool
-
-    def is_singleton(self) -> bool:
-        if self.group_blocks or self.extension_unbounded:
-            return False
-        return int(self.empty_member) + int(self.finite_member is not None) == 1
-
-    def sole_member(self) -> SymElement | None:
-        if not self.is_singleton():
-            return None
-        return self.finite_member if self.finite_member is not None else empty_map()
-
-
-def family_open_members(v: BasicOpen, family: BlockFamily, bound: int) -> FamilyOpenReport:
-    """Decide what the basic open admits from the union of the block
-    groups and the finite strata of rank up to `bound`.
-
-    Groups are settled by the same containment logic as for rules.  The
-    finite members must contain the required pairs, so when the rank
-    budget exceeds the number of required pairs there are infinitely
-    many extensions through fresh block points; equality leaves exactly
-    the pairs themselves, provided they fit inside one block pair.
-    """
-    pos = v.positive
-    srcs = [x for x, _ in pos]
-    tgts = [y for _, y in pos]
-
-    group_blocks = _group_blocks(v, enumerate(family.blocks))
-
-    fits = [
-        (i, j)
-        for i, blk_i in enumerate(family.blocks)
-        for j, blk_j in enumerate(family.blocks)
-        if all(x in blk_i for x in srcs) and all(y in blk_j for y in tgts)
-    ]
-    empty_member = not pos
-    finite_member = None
-    if pos and fits and len(pos) <= bound:
-        finite_member = fin_map(pos)
-    extension_unbounded = bool(fits) and bound > len(pos)
-
-    return FamilyOpenReport(v, bound, group_blocks, finite_member,
-                            extension_unbounded, empty_member)
 
 
 def family_isolation(f: SymElement, family: BlockFamily, bound: int) -> IsolationVerdict:
@@ -741,10 +689,10 @@ def family_isolation(f: SymElement, family: BlockFamily, bound: int) -> Isolatio
 
 
 def verify_family_certificate(f: SymElement, family: BlockFamily,
-                              bound: int) -> tuple[bool, FamilyOpenReport]:
+                              bound: int) -> tuple[bool, OpenReport]:
     """Check a family isolation certificate by exact member accounting."""
     verdict = family_isolation(f, family, bound)
     if not verdict.isolated:
         raise ValueError("element is not isolated; nothing to verify")
-    rep = family_open_members(verdict.certificate, family, bound)
+    rep = open_members(verdict.certificate, enumerate(family.blocks), bound)
     return rep.is_singleton() and rep.sole_member() == f, rep

@@ -7,6 +7,7 @@ from invsemi import SetDescriptor, UnsupportedFamilyError, fin_map, partial_iden
 from invsemi.catalog import (
     COMMON_POINT_RULE,
     DISJOINT_RULE,
+    BlockRule,
     SYM_POOL_POINT_BOUND,
     common_point_block,
     common_point_family,
@@ -75,6 +76,18 @@ def test_rule_block_lookup():
     assert COMMON_POINT_RULE.block_index_of(evens()) is None
     assert DISJOINT_RULE.block_index_of(dyadic_block(0)) == 0
     assert COMMON_POINT_RULE.covers(0) and not DISJOINT_RULE.covers(0)
+    assert COMMON_POINT_RULE.first_free_block([0, 1, 2, 5]) == 2
+    assert DISJOINT_RULE.first_free_block([4, 12]) == 0
+
+
+def test_rule_rank_bound_is_the_block_overlap():
+    # a rank bound set above the overlap let `rule_isolation` certify
+    # 1 -> 2 by v(1,2) & w1(0), whose open holds the member 1 -> 2, 3 -> 4
+    with pytest.raises(TypeError):
+        BlockRule("r2", shared_zero=True, rank_bound=2)
+    for rule in (COMMON_POINT_RULE, DISJOINT_RULE):
+        meet = rule.block(0).intersect(rule.block(1))
+        assert rule.rank_bound == len(meet.points())
 
 
 def test_named_family_lookup():

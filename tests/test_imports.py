@@ -1,9 +1,13 @@
-"""Every name a module of the package imports is read somewhere in it.
+"""Every name a module of the package imports is read somewhere in it,
+and every private helper is read somewhere in the package.
 
-A stdlib-only stand-in for a linter's unused-import check: each module
-under src/invsemi except the package's re-exporting ``__init__.py`` is
-parsed with ``ast``, and every name bound by an import must be read as a
-name (an attribute base counts) or inside a quoted annotation.
+A stdlib-only stand-in for a linter's unused-import and unused-code
+checks: each module under src/invsemi except the package's re-exporting
+``__init__.py`` is parsed with ``ast``, and every name bound by an
+import must be read as a name (an attribute base counts) or inside a
+quoted annotation.  Every module-level function or class whose name
+starts with ``_`` must be read, the same way or as an attribute, in
+some module of the package, so a refactor cannot leave one orphaned.
 """
 
 import ast
@@ -53,3 +57,27 @@ def read_names(tree: ast.Module) -> set[str]:
 def test_every_import_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert sorted(imported_names(tree) - read_names(tree)) == []
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+    }
+
+
+def package_reads() -> set[str]:
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names |= read_names(tree)
+        names.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_helper_is_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert sorted(private_definitions(tree) - package_reads()) == []

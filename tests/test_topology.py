@@ -34,8 +34,11 @@ from invsemi.catalog import (
     common_point_family,
     dyadic_disjoint_family,
     bound_example,
+    named_family,
     random_sym_element,
+    random_uniform_family,
 )
+from invsemi.closure import GROUP_ENUM_CAP, decode_row, group_rows, structural_rows
 from invsemi.errors import WindowMismatchError
 from invsemi.symbolic import (
     block_perm,
@@ -52,6 +55,7 @@ from invsemi.topology import (
     SingletonIdentitySeq,
     isolated_inverse_check,
     low_rank_open_members,
+    open_members,
 )
 from conftest import group_open_members, open_contains_map
 
@@ -198,15 +202,14 @@ def test_convergence_catches_wrong_limits():
 # -- isolation in the infinite union --------------------------------------
 
 
-def brute_members(v, window):
-    """Literal windowed scan: every rank-one map plus the low blocks."""
-    rule = COMMON_POINT_RULE
+def brute_members(v, rule, window):
+    """Literal windowed scan: the empty map and every rank-one member."""
     out = []
     if all_ok(v, PartialBijection.empty(window)):
         out.append(("empty", None))
     for a in range(window):
         for b in range(window):
-            if rule.covers(a) and rule.covers(b):
+            if rule.member(fin_map([(a, b)])):
                 f = PartialBijection.of([(a, b)], window)
                 if all_ok(v, f):
                     out.append(("fin", (a, b)))
@@ -229,33 +232,34 @@ def windowed_group(block, window):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_open_member_logic_against_brute_force(seed):
-    rng = random.Random(seed)
-    v = random_basic_open(rng, max_pairs=2, max_forbid=3, bound=10)
-    rep = rule_open_members(v, COMMON_POINT_RULE)
-    window = 12
-    brute = brute_members(v, window)
-    assert rep.empty_member == (("empty", None) in brute)
-    finite_brute = {p for kind, p in brute if kind == "fin"}
-    logic_pairs = set()
-    for f in rep.rank_one:
-        d = f.pairs or tuple((x, x) for x in dom_set_points(f))
-        logic_pairs.add(d[0])
-    if not rep.rank_one_infinite:
-        assert logic_pairs == finite_brute
-    else:
-        assert logic_pairs <= finite_brute and len(finite_brute) > len(logic_pairs)
-    # group qualification agrees with the factorial scan on low blocks;
-    # blocks no constraint point touches are settled by the tail flag
-    from invsemi.catalog import dyadic_owner
-
-    relevant = {dyadic_owner(p) for p in v.constraint_points() if p >= 1}
-    for m in range(3):
-        block = common_point_block(m)
-        brute_hit = any(all_ok(v, g) for g in windowed_group(block, 10))
-        logic_hit = any(i == m for i, _ in rep.group_blocks) or (
-            rep.group_tail_infinite and m not in relevant
-        )
-        assert logic_hit == brute_hit, (v.describe(), m)
+    for rule in (COMMON_POINT_RULE, DISJOINT_RULE):
+        rng = random.Random(seed)
+        v = random_basic_open(rng, max_pairs=2, max_forbid=3, bound=10)
+        rep = rule_open_members(v, rule)
+        window = 12
+        brute = brute_members(v, rule, window)
+        assert rep.empty_member == (("empty", None) in brute)
+        finite_brute = {p for kind, p in brute if kind == "fin"}
+        logic_pairs = set()
+        if rep.finite_member is not None:
+            f = rep.finite_member
+            d = f.pairs or tuple((x, x) for x in dom_set_points(f))
+            logic_pairs.add(d[0])
+        if not rep.extension_unbounded:
+            assert logic_pairs == finite_brute
+        else:
+            assert logic_pairs <= finite_brute and len(finite_brute) > len(logic_pairs)
+        # group qualification agrees with the factorial scan on low blocks;
+        # blocks no constraint point touches are settled by the first of them
+        relevant = {rule.owner(p) for p in v.constraint_points() if p >= 1}
+        tail = rule.first_free_block(v.constraint_points()) in dict(rep.group_blocks)
+        for m in range(3):
+            block = rule.block(m)
+            brute_hit = any(all_ok(v, g) for g in windowed_group(block, 10))
+            logic_hit = any(i == m for i, _ in rep.group_blocks) or (
+                tail and m not in relevant
+            )
+            assert logic_hit == brute_hit, (rule.name, v.describe(), m)
 
 
 def test_rank_one_certificates_are_singletons():
@@ -383,3 +387,73 @@ def test_family_group_members_are_never_isolated():
     assert verdict.isolated is False
     assert verdict.schema.name == "group-neighbors"
     assert check_convergence(verdict.schema, g).converges
+
+
+def spare_window(family, start):
+    """The least window from `start` on at which every block has two
+    points of its own (in no other block) below it, with the two largest
+    such points of each block.  Opens kept off these spare points leave
+    every qualifying group and every unbounded extension at least two
+    members inside the window."""
+    for w in itertools.count(start):
+        own = [
+            [x for x in blk.below(w) if sum(x in b for b in family.blocks) == 1]
+            for blk in family.blocks
+        ]
+        if all(len(o) >= 2 for o in own):
+            return w, {x for o in own for x in o[-2:]}
+
+
+def off_spare(v, spare):
+    """The open with every constraint on a spare point dropped."""
+    return BasicOpen(
+        tuple(p for p in v.positive if not set(p) & spare),
+        tuple(x for x in v.forbid_dom if x not in spare),
+        tuple(x for x in v.forbid_im if x not in spare),
+    )
+
+
+def test_family_accounting_against_windowed_rows():
+    rng = random.Random(20261018)
+    # the least windows from 11 on leave usable points besides the spare
+    # ones; bound2's overlap {16, 17} needs 18
+    cases = [(named_family(spec), start) for spec, start in (
+        ("common-point:2", 11), ("disjoint:2", 11), ("unequal", 11),
+        ("five-ring", 11), ("bound2", 18))]
+    for _ in range(4):
+        family, _, window = random_uniform_family(rng)
+        cases.append((family, window))
+    for family, start in cases:
+        w, spare = spare_window(family, start)
+        assert all(len(b.below(w)) <= GROUP_ENUM_CAP for b in family.blocks)
+        b = len(family.blocks)
+        for bound in range(3):
+            maps = [decode_row(r, w) for r in structural_rows(family, w, [[bound] * b] * b)]
+            groups = [
+                {decode_row(r, w) for r in group_rows(blk, w)} for blk in family.blocks
+            ]
+            for _ in range(16):
+                row = [p for p in rng.choice(maps).pairs if not set(p) & spare]
+                anchor = fin_map(row) if rng.random() < 0.7 else None
+                v = off_spare(random_basic_open(rng, anchor, 2, 4, bound=w), spare)
+                rep = open_members(v, enumerate(family.blocks), bound)
+                hits = [f for f in maps if open_contains_map(v, f)]
+                where = (family.name, bound, v.describe())
+                assert rep.empty_member == (PartialBijection.empty(w) in hits), where
+                pos = PartialBijection.of(v.positive, w)
+                finite = [f for f in hits if 0 < len(f.pairs) <= bound]
+                if rep.finite_member is None:
+                    assert not v.positive or pos not in finite, where
+                else:
+                    assert project_to_window(rep.finite_member, w) == pos, where
+                    assert pos in finite, where
+                assert rep.extension_unbounded == any(
+                    len(f.pairs) > len(pos.pairs) for f in finite), where
+                hit_set = set(hits)
+                assert {i for i, _ in rep.group_blocks} == {
+                    i for i, g in enumerate(groups) if g & hit_set}, where
+                for _, g in rep.group_blocks:
+                    assert project_to_window(g, w) in hit_set, where
+                assert rep.is_singleton() == (len(hits) == 1), where
+                if rep.is_singleton():
+                    assert hits == [project_to_window(rep.sole_member(), w)], where
