@@ -15,6 +15,7 @@ import math
 import random
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .descriptors import SetDescriptor
@@ -40,6 +41,7 @@ def odds() -> SetDescriptor:
     return SetDescriptor.residue_class(1, 2)
 
 
+@lru_cache
 def dyadic_block(n: int) -> SetDescriptor:
     """Odd multiples of 2^n: the n-th class of the dyadic partition of
     the positive naturals (zero belongs to no class)."""
@@ -57,6 +59,7 @@ def dyadic_owner(x: int) -> int:
     return n
 
 
+@lru_cache
 def common_point_block(n: int) -> SetDescriptor:
     """Dyadic block n with the point 0 adjoined: any two such blocks
     meet exactly in {0}."""

@@ -30,7 +30,7 @@ from .closure import (
 )
 from .constrained import EMPTY_IDEAL, FIN_IDEAL, ideal_escape_witness
 from .descriptors import SetDescriptor
-from .errors import InvsemiError, NotGeneratedError
+from .errors import InvsemiError, NotGeneratedError, ParseError
 from .families import (
     BlockFamily,
     chain_capacity_by_enumeration,
@@ -42,7 +42,7 @@ from .families import (
     verify_chain,
     verify_factorization,
 )
-from .symbolic import classify, format_sym, parse_sym
+from .symbolic import classify, fin_map, format_sym, parse_sym
 from .topology import (
     isolated_inverse_check,
     random_basic_open,
@@ -190,6 +190,9 @@ def _stratum_counts(result, fam: BlockFamily) -> dict[str, int]:
 
 def cmd_chains(args) -> int:
     started = time.monotonic()
+    if args.max_interior is not None and args.max_interior < 1:
+        raise ParseError("--max-interior must be at least 1: a chain has "
+                         "at least one interior entry")
     fam = _load_family(args.family)
     b = len(fam.blocks)
     dp = chain_capacity_matrix(fam)
@@ -217,7 +220,9 @@ def cmd_chains(args) -> int:
     if args.csv:
         _write_csv(args.csv, dp, [f"B{i}" for i in range(b)])
     _say(args, f"capacity matrix: {dp}")
-    _emit(args, "chains", _family_config(args, check=args.check), report, started)
+    _emit(args, "chains", _family_config(args, check=args.check,
+                                         max_interior=args.max_interior),
+          report, started)
     return code
 
 
@@ -331,13 +336,15 @@ def cmd_verify_pettis_witness(args) -> int:
     started = time.monotonic()
     rule = _resolve_rule(args.family)
     windows = tuple(int(w) for w in args.windows.split(","))
+    canonical = [(1, 0), (0, 1), (1, 2)]
+    top = max(max(pair) for pair in canonical)
+    if min(windows) <= top:
+        raise ParseError(f"--windows must each exceed {top}, the largest "
+                         f"point of the certified pairs {canonical}")
 
     probe = shared_identity_interior_probe(args.trials, args.seed, rule)
-    canonical = [(1, 0), (0, 1), (1, 2)]
     certs = []
     certs_ok = True
-    from .symbolic import fin_map
-
     for pair in canonical:
         chk = verify_rank_one_certificate(fin_map([pair]), rule, windows)
         certs.append({

@@ -119,12 +119,20 @@ def chain_capacity_matrix(family: BlockFamily) -> list[list[int]]:
 
 
 def chain_capacity_by_enumeration(family: BlockFamily, max_interior: int | None = None) -> list[list[int]]:
-    """Slow reference for the capacity matrix: walk every chain tuple.
+    """Reference for the capacity matrix by walking chains, independent
+    of the dynamic program.
 
-    Chains are enumerated literally (repeated blocks allowed, the
+    Chains follow the literal definition (repeated blocks allowed, the
     first-entry rule on the diagonal enforced as stated) up to
-    ``max_interior`` entries, which defaults to one more than the number
-    of blocks; longer chains cannot widen a max-min value.
+    ``max_interior`` interior entries, which defaults to one more than
+    the number of blocks; longer chains cannot widen a max-min value.
+    The chains closed from a walk state (start block, current block,
+    whether the first entry is the start, running bottleneck) depend on
+    that state and on the entries left, and a state reached with fewer
+    entries closes every chain it closes when reached with more.  So a
+    state is walked only when reached at a smaller depth than before.
+    With d distinct positive overlap sizes there are at most
+    b^2 x (2d + 1) states, each walked at most ``max_interior`` times.
     """
     b = len(family.blocks)
     if max_interior is None:
@@ -135,12 +143,17 @@ def chain_capacity_by_enumeration(family: BlockFamily, max_interior: int | None 
         return None if a == c else w[a][c]  # None: same block, no constraint
 
     best = [[0] * b for _ in range(b)]
+    shallowest: dict[tuple[int, int, bool, int | None], int] = {}
 
     def walk(start: int, pos: int, first: int, depth: int, curmin: int | None) -> None:
         # the interior built so far has `depth` entries and ends at pos;
         # each endpoint choice v closes one chain (start, interior.., v)
         if depth > max_interior:
             return
+        state = (start, pos, first == start, curmin)
+        if shallowest.get(state, max_interior + 1) <= depth:
+            return
+        shallowest[state] = depth
         for v in range(b):
             e = edge(pos, v)
             nextmin = curmin if e is None else (e if curmin is None else min(curmin, e))

@@ -1,7 +1,7 @@
 """Shared fixtures and reference oracles.
 
-The oracles here are deliberately naive: plain dict compositions and a
-set-of-frozensets breadth-first closure.  Engine results are checked
+The oracles here are deliberately naive: plain dict compositions, a
+set-of-frozensets breadth-first closure and a walk over every chain tuple.  Engine results are checked
 against these, never the other way around.
 """
 
@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from invsemi import NATURALS, PartialBijection, SetDescriptor, block_perm, fin_map, sym_element
+from invsemi import NATURALS, BlockFamily, PartialBijection, SetDescriptor, block_perm, fin_map, sym_element
 from invsemi.closure import (
     BLOCK_PRODUCTS,
     GROUP_ENUM_CAP,
@@ -56,6 +56,48 @@ def closure_dicts(generators, max_size=50000):
             raise RuntimeError("oracle closure grew past the test budget")
         frontier = fresh
     return seen
+
+
+def chain_capacity_by_literal_walk(family: BlockFamily, max_interior: int | None = None) -> list[list[int]]:
+    """Slow reference for the capacity matrix: walk every chain tuple.
+
+    Chains are enumerated literally (repeated blocks allowed, the
+    first-entry rule on the diagonal enforced as stated) up to
+    ``max_interior`` entries, which defaults to one more than the number
+    of blocks; longer chains cannot widen a max-min value.
+    """
+    b = len(family.blocks)
+    if max_interior is None:
+        max_interior = b + 1
+    w = family.intersection_matrix()
+
+    def edge(a: int, c: int) -> int | None:
+        return None if a == c else w[a][c]  # None: same block, no constraint
+
+    best = [[0] * b for _ in range(b)]
+
+    def walk(start: int, pos: int, first: int, depth: int, curmin: int | None) -> None:
+        # the interior built so far has `depth` entries and ends at pos;
+        # each endpoint choice v closes one chain (start, interior.., v)
+        if depth > max_interior:
+            return
+        for v in range(b):
+            e = edge(pos, v)
+            nextmin = curmin if e is None else (e if curmin is None else min(curmin, e))
+            if nextmin == 0:
+                continue
+            if (v != start or first != start) and nextmin is not None:
+                if nextmin > best[start][v]:
+                    best[start][v] = nextmin
+            walk(start, v, first, depth + 1, nextmin)
+
+    for i in range(b):
+        for k1 in range(b):
+            e = edge(i, k1)
+            if e == 0:
+                continue
+            walk(i, k1, k1, 1, e)
+    return best
 
 
 def closure_by_row_scan(rows, max_elements=None, batch_products=BLOCK_PRODUCTS):

@@ -92,6 +92,19 @@ def test_chains_with_oracle_check(capsys):
     assert all(c["verified"] for c in rep["certificates"])
 
 
+def test_chains_max_interior_is_validated_and_recorded(capsys):
+    for bad in ("0", "-3"):
+        code, out = run(capsys, "chains", "--family", "five-ring", "--check",
+                        "--max-interior", bad)
+        assert code == 1 and out == "", bad
+    code, doc = run(capsys, "chains", "--family", "five-ring", "--check",
+                    "--max-interior", "3")
+    assert code == 0 and report_of(doc)["oracle_agrees"] is True
+    assert doc["config"]["max_interior"] == 3
+    _, doc = run(capsys, "chains", "--family", "five-ring", "--check")
+    assert "max_interior" not in doc["config"]
+
+
 def test_chains_csv_export(tmp_path, capsys):
     out = tmp_path / "p.csv"
     code, _ = run(
@@ -208,6 +221,17 @@ def test_verify_pettis_witness(capsys):
     assert rep["all_ok"] is True
     for cert in rep["isolation_certificates"]:
         assert cert["ok"] is True
+
+
+def test_pettis_windows_must_hold_the_certified_pairs(capsys):
+    # the certified pairs (1,0), (0,1), (1,2) need every window above 2
+    for bad in ("1", "2", "0", "-4", "12,2"):
+        code, out = run(capsys, "verify", "pettis-witness", "--trials", "2",
+                        "--seed", "7", "--windows", bad)
+        assert code == 1 and out == "", bad
+    code, doc = run(capsys, "verify", "pettis-witness", "--trials", "2",
+                    "--seed", "7", "--windows", "3")
+    assert code == 0 and report_of(doc)["all_ok"] is True
 
 
 def test_reports_are_deterministic(capsys):

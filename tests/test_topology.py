@@ -46,6 +46,7 @@ from invsemi.symbolic import (
     fin_map,
     partial_identity,
     sym_compose,
+    sym_graph,
     sym_inverse,
 )
 from invsemi.topology import (
@@ -120,6 +121,16 @@ def test_member_anchored_opens_contain_their_member():
     for _ in range(50):
         f = random_sym_element(rng)
         v = random_basic_open(rng, member=f)
+        assert open_contains(v, f)
+
+
+def test_member_anchored_opens_stay_below_the_bound():
+    # a required pair whose target lies at or past the bound is never drawn
+    rng = random.Random(20261018)
+    f = fin_map([(1, 50), (2, 3)])
+    for _ in range(20):
+        v = random_basic_open(rng, member=f, bound=10)
+        assert all(p < 10 for p in v.constraint_points()), v.describe()
         assert open_contains(v, f)
 
 
@@ -269,6 +280,32 @@ def test_rank_one_certificates_are_singletons():
         assert check.logic_singleton
         assert all(ok for _, ok in check.windowed_ok)
         assert check.ok
+
+
+def scan_below(hits, window):
+    """The hits whose points all lie below the window, in order."""
+    return [g for g in hits if all(max(p) < window for p in sym_graph(g))]
+
+
+def test_widest_window_scan_serves_every_window():
+    windows = (3, 5, 12, 20)
+    for a, b in ((1, 0), (0, 1), (1, 2), (3, 5), (2, 4)):
+        f = fin_map([(a, b)])
+        check = verify_rank_one_certificate(f, COMMON_POINT_RULE, windows)
+        widest = low_rank_open_members(check.certificate, COMMON_POINT_RULE, 20)
+        for w, ok in check.windowed_ok:
+            hits = low_rank_open_members(check.certificate, COMMON_POINT_RULE, w)
+            assert scan_below(widest, w) == hits, (a, b, w)
+            assert ok == (hits == [f]), (a, b, w)
+    rng = random.Random(20261018)
+    for _ in range(40):
+        rule = rng.choice((COMMON_POINT_RULE, DISJOINT_RULE))
+        f = fin_map([tuple(rng.sample(range(16), 2))])
+        v = random_basic_open(rng, member=f, bound=16)
+        widest = low_rank_open_members(v, rule, 20)
+        for w in windows:
+            assert scan_below(widest, w) == low_rank_open_members(v, rule, w), (
+                rule.name, v.describe(), w)
 
 
 def test_certificate_shape_for_anchored_pairs():
