@@ -11,6 +11,12 @@ two checkouts shows whether a change keeps every README report:
     PYTHONPATH=src python3 scripts/report_digests.py > after.txt
 
 A command that prints no report (a usage error) gets `-` as its digest.
+
+The list runs twice in the same process, each pass in its own temporary
+directory, and the script exits 1 when a line differs between the two
+passes: state kept across calls (the CLI parser, the rule blocks, the
+descriptor period memo) must not change a report.  Only the first pass
+is printed.
 """
 
 import contextlib
@@ -20,6 +26,7 @@ import json
 import os
 import re
 import shlex
+import sys
 import tempfile
 from pathlib import Path
 
@@ -49,8 +56,9 @@ def report_digest(stdout: str) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def main() -> int:
-    commands = readme_commands(README.read_text(encoding="utf-8"))
+def digest_pass(commands: list[str]) -> list[str]:
+    """One line per command, run in a fresh temporary directory."""
+    lines = []
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
@@ -59,10 +67,21 @@ def main() -> int:
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                     code = cli.main(shlex.split(command)[1:])
-                print(f"{code} {report_digest(out.getvalue())} {command}")
+                lines.append(f"{code} {report_digest(out.getvalue())} {command}")
         finally:
             os.chdir(home)
-    return 0
+    return lines
+
+
+def main() -> int:
+    commands = readme_commands(README.read_text(encoding="utf-8"))
+    first = digest_pass(commands)
+    second = digest_pass(commands)
+    print("\n".join(first))
+    drift = [(a, b) for a, b in zip(first, second) if a != b]
+    for a, b in drift:
+        print(f"second pass differs:\n  {a}\n  {b}", file=sys.stderr)
+    return 1 if drift else 0
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ independent computations), 1 for usage and IO problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -190,6 +191,8 @@ def _stratum_counts(result, fam: BlockFamily) -> dict[str, int]:
 
 def cmd_chains(args) -> int:
     started = time.monotonic()
+    if args.max_interior is not None and not args.check:
+        raise ParseError("--max-interior bounds the walk oracle and needs --check")
     if args.max_interior is not None and args.max_interior < 1:
         raise ParseError("--max-interior must be at least 1: a chain has "
                          "at least one interior entry")
@@ -413,7 +416,12 @@ def _family_config(args, **extra) -> dict:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process.  Sharing it is
+    safe: every `parse_args` call returns a fresh namespace, and argparse
+    looks up `sys.stdout` and `sys.stderr` when it prints, not when the
+    parser is built."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON report to this path")
     common.add_argument("--quiet", action="store_true",
@@ -453,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--check", action="store_true",
                     help="cross-check the dynamic program against literal "
                          "walk enumeration")
-    ch.add_argument("--max-interior", type=int, default=None)
+    ch.add_argument("--max-interior", type=int, default=None,
+                    help="longest chain interior the --check oracle walks")
     ch.add_argument("--csv", help="write the capacity matrix as CSV")
     ch.set_defaults(func=cmd_chains)
 

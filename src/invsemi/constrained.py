@@ -430,21 +430,23 @@ def ideal_escape_witness(v, ideal: IdealModel, pivot: SetDescriptor) -> EscapeWi
         raise ValueError("the ideal must be proper")
     if ideal.contains(pivot):
         raise ValueError("pivot already belongs to the ideal")
-    if ideal.contains(pivot.complement()):
+    pivot_c = pivot.complement()
+    if ideal.contains(pivot_c):
         raise ValueError("pivot complement already belongs to the ideal")
 
     big = principal_plus_fin(pivot)
     srcs = [x for x, _ in v.positive]
     tgts = [y for _, y in v.positive]
     touched = sorted(set(srcs) | set(tgts) | set(v.forbid_dom) | set(v.forbid_im))
-    carrier = pivot.complement().without_points(touched)
+    carrier = pivot_c.without_points(touched)
     f = sym_element(carrier, v.positive)
 
     dom_c = dom_set(f).complement()
     im_c = im_set(f).complement()
     touched_d = SetDescriptor.from_points(touched)
-    want_dom = pivot.union(touched_d).difference(SetDescriptor.from_points(srcs))
-    want_im = pivot.union(touched_d).difference(SetDescriptor.from_points(tgts))
+    spread = pivot.union(touched_d)
+    want_dom = spread.difference(SetDescriptor.from_points(srcs))
+    want_im = spread.difference(SetDescriptor.from_points(tgts))
 
     trivial = " (trivial: empty ideal)" if ideal.kind == "empty" else ""
     clauses = (

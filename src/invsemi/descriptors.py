@@ -10,6 +10,7 @@ the package leans on for hashing and deduplication.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -17,8 +18,12 @@ from typing import Callable, Iterable, Iterator
 from .errors import ParseError
 
 
+@functools.lru_cache
 def _minimal_period(modulus: int, residues: frozenset[int]) -> tuple[int, tuple[int, ...]]:
-    """Reduce (modulus, residues) to the least period describing the same tail."""
+    """Reduce (modulus, residues) to the least period describing the same tail.
+
+    Memoized: `build` and the constructor check both ask for the same
+    pair, so the check costs a lookup and still runs on every instance."""
     if not residues:
         return 1, ()
     for d in range(1, modulus + 1):

@@ -152,13 +152,16 @@ def random_basic_open(rng: Random, member: SymElement | None = None,
         fd_pool = [p for p in range(bound) if p not in srcs]
         fi_pool = [p for p in range(bound) if p not in tgts]
     else:
-        dom_pts = [x for x in dom_set(member).below(bound)
-                   if sym_apply(member, x) < bound]
+        # the member's domain and image points below the bound: the
+        # identity part on its carrier plus the endpoints of its pairs
+        move = dict(member.pairs)
+        fixed = set(_carrier(member).below(bound))
+        dom = fixed | {x for x in move if x < bound}
+        img = fixed | {y for y in move.values() if y < bound}
+        dom_pts = [x for x in sorted(dom) if move.get(x, x) < bound]
         npairs = rng.randint(0, min(max_pairs, len(dom_pts)))
         srcs = rng.sample(dom_pts, npairs)
-        pairs = tuple((x, sym_apply(member, x)) for x in srcs)
-        dom = dom_set(member)
-        img = im_set(member)
+        pairs = tuple((x, move.get(x, x)) for x in srcs)
         fd_pool = [p for p in range(bound) if p not in dom]
         fi_pool = [p for p in range(bound) if p not in img]
     fd = rng.sample(fd_pool, min(rng.randint(0, max_forbid), len(fd_pool)))
@@ -451,12 +454,21 @@ def rule_open_members(v: BasicOpen, rule: BlockRule) -> OpenReport:
 def low_rank_open_members(v: BasicOpen, rule: BlockRule, window: int) -> list[SymElement]:
     """Exhaustive scan of the rank-at-most-one members of a basic open
     with both points below the window, plus the empty map.  The empty
-    map comes first, then the maps a -> b in lexicographic (a, b) order."""
+    map comes first, then the maps a -> b in lexicographic (a, b) order.
+
+    A map a -> b can lie in the open only when a is not domain-forbidden,
+    b is not image-forbidden and every required pair is (a, b); only
+    those candidates are built and checked."""
     hits = []
     if open_contains(v, empty_map()):
         hits.append(empty_map())
+    forbid_dom, forbid_im = set(v.forbid_dom), set(v.forbid_im)
     for a in range(window):
+        if a in forbid_dom:
+            continue
         for b in range(window):
+            if b in forbid_im or any(p != (a, b) for p in v.positive):
+                continue
             g = fin_map([(a, b)])
             if open_contains(v, g) and rule.member(g):
                 hits.append(g)

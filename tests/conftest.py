@@ -22,7 +22,8 @@ from invsemi.closure import (
     unique_rows,
 )
 from invsemi.errors import BudgetExceededError, WindowMismatchError
-from invsemi.topology import open_contains
+from invsemi.symbolic import dom_set, empty_map, im_set, sym_apply
+from invsemi.topology import BasicOpen, open_contains
 
 
 def compose_dicts(f: dict, g: dict) -> dict:
@@ -176,6 +177,47 @@ def group_open_members(v, rule, window: int, max_block: int) -> list:
             if open_contains(v, g):
                 out.append(g)
     return out
+
+
+def low_rank_open_members_by_scan(v, rule, window: int) -> list:
+    """Slow reference for `topology.low_rank_open_members`: build every
+    map a -> b below the window and test each against the open and the
+    rule, after the empty map."""
+    hits = []
+    if open_contains(v, empty_map()):
+        hits.append(empty_map())
+    for a in range(window):
+        for b in range(window):
+            g = fin_map([(a, b)])
+            if open_contains(v, g) and rule.member(g):
+                hits.append(g)
+    return hits
+
+
+def random_basic_open_by_descriptors(rng: random.Random, member=None, max_pairs: int = 3,
+                                     max_forbid: int = 4, bound: int = 64) -> BasicOpen:
+    """Reference for `topology.random_basic_open`: the same draws from
+    `rng`, with the member's domain and image read through descriptors."""
+    if member is None:
+        npairs = rng.randint(0, max_pairs)
+        srcs = rng.sample(range(bound), npairs)
+        tgts = rng.sample(range(bound), npairs)
+        pairs = tuple(zip(srcs, tgts))
+        fd_pool = [p for p in range(bound) if p not in srcs]
+        fi_pool = [p for p in range(bound) if p not in tgts]
+    else:
+        dom_pts = [x for x in dom_set(member).below(bound)
+                   if sym_apply(member, x) < bound]
+        npairs = rng.randint(0, min(max_pairs, len(dom_pts)))
+        srcs = rng.sample(dom_pts, npairs)
+        pairs = tuple((x, sym_apply(member, x)) for x in srcs)
+        dom = dom_set(member)
+        img = im_set(member)
+        fd_pool = [p for p in range(bound) if p not in dom]
+        fi_pool = [p for p in range(bound) if p not in img]
+    fd = rng.sample(fd_pool, min(rng.randint(0, max_forbid), len(fd_pool)))
+    fi = rng.sample(fi_pool, min(rng.randint(0, max_forbid), len(fi_pool)))
+    return BasicOpen(pairs, tuple(fd), tuple(fi))
 
 
 OVERLAP_BOUND = 12

@@ -1,9 +1,14 @@
 """Command line driver: report shape, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import invsemi
 from invsemi.cli import main
 
 
@@ -103,6 +108,14 @@ def test_chains_max_interior_is_validated_and_recorded(capsys):
     assert doc["config"]["max_interior"] == 3
     _, doc = run(capsys, "chains", "--family", "five-ring", "--check")
     assert "max_interior" not in doc["config"]
+
+
+def test_chains_max_interior_needs_check(capsys):
+    # only the walk oracle reads the bound, so without --check it is a usage error
+    code = main(["chains", "--family", "five-ring", "--max-interior", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "--check" in captured.err
 
 
 def test_chains_csv_export(tmp_path, capsys):
@@ -285,3 +298,28 @@ def test_quiet_suppresses_the_summary_line(capsys):
     assert code2 == 0
     noisy = capsys.readouterr().out
     assert not noisy.lstrip().startswith("{")
+
+
+def test_one_parser_serves_successive_calls(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process: a written report, then a
+    # usage error, then a plain run that must print to stdout with no
+    # stale --out and match a fresh process
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "pettis-witness", "--trials", "5", "--seed", "7",
+                 "--out", "r.json", "--quiet"]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["report"]["all_ok"] is True
+    assert main(["verify", "pettis-witness", "--trials", "5"]) == 1  # no seed
+    capsys.readouterr()
+    code, doc = run(capsys, "family-check", "--family", "five-ring")
+    assert code == 0 and isinstance(doc, dict)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+    src = str(Path(invsemi.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "invsemi.cli", "family-check", "--family", "five-ring"],
+        capture_output=True, text=True, env=env, check=True)
+    fresh_doc = json.loads(fresh.stdout[fresh.stdout.index("\n{") + 1:])
+    doc.pop("meta")
+    fresh_doc.pop("meta")
+    assert doc == fresh_doc

@@ -146,3 +146,12 @@ def test_size_counts_members(a):
     else:
         assert a.size() == len(points_below(a, 10**4))
         assert a.points() == tuple(sorted(points_below(a, 10**4)))
+
+
+def test_constructor_rejects_a_non_minimal_period_after_build_warms_the_cache():
+    d = SetDescriptor.build(modulus=4, residues=(0, 2))
+    assert (d.modulus, d.residues) == (2, (0,))
+    with pytest.raises(ValueError, match="tail period is not minimal"):
+        SetDescriptor(modulus=4, residues=(0, 2))
+    with pytest.raises(ValueError, match="tail period is not minimal"):
+        SetDescriptor(modulus=4, residues=(0, 2))

@@ -46,6 +46,7 @@ from invsemi.symbolic import (
     fin_map,
     partial_identity,
     sym_compose,
+    sym_element,
     sym_graph,
     sym_inverse,
 )
@@ -58,7 +59,12 @@ from invsemi.topology import (
     low_rank_open_members,
     open_members,
 )
-from conftest import group_open_members, open_contains_map
+from conftest import (
+    group_open_members,
+    low_rank_open_members_by_scan,
+    open_contains_map,
+    random_basic_open_by_descriptors,
+)
 
 EVENS = SetDescriptor.residue_class(0, 2)
 ODDS = SetDescriptor.residue_class(1, 2)
@@ -306,6 +312,57 @@ def test_widest_window_scan_serves_every_window():
         for w in windows:
             assert scan_below(widest, w) == low_rank_open_members(v, rule, w), (
                 rule.name, v.describe(), w)
+
+
+def test_low_rank_scan_matches_the_slow_scan():
+    # the pruned scan against the build-everything scan at every window
+    # from 1 to 20: the canonical certificates, opens drawn around
+    # rank-one maps and without a member, and opens with 0 to 3 required
+    # pairs, where two or more pairs conflict for a rank-one map
+    cases = [(COMMON_POINT_RULE, rank_one_certificate(a, b, COMMON_POINT_RULE))
+             for a, b in ((1, 0), (0, 1), (1, 2))]
+    rng = random.Random(20261019)
+    for _ in range(12):
+        rule = rng.choice((COMMON_POINT_RULE, DISJOINT_RULE))
+        f = fin_map([tuple(rng.sample(range(12), 2))])
+        cases.append((rule, random_basic_open(rng, member=f, bound=12)))
+        cases.append((rule, random_basic_open(rng, bound=12)))
+    for npairs in range(4):
+        for rule in (COMMON_POINT_RULE, DISJOINT_RULE):
+            pairs = zip(rng.sample(range(8), npairs), rng.sample(range(8), npairs))
+            cases.append((rule, BasicOpen(tuple(pairs), (), ())))
+    for rule in (COMMON_POINT_RULE, DISJOINT_RULE):
+        cases.append((rule, BasicOpen((), (2, 5), (0, 3))))
+        cases.append((rule, BasicOpen(((1, 0), (3, 2)), (), ())))
+    assert any(len(v.positive) >= 2 for _, v in cases)
+    assert any(len(low_rank_open_members(v, rule, 20)) > 1 for rule, v in cases)
+    for rule, v in cases:
+        for w in range(1, 21):
+            assert low_rank_open_members(v, rule, w) == \
+                low_rank_open_members_by_scan(v, rule, w), (rule.name, v.describe(), w)
+
+
+MEMBER_KINDS = {
+    "finite map": fin_map([(1, 50), (2, 3), (7, 0), (9, 12)]),
+    "finite partial identity": partial_identity([0]),
+    "partial identity": partial_identity(EVENS),
+    "block permutation": block_perm(EVENS, [(0, 4), (4, 0), (6, 70), (70, 6)]),
+    "idplus": sym_element(ODDS.without_points([1, 3, 5]), [(1, 2), (3, 40), (5, 8)]),
+}
+
+
+@pytest.mark.parametrize("bound", [10, 16, 64])
+@pytest.mark.parametrize("kind", sorted(MEMBER_KINDS))
+def test_member_anchored_draws_are_pinned(kind, bound):
+    # same seeds, same opens and the same generator state afterwards as
+    # the draws that read the member through descriptors
+    member = MEMBER_KINDS[kind]
+    for seed in range(20):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert random_basic_open(fast, member=member, bound=bound) == \
+                random_basic_open_by_descriptors(slow, member=member, bound=bound)
+        assert fast.getstate() == slow.getstate()
 
 
 def test_certificate_shape_for_anchored_pairs():
