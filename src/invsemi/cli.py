@@ -21,7 +21,7 @@ import sys
 import time
 from random import Random
 
-from .catalog import COMMON_POINT_RULE, common_point_block, named_family
+from .catalog import COMMON_POINT_RULE, FAMILY_BUILDERS, common_point_block, named_family
 from .closure import (
     check_closure_bound,
     closure_of,
@@ -29,9 +29,9 @@ from .closure import (
     family_generators,
     minimal_window,
 )
-from .constrained import EMPTY_IDEAL, FIN_IDEAL, ideal_escape_witness
+from .constrained import EMPTY_IDEAL, FIN_IDEAL, ideal_escape_witness, pivot_extension
 from .descriptors import SetDescriptor
-from .errors import InvsemiError, NotGeneratedError, ParseError
+from .errors import InvsemiError, NotGeneratedError, ParseError, UnsupportedFamilyError
 from .families import (
     BlockFamily,
     chain_capacity_by_enumeration,
@@ -59,10 +59,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_family(spec: str) -> BlockFamily:
-    if spec.endswith(".json") or os.path.sep in spec or os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            return BlockFamily.from_config(json.load(fh))
-    return named_family(spec)
+    """A catalog name (the part before any ':') names a catalog family,
+    whatever files the working directory holds; anything else is read
+    as a JSON family file."""
+    if spec.partition(":")[0] in FAMILY_BUILDERS:
+        return named_family(spec)
+    if not os.path.exists(spec):
+        raise UnsupportedFamilyError(
+            f"unknown family {spec!r}: not a catalog name "
+            f"{sorted(FAMILY_BUILDERS)} and no such file")
+    with open(spec, "r", encoding="utf-8") as fh:
+        return BlockFamily.from_config(json.load(fh))
 
 
 def _emit(args, command: str, config: dict, report: dict, started: float) -> None:
@@ -306,6 +313,10 @@ def cmd_verify_ideal_witness(args) -> int:
     started = time.monotonic()
     ideal = FIN_IDEAL if args.ideal == "fin" else EMPTY_IDEAL
     pivot = SetDescriptor.from_text(args.pivot)
+    try:
+        pivot_extension(ideal, pivot)
+    except ValueError as e:
+        raise ParseError(f"--pivot {args.pivot!r}: {e}") from None
     rng = Random(args.seed)
     trials = []
     all_ok = True

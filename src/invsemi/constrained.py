@@ -27,6 +27,7 @@ ideal-constrained semigroups.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from random import Random
@@ -414,6 +415,22 @@ class EscapeWitness:
         raise KeyError(name)
 
 
+@functools.lru_cache(maxsize=16)
+def pivot_extension(ideal: IdealModel, pivot: SetDescriptor) -> tuple[SetDescriptor, IdealModel]:
+    """Check that `pivot` can extend the proper `ideal` (it avoids the
+    ideal on both sides) and return the pivot's complement and the
+    extended ideal.  Memoized per (ideal, pivot); a rejected pair raises
+    `ValueError` and is checked again on the next call."""
+    if not ideal.is_proper():
+        raise ValueError("the ideal must be proper")
+    if ideal.contains(pivot):
+        raise ValueError("pivot already belongs to the ideal")
+    pivot_c = pivot.complement()
+    if ideal.contains(pivot_c):
+        raise ValueError("pivot complement already belongs to the ideal")
+    return pivot_c, principal_plus_fin(pivot)
+
+
 def ideal_escape_witness(v, ideal: IdealModel, pivot: SetDescriptor) -> EscapeWitness:
     """Inside the basic open `v`, build a map whose domain and image
     complements land in the ideal extended by `pivot` but not in the
@@ -426,15 +443,7 @@ def ideal_escape_witness(v, ideal: IdealModel, pivot: SetDescriptor) -> EscapeWi
     """
     from .topology import open_contains
 
-    if not ideal.is_proper():
-        raise ValueError("the ideal must be proper")
-    if ideal.contains(pivot):
-        raise ValueError("pivot already belongs to the ideal")
-    pivot_c = pivot.complement()
-    if ideal.contains(pivot_c):
-        raise ValueError("pivot complement already belongs to the ideal")
-
-    big = principal_plus_fin(pivot)
+    pivot_c, big = pivot_extension(ideal, pivot)
     srcs = [x for x, _ in v.positive]
     tgts = [y for _, y in v.positive]
     touched = sorted(set(srcs) | set(tgts) | set(v.forbid_dom) | set(v.forbid_im))

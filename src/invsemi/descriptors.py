@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -34,6 +36,34 @@ def _minimal_period(modulus: int, residues: frozenset[int]) -> tuple[int, tuple[
     return modulus, tuple(sorted(residues))
 
 
+def _spread(mask: int, period: int, length: int) -> int:
+    """Repeat the low ``period`` bits of ``mask`` up to ``length`` bits
+    (``period`` divides ``length``)."""
+    return mask * (((1 << length) - 1) // ((1 << period) - 1))
+
+
+def _tail_mask(d: "SetDescriptor", length: int) -> int:
+    """Bit r set when residue r modulo ``length`` lies on d's tail."""
+    return _spread(sum(1 << r for r in d.residues), d.modulus, length)
+
+
+@functools.lru_cache
+def _reduce_mask(modulus: int, mask: int) -> tuple[int, tuple[int, ...]]:
+    """The least period and its residues for a tail given as a bitmask of
+    residues modulo ``modulus``: the bitmask twin of `_minimal_period`."""
+    if not mask:
+        return 1, ()
+    for d in range(1, modulus):
+        low = mask & ((1 << d) - 1)
+        if modulus % d == 0 and _spread(low, d, modulus) == mask:
+            return d, tuple(r for r in range(d) if low >> r & 1)
+    return modulus, tuple(r for r in range(modulus) if mask >> r & 1)
+
+
+def _and_not(a: int, b: int) -> int:
+    return a & ~b
+
+
 @dataclass(frozen=True)
 class SetDescriptor:
     """Canonical subset of the naturals: periodic tail plus finite patches.
@@ -50,25 +80,26 @@ class SetDescriptor:
     residues: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.modulus < 1:
+        modulus, residues = self.modulus, self.residues
+        if modulus < 1:
             raise ValueError("modulus must be >= 1")
-        res = set(self.residues)
-        if self.residues != tuple(sorted(res)) or len(res) != len(self.residues):
+        res = frozenset(residues)
+        if residues != tuple(sorted(res)):
             raise ValueError("residues must be sorted and distinct")
-        if any(r < 0 or r >= self.modulus for r in self.residues):
+        if residues and (residues[0] < 0 or residues[-1] >= modulus):
             raise ValueError("residues must lie in [0, modulus)")
-        if not self.residues and self.modulus != 1:
+        if not residues and modulus != 1:
             raise ValueError("empty tail must use modulus 1")
-        if _minimal_period(self.modulus, frozenset(res)) != (self.modulus, self.residues):
+        if _minimal_period(modulus, res) != (modulus, residues):
             raise ValueError("tail period is not minimal")
         for name, pts in (("add", self.add), ("remove", self.remove)):
             if pts != tuple(sorted(set(pts))):
                 raise ValueError(f"{name} points must be sorted and distinct")
-            if any(p < 0 for p in pts):
+            if pts and pts[0] < 0:
                 raise ValueError(f"{name} points must be naturals")
-        if any(a % self.modulus in res for a in self.add):
+        if self.add and not res.isdisjoint([a % modulus for a in self.add]):
             raise ValueError("added point already on the tail")
-        if any(r % self.modulus not in res for r in self.remove):
+        if self.remove and not res.issuperset([r % modulus for r in self.remove]):
             raise ValueError("removed point is not on the tail")
 
     # -- construction ----------------------------------------------------
@@ -83,23 +114,18 @@ class SetDescriptor:
     ) -> "SetDescriptor":
         """Canonicalize arbitrary patch data.  Added points win over removed."""
         add_set = set(add)
-        remove_set = set(remove) - add_set
         mod, res = _minimal_period(modulus, frozenset(r % modulus for r in residues))
-        res_set = set(res)
-        fin_add = []
-        fin_remove = []
-        for x in sorted(add_set | remove_set):
-            desired = x in add_set
-            on_tail = x % mod in res_set
-            if desired and not on_tail:
-                fin_add.append(x)
-            elif not desired and on_tail:
-                fin_remove.append(x)
-        return cls(tuple(fin_add), tuple(fin_remove), mod, res)
+        on_tail = set(res)
+        return cls(
+            tuple(sorted(x for x in add_set if x % mod not in on_tail)),
+            tuple(sorted(x for x in set(remove) - add_set if x % mod in on_tail)),
+            mod,
+            res,
+        )
 
     @classmethod
     def from_points(cls, points: Iterable[int]) -> "SetDescriptor":
-        return cls.build(add=points)
+        return cls(tuple(sorted(set(points))))
 
     @classmethod
     def empty(cls) -> "SetDescriptor":
@@ -141,7 +167,14 @@ class SetDescriptor:
 
     def below(self, bound: int) -> list[int]:
         """Members strictly below ``bound``, ascending."""
-        return [x for x in range(bound) if self.member(x)]
+        out = [x for x in self.add if x < bound]
+        for r in self.residues:
+            out.extend(range(r, bound, self.modulus))
+        if self.remove:
+            gone = set(self.remove)
+            out = [x for x in out if x not in gone]
+        out.sort()
+        return out
 
     def iter_members(self) -> Iterator[int]:
         """All members in ascending order (endless when the set is infinite)."""
@@ -168,45 +201,51 @@ class SetDescriptor:
 
     # -- boolean algebra ----------------------------------------------------
 
-    def _pointwise(self, other: "SetDescriptor", op: Callable[[bool, bool], bool]) -> "SetDescriptor":
-        import math
-
+    def _pointwise(self, other: "SetDescriptor", op: Callable[[int, int], int]) -> "SetDescriptor":
+        """Combine two sets with a bitwise ``op`` (``&``, ``|`` or ``& ~``):
+        the tails as residue bitmasks over the lcm of the moduli, the
+        patches point by point on the finitely many patched points."""
         big = math.lcm(self.modulus, other.modulus)
-        res = [
-            r
-            for r in range(big)
-            if op(r % self.modulus in self.residues, r % other.modulus in other.residues)
-        ]
-        finite = set(self.add) | set(self.remove) | set(other.add) | set(other.remove)
-        res_set = set(res)
+        tail = op(_tail_mask(self, big), _tail_mask(other, big))
+        mod, res = _reduce_mask(big, tail)
         add, remove = [], []
-        for x in finite:
-            desired = op(self.member(x), other.member(x))
-            if desired:
-                add.append(x)
-            elif x % big in res_set:
+        for x in sorted({*self.add, *self.remove, *other.add, *other.remove}):
+            on_tail = tail >> x % big & 1
+            if op(self.member(x), other.member(x)):
+                if not on_tail:
+                    add.append(x)
+            elif on_tail:
                 remove.append(x)
-        return SetDescriptor.build(add=add, remove=remove, modulus=big, residues=res)
+        return SetDescriptor(tuple(add), tuple(remove), mod, res)
 
     def intersect(self, other: "SetDescriptor") -> "SetDescriptor":
-        return self._pointwise(other, lambda a, b: a and b)
+        return self._pointwise(other, operator.and_)
 
     def union(self, other: "SetDescriptor") -> "SetDescriptor":
-        return self._pointwise(other, lambda a, b: a or b)
+        return self._pointwise(other, operator.or_)
 
     def difference(self, other: "SetDescriptor") -> "SetDescriptor":
-        return self._pointwise(other, lambda a, b: a and not b)
+        return self._pointwise(other, _and_not)
 
     def complement(self) -> "SetDescriptor":
-        return NATURALS.difference(self)
+        # a tail and its complement share their least period (a full tail
+        # has period 1), and the added and removed points trade places
+        residues = tuple(r for r in range(self.modulus) if r not in self.residues)
+        return SetDescriptor(self.remove, self.add, self.modulus, residues)
 
     def with_points(self, points: Iterable[int]) -> "SetDescriptor":
-        return SetDescriptor.build(self.add + tuple(points), self.remove, self.modulus, self.residues)
+        pts = set(points)
+        res = self.residues
+        add = {*self.add, *(x for x in pts if x % self.modulus not in res)}
+        remove = tuple(x for x in self.remove if x not in pts)
+        return SetDescriptor(tuple(sorted(add)), remove, self.modulus, res)
 
     def without_points(self, points: Iterable[int]) -> "SetDescriptor":
         drop = set(points)
-        keep = [x for x in self.add if x not in drop]
-        return SetDescriptor.build(keep, self.remove + tuple(drop), self.modulus, self.residues)
+        res = self.residues
+        add = tuple(x for x in self.add if x not in drop)
+        remove = {*self.remove, *(x for x in drop if x % self.modulus in res)}
+        return SetDescriptor(add, tuple(sorted(remove)), self.modulus, res)
 
     def subset_of(self, other: "SetDescriptor") -> bool:
         return self.difference(other).is_empty()

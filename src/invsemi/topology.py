@@ -127,15 +127,18 @@ class BasicOpen:
 
 
 def open_contains(v: BasicOpen, f: SymElement) -> bool:
-    """Exact membership of a symbolic element in a basic open."""
+    """Exact membership of a symbolic element in a basic open.
+
+    The forbidden points are probed on the element itself: its domain is
+    where it is defined, its image is its carrier plus its pair targets."""
     for x, y in v.positive:
         if not sym_defined_at(f, x) or sym_apply(f, x) != y:
             return False
-    dom = dom_set(f)
-    if any(p in dom for p in v.forbid_dom):
+    if any(sym_defined_at(f, p) for p in v.forbid_dom):
         return False
-    img = im_set(f)
-    return not any(p in img for p in v.forbid_im)
+    carrier = _carrier(f)
+    targets = {t for _, t in f.pairs}
+    return not any(p in targets or carrier.member(p) for p in v.forbid_im)
 
 
 def random_basic_open(rng: Random, member: SymElement | None = None,

@@ -6,6 +6,7 @@ against these, never the other way around.
 """
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -21,9 +22,46 @@ from invsemi.closure import (
     invert_rows,
     unique_rows,
 )
+from invsemi.descriptors import _minimal_period
 from invsemi.errors import BudgetExceededError, WindowMismatchError
-from invsemi.symbolic import dom_set, empty_map, im_set, sym_apply
+from invsemi.symbolic import dom_set, empty_map, im_set, sym_apply, sym_defined_at
 from invsemi.topology import BasicOpen, open_contains
+
+
+def build_by_loop(add=(), remove=(), modulus=1, residues=()) -> SetDescriptor:
+    """Reference for `SetDescriptor.build`: the point-by-point patch loop."""
+    add_set = set(add)
+    remove_set = set(remove) - add_set
+    mod, res = _minimal_period(modulus, frozenset(r % modulus for r in residues))
+    res_set = set(res)
+    fin_add = []
+    fin_remove = []
+    for x in sorted(add_set | remove_set):
+        desired = x in add_set
+        on_tail = x % mod in res_set
+        if desired and not on_tail:
+            fin_add.append(x)
+        elif not desired and on_tail:
+            fin_remove.append(x)
+    return SetDescriptor(tuple(fin_add), tuple(fin_remove), mod, res)
+
+
+def pointwise_by_build(a: SetDescriptor, b: SetDescriptor, op) -> SetDescriptor:
+    """Reference for the boolean algebra of descriptors: every residue of
+    the lcm tested with ``op`` on booleans, every patched point tested by
+    membership, and the result canonicalized by `build_by_loop`."""
+    big = math.lcm(a.modulus, b.modulus)
+    res = [r for r in range(big)
+           if op(r % a.modulus in a.residues, r % b.modulus in b.residues)]
+    finite = set(a.add) | set(a.remove) | set(b.add) | set(b.remove)
+    res_set = set(res)
+    add, remove = [], []
+    for x in finite:
+        if op(a.member(x), b.member(x)):
+            add.append(x)
+        elif x % big in res_set:
+            remove.append(x)
+    return build_by_loop(add=add, remove=remove, modulus=big, residues=res)
 
 
 def compose_dicts(f: dict, g: dict) -> dict:
@@ -177,6 +215,19 @@ def group_open_members(v, rule, window: int, max_block: int) -> list:
             if open_contains(v, g):
                 out.append(g)
     return out
+
+
+def open_contains_by_descriptors(v, f) -> bool:
+    """Reference for `topology.open_contains`: the forbidden points are
+    tested against the element's domain and image descriptors."""
+    for x, y in v.positive:
+        if not sym_defined_at(f, x) or sym_apply(f, x) != y:
+            return False
+    dom = dom_set(f)
+    if any(p in dom for p in v.forbid_dom):
+        return False
+    img = im_set(f)
+    return not any(p in img for p in v.forbid_im)
 
 
 def low_rank_open_members_by_scan(v, rule, window: int) -> list:

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import invsemi
-from invsemi.cli import main
+from invsemi.catalog import named_family
+from invsemi.cli import build_parser, main
+from invsemi.errors import ParseError
 
 
 def run(capsys, *argv):
@@ -48,6 +50,24 @@ def test_family_check_reads_json_configs(tmp_path, capsys):
     code2, doc2 = run(capsys, "family-check", "--family", str(path))
     assert code2 == 0
     assert report_of(doc2) == report_of(doc)
+
+
+def test_catalog_names_win_over_stray_files(tmp_path, monkeypatch, capsys):
+    # files named like catalog families do not shadow them; the same
+    # file spelled as a path is read as a family config
+    monkeypatch.chdir(tmp_path)
+    bound2 = json.dumps(named_family("bound2").to_config())
+    for name in ("five-ring", "common-point:3"):
+        (tmp_path / name).write_text(bound2)
+    code, doc = run(capsys, "family-check", "--family", "five-ring")
+    assert code == 0 and report_of(doc)["max_overlap"] == 3
+    assert len(report_of(doc)["blocks"]) == 5
+    code, doc = run(capsys, "family-check", "--family", "common-point:3")
+    assert code == 0 and len(report_of(doc)["blocks"]) == 3
+    code, doc = run(capsys, "family-check", "--family", "./five-ring")
+    assert code == 0 and report_of(doc)["max_overlap"] == 2
+    assert main(["family-check", "--family", "no-such"]) == 1
+    assert "unknown family 'no-such'" in capsys.readouterr().err
 
 
 def test_closure_run_matches_structure(capsys):
@@ -213,6 +233,27 @@ def test_verify_ideal_witness_empty_ideal(capsys):
     )
     assert code == 0
     assert report_of(doc)["all_hold"] is True
+
+
+@pytest.mark.parametrize("pivot", ["all", "finite {1,2}"])
+def test_ideal_witness_pivot_errors_are_usage_errors(pivot, capsys):
+    # the finite ideal holds the complement of `all` and the finite pivot
+    # itself; the pivot is checked before the first trial, so a run of
+    # no trials rejects it too
+    for trials in ("0", "3"):
+        code = main(["verify", "ideal-witness", "--pivot", pivot,
+                     "--trials", trials, "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "--pivot" in captured.err and "already belongs to the ideal" in captured.err
+    args = build_parser().parse_args(["verify", "ideal-witness", "--pivot", pivot,
+                                      "--trials", "0", "--seed", "1"])
+    with pytest.raises(ParseError):
+        args.func(args)
+    # the empty ideal holds neither side, so it takes the same pivot
+    code, doc = run(capsys, "verify", "ideal-witness", "--ideal", "empty",
+                    "--pivot", pivot, "--trials", "3", "--seed", "1")
+    assert code == 0 and report_of(doc)["all_hold"] is True
 
 
 def test_verify_pettis_witness(capsys):

@@ -23,7 +23,7 @@ from invsemi import (
 )
 from invsemi.catalog import evens, odds
 from invsemi.closure import BLOCK_PRODUCTS, compose_rows, encode_rows
-from invsemi.constrained import _composition_escape, _windowed_members
+from invsemi.constrained import _composition_escape, _windowed_members, pivot_extension
 from invsemi.topology import BasicOpen, open_contains, random_basic_open
 
 
@@ -251,6 +251,19 @@ def test_escape_witness_rejects_bad_pivots():
         ideal_escape_witness(v, FIN_IDEAL, SetDescriptor.naturals().without_points([4]))
     with pytest.raises(ValueError, match="proper"):
         ideal_escape_witness(v, principal_plus_fin(SetDescriptor.naturals()), evens())
+
+
+def test_pivot_checks_are_memoized_only_when_they_pass():
+    pivot_extension.cache_clear()
+    bad = SetDescriptor.from_points([1, 2])
+    for _ in range(2):  # a rejected pivot is checked again on every call
+        with pytest.raises(ValueError, match="already belongs"):
+            pivot_extension(FIN_IDEAL, bad)
+    first = pivot_extension(FIN_IDEAL, evens())
+    assert first == (odds(), principal_plus_fin(evens()))
+    assert pivot_extension(FIN_IDEAL, evens()) is first
+    info = pivot_extension.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 3, 1)
 
 
 def test_escape_witness_element_is_in_the_open():

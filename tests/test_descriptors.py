@@ -1,15 +1,26 @@
 """Set descriptor algebra checked against explicit point sets."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from invsemi import SetDescriptor
 from invsemi.descriptors import EMPTY, NATURALS
 
-PROBE = 150  # membership is eventually periodic, small horizon suffices
+from conftest import build_by_loop, pointwise_by_build
 
 
-def points_below(d, bound=PROBE):
+def horizon(*ds):
+    """A probe bound that decides membership for every set built from
+    ``ds``: past the largest patch point all of them are periodic, so
+    one lcm of their moduli shows every residue."""
+    top = max((p for d in ds for p in d.add + d.remove), default=0)
+    return top + 1 + math.lcm(*(d.modulus for d in ds))
+
+
+def points_below(d, bound):
     return {x for x in range(bound) if x in d}
 
 
@@ -32,15 +43,33 @@ def test_basic_membership():
     assert points_below(SetDescriptor.from_points([5, 1, 5]), 10) == {1, 5}
 
 
+# one case per rejection message, in the order the constructor checks them
+REJECTED = [
+    (dict(modulus=0), "modulus must be >= 1"),
+    (dict(modulus=3, residues=(2, 0)), "residues must be sorted and distinct"),
+    (dict(modulus=3, residues=(1, 1)), "residues must be sorted and distinct"),
+    (dict(modulus=3, residues=(1, 3)), r"residues must lie in \[0, modulus\)"),
+    (dict(modulus=3, residues=(-1, 1)), r"residues must lie in \[0, modulus\)"),
+    (dict(modulus=2), "empty tail must use modulus 1"),
+    (dict(modulus=4, residues=(0, 2)), "tail period is not minimal"),  # period 2 in disguise
+    (dict(modulus=2, residues=(0, 1)), "tail period is not minimal"),  # the naturals
+    (dict(add=(2, 1)), "add points must be sorted and distinct"),
+    (dict(add=(1, 1)), "add points must be sorted and distinct"),
+    (dict(add=(-1, 3)), "add points must be naturals"),
+    (dict(remove=(4, 2), modulus=2, residues=(0,)), "remove points must be sorted and distinct"),
+    (dict(remove=(-2, 2), modulus=2, residues=(0,)), "remove points must be naturals"),
+    (dict(add=(1, 2), modulus=2, residues=(0,)), "added point already on the tail"),
+    (dict(add=(5,), residues=(0,)), "added point already on the tail"),
+    (dict(remove=(1,), modulus=2, residues=(0,)), "removed point is not on the tail"),
+    (dict(remove=(3,)), "removed point is not on the tail"),
+]
+
+
 def test_constructor_insists_on_canonical_data():
-    with pytest.raises(ValueError):
-        SetDescriptor(add=(2, 1), modulus=1, residues=())
-    with pytest.raises(ValueError):
-        SetDescriptor(modulus=4, residues=(0, 2))  # period 2 in disguise
-    with pytest.raises(ValueError):
-        SetDescriptor(add=(2,), modulus=2, residues=(0,))  # 2 already on tail
-    with pytest.raises(ValueError):
-        SetDescriptor(remove=(1,), modulus=2, residues=(0,))
+    for fields, message in REJECTED:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SetDescriptor(**fields)
+    assert len({message for _, message in REJECTED}) == 11
 
 
 def test_build_canonicalizes():
@@ -54,28 +83,29 @@ def test_build_canonicalizes():
 
 @given(descriptors, descriptors)
 def test_boolean_algebra_matches_point_sets(a, b):
-    pa, pb = points_below(a), points_below(b)
-    assert points_below(a.intersect(b)) == pa & pb
-    assert points_below(a.union(b)) == pa | pb
-    assert points_below(a.difference(b)) == pa - pb
+    h = horizon(a, b)
+    pa, pb = points_below(a, h), points_below(b, h)
+    assert points_below(a.intersect(b), h) == pa & pb
+    assert points_below(a.union(b), h) == pa | pb
+    assert points_below(a.difference(b), h) == pa - pb
 
 
 @given(descriptors)
 def test_complement_partitions(a):
-    pa = points_below(a)
-    pc = points_below(a.complement())
+    h = horizon(a)
+    pa = points_below(a, h)
+    pc = points_below(a.complement(), h)
     assert pa & pc == set()
-    assert pa | pc == set(range(PROBE))
+    assert pa | pc == set(range(h))
 
 
 @given(descriptors, descriptors)
 def test_subset_and_disjoint_agree_with_points(a, b):
-    # the periodic tails make the PROBE horizon decisive only in one
-    # direction, so check the strong claims the descriptors make
-    if a.subset_of(b):
-        assert points_below(a) <= points_below(b)
-    if a.disjoint_from(b):
-        assert points_below(a) & points_below(b) == set()
+    # the horizon decides membership for both sets, so it decides
+    # inclusion and overlap in both directions
+    h = horizon(a, b)
+    assert a.subset_of(b) == (points_below(a, h) <= points_below(b, h))
+    assert a.disjoint_from(b) == (points_below(a, h) & points_below(b, h) == set())
     assert a.subset_of(a)
     assert a.intersect(b).subset_of(a)
 
@@ -104,13 +134,15 @@ def test_iteration_and_least_outside(a):
     assert firsts == members[:3]
     spare = a.least_outside(exclude=firsts[:2])
     assert spare == members[2]
-    assert a.below(PROBE) == [x for x in range(PROBE) if x in a]
+    for bound in (horizon(a), 150):
+        assert a.below(bound) == [x for x in range(bound) if x in a]
 
 
 @given(descriptors, descriptors)
 def test_finite_intersection_size(a, b):
     n = a.intersect(b).size()
-    common = points_below(a) & points_below(b)
+    h = horizon(a, b)
+    common = points_below(a, h) & points_below(b, h)
     if n is None:
         # infinite overlap: membership keeps recurring along a residue class
         assert not a.intersect(b).is_empty()
@@ -129,8 +161,9 @@ def test_point_patching(a, data):
             pts |= data.draw(st.sets(st.sampled_from(known), max_size=2))
     added = a.with_points(pts)
     removed = a.without_points(pts)
-    assert points_below(added) == points_below(a) | {p for p in pts if p < PROBE}
-    assert points_below(removed) == points_below(a) - pts
+    h = horizon(a, SetDescriptor.from_points(pts))
+    assert points_below(added, h) == points_below(a, h) | pts
+    assert points_below(removed, h) == points_below(a, h) - pts
     # canonical equality with the boolean-algebra route
     assert added == a.union(SetDescriptor.from_points(pts))
     assert removed == a.difference(SetDescriptor.from_points(pts))
@@ -155,3 +188,53 @@ def test_constructor_rejects_a_non_minimal_period_after_build_warms_the_cache():
         SetDescriptor(modulus=4, residues=(0, 2))
     with pytest.raises(ValueError, match="tail period is not minimal"):
         SetDescriptor(modulus=4, residues=(0, 2))
+
+
+# -- the bitmask kernels against the point-by-point route -------------------
+
+
+def random_descriptor(rng):
+    """Canonical descriptors with moduli up to 12 and patches up to 40,
+    drawn through the reference `build`, plus the two trivial tails."""
+    if rng.random() < 0.1:
+        return rng.choice((EMPTY, NATURALS))
+    modulus = rng.randint(1, 12)
+    return build_by_loop(
+        add=rng.sample(range(41), rng.randint(0, 5)),
+        remove=rng.sample(range(41), rng.randint(0, 5)),
+        modulus=modulus,
+        residues=rng.sample(range(modulus), rng.randint(0, modulus)),
+    )
+
+
+def test_algebra_matches_the_build_route():
+    rng = random.Random(20261018)
+    ops = {  # the parent's boolean operators
+        "intersect": lambda x, y: x and y,
+        "union": lambda x, y: x or y,
+        "difference": lambda x, y: x and not y,
+    }
+    seen_moduli = set()
+    for _ in range(400):
+        a, b = random_descriptor(rng), random_descriptor(rng)
+        for name, op in ops.items():
+            got = getattr(a, name)(b)
+            assert got == pointwise_by_build(a, b, op), (name, a, b)
+            seen_moduli.add(got.modulus)
+        assert a.complement() == pointwise_by_build(NATURALS, a, ops["difference"]), a
+        pts = rng.sample(range(50), rng.randint(0, 4)) + rng.sample(a.add + a.remove or (0,), 1)
+        assert a.with_points(pts) == build_by_loop(a.add + tuple(pts), a.remove, a.modulus, a.residues)
+        keep = [x for x in a.add if x not in pts]
+        assert a.without_points(pts) == build_by_loop(keep, a.remove + tuple(pts), a.modulus, a.residues)
+        assert SetDescriptor.from_points(pts) == build_by_loop(add=pts)
+        raw = dict(add=rng.sample(range(41), 3), remove=rng.sample(range(41), 3),
+                   modulus=rng.randint(1, 24), residues=rng.sample(range(30), 4))
+        assert SetDescriptor.build(**raw) == build_by_loop(**raw), raw
+    assert max(seen_moduli) > 12  # some results keep an lcm of two moduli
+
+
+def test_below_matches_membership():
+    rng = random.Random(20261019)
+    for d in [EMPTY, NATURALS] + [random_descriptor(rng) for _ in range(40)]:
+        for n in range(201):
+            assert d.below(n) == [x for x in range(n) if d.member(x)], (d, n)

@@ -60,9 +60,12 @@ from invsemi.topology import (
     open_members,
 )
 from conftest import (
+    OVERLAP_BOUND,
     group_open_members,
     low_rank_open_members_by_scan,
+    open_contains_by_descriptors,
     open_contains_map,
+    overlapping_sym_element,
     random_basic_open_by_descriptors,
 )
 
@@ -120,6 +123,34 @@ def test_membership_agrees_with_windowed_projection(seed):
     v = random_basic_open(rng, member=f if rng.random() < 0.5 else None, bound=16)
     w = 32
     assert open_contains(v, f) == open_contains_map(v, project_to_window(f, w))
+
+
+def test_open_contains_matches_the_descriptor_route():
+    # forbidden points probed on the element against the route through
+    # dom_set and im_set, on opens drawn around the element, around
+    # another element and without a member, each also cut down to its
+    # required pairs with only the forbidden domain or only the image
+    rng = random.Random(20261020)
+    elements = []
+    for _ in range(60):
+        k = rng.randint(0, 4)
+        carrier = rng.choice([rng.sample(range(OVERLAP_BOUND), rng.randint(0, 5)),
+                              EVENS, ODDS.without_points(rng.sample(range(1, 12, 2), 2))])
+        elements += [overlapping_sym_element(rng),
+                     fin_map(zip(rng.sample(range(OVERLAP_BOUND), k),
+                                 rng.sample(range(OVERLAP_BOUND), k))),
+                     partial_identity(carrier)]
+    refused = {"both": 0, "domain": 0, "image": 0}  # by forbidden points alone
+    for f in elements:
+        for member in (f, rng.choice(elements), None):
+            v = random_basic_open(rng, member=member, bound=OVERLAP_BOUND)
+            pairs_hold = open_contains(BasicOpen(v.positive, (), ()), f)
+            for side, u in (("both", v), ("domain", BasicOpen(v.positive, v.forbid_dom, ())),
+                            ("image", BasicOpen(v.positive, (), v.forbid_im))):
+                got = open_contains(u, f)
+                assert got == open_contains_by_descriptors(u, f), (f, u.describe())
+                refused[side] += pairs_hold and not got
+    assert min(refused.values()) > 20, refused
 
 
 def test_member_anchored_opens_contain_their_member():
