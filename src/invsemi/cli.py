@@ -31,7 +31,7 @@ from .closure import (
 )
 from .constrained import EMPTY_IDEAL, FIN_IDEAL, ideal_escape_witness, pivot_extension
 from .descriptors import SetDescriptor
-from .errors import InvsemiError, NotGeneratedError, ParseError, UnsupportedFamilyError
+from .errors import InvsemiError, NotGeneratedError, ParseError
 from .families import (
     BlockFamily,
     chain_capacity_by_enumeration,
@@ -60,14 +60,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_family(spec: str) -> BlockFamily:
     """A catalog name (the part before any ':') names a catalog family,
-    whatever files the working directory holds; anything else is read
-    as a JSON family file."""
-    if spec.partition(":")[0] in FAMILY_BUILDERS:
+    whatever files the working directory holds; any other existing path
+    is read as a JSON family file, and a missing one is an unknown name."""
+    if spec.partition(":")[0] in FAMILY_BUILDERS or not os.path.exists(spec):
         return named_family(spec)
-    if not os.path.exists(spec):
-        raise UnsupportedFamilyError(
-            f"unknown family {spec!r}: not a catalog name "
-            f"{sorted(FAMILY_BUILDERS)} and no such file")
     with open(spec, "r", encoding="utf-8") as fh:
         return BlockFamily.from_config(json.load(fh))
 

@@ -24,8 +24,9 @@ from .errors import ParseError
 def _minimal_period(modulus: int, residues: frozenset[int]) -> tuple[int, tuple[int, ...]]:
     """Reduce (modulus, residues) to the least period describing the same tail.
 
-    Memoized: `build` and the constructor check both ask for the same
-    pair, so the check costs a lookup and still runs on every instance."""
+    Memoized: `build`, `_pointwise` and the constructor check all ask for
+    the same pair, so the check costs a lookup and still runs on every
+    instance."""
     if not residues:
         return 1, ()
     for d in range(1, modulus + 1):
@@ -45,19 +46,6 @@ def _spread(mask: int, period: int, length: int) -> int:
 def _tail_mask(d: "SetDescriptor", length: int) -> int:
     """Bit r set when residue r modulo ``length`` lies on d's tail."""
     return _spread(sum(1 << r for r in d.residues), d.modulus, length)
-
-
-@functools.lru_cache
-def _reduce_mask(modulus: int, mask: int) -> tuple[int, tuple[int, ...]]:
-    """The least period and its residues for a tail given as a bitmask of
-    residues modulo ``modulus``: the bitmask twin of `_minimal_period`."""
-    if not mask:
-        return 1, ()
-    for d in range(1, modulus):
-        low = mask & ((1 << d) - 1)
-        if modulus % d == 0 and _spread(low, d, modulus) == mask:
-            return d, tuple(r for r in range(d) if low >> r & 1)
-    return modulus, tuple(r for r in range(modulus) if mask >> r & 1)
 
 
 def _and_not(a: int, b: int) -> int:
@@ -207,7 +195,7 @@ class SetDescriptor:
         patches point by point on the finitely many patched points."""
         big = math.lcm(self.modulus, other.modulus)
         tail = op(_tail_mask(self, big), _tail_mask(other, big))
-        mod, res = _reduce_mask(big, tail)
+        mod, res = _minimal_period(big, frozenset(r for r in range(big) if tail >> r & 1))
         add, remove = [], []
         for x in sorted({*self.add, *self.remove, *other.add, *other.remove}):
             on_tail = tail >> x % big & 1
