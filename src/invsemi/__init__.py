@@ -8,6 +8,7 @@ with its convergence and isolation certificates.
 from .descriptors import EMPTY, NATURALS, SetDescriptor
 from .errors import (
     BudgetExceededError,
+    InvalidFamilyError,
     InvalidOpenError,
     InvsemiError,
     NotGeneratedError,

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .descriptors import SetDescriptor
-from .errors import BudgetExceededError, UnsupportedFamilyError
+from .errors import BudgetExceededError, ParseError, UnsupportedFamilyError
 from .families import BlockFamily
 from .symbolic import (
     BlockPerm,
@@ -215,7 +215,11 @@ def named_family(spec: str) -> BlockFamily:
     if arg:
         if name not in ("disjoint", "common-point"):
             raise UnsupportedFamilyError(f"family {name!r} takes no count argument")
-        return builder(int(arg))
+        try:
+            count = int(arg)
+        except ValueError:
+            raise ParseError(f"family count {arg!r} is not an integer") from None
+        return builder(count)
     return builder()
 
 

@@ -31,7 +31,7 @@ from .closure import (
 )
 from .constrained import EMPTY_IDEAL, FIN_IDEAL, ideal_escape_witness, pivot_extension
 from .descriptors import SetDescriptor
-from .errors import InvsemiError, NotGeneratedError, ParseError
+from .errors import InvalidFamilyError, InvsemiError, NotGeneratedError, ParseError
 from .families import (
     BlockFamily,
     chain_capacity_by_enumeration,
@@ -50,6 +50,14 @@ from .topology import (
     shared_identity_interior_probe,
     verify_rank_one_certificate,
 )
+
+
+def _window_arg(text: str) -> int:
+    """A `--window` value: at least one point."""
+    window = int(text)
+    if window < 1:
+        raise argparse.ArgumentTypeError(f"window must be at least 1, got {window}")
+    return window
 
 
 class _Parser(argparse.ArgumentParser):
@@ -345,7 +353,11 @@ def cmd_verify_ideal_witness(args) -> int:
 def cmd_verify_pettis_witness(args) -> int:
     started = time.monotonic()
     rule = _resolve_rule(args.family)
-    windows = tuple(int(w) for w in args.windows.split(","))
+    try:
+        windows = tuple(int(w) for w in args.windows.split(","))
+    except ValueError:
+        raise ParseError(f"--windows {args.windows!r}: expected comma-separated "
+                         "integers") from None
     canonical = [(1, 0), (0, 1), (1, 2)]
     top = max(max(pair) for pair in canonical)
     if min(windows) <= top:
@@ -407,7 +419,7 @@ def _resolve_rule(spec: str):
     fam = _load_family(spec)
     for k, blk in enumerate(fam.blocks):
         if blk != common_point_block(k):
-            raise InvsemiError(
+            raise InvalidFamilyError(
                 "the witness probe needs the common-point family; block "
                 f"{k} is {blk.to_text()}")
     return COMMON_POINT_RULE
@@ -454,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="close the block groups under "
                                 "composition and inverse")
     run.add_argument("--family", required=True)
-    run.add_argument("--window", type=int, default=None)
+    run.add_argument("--window", type=_window_arg, default=None)
     run.add_argument("--max", type=int, default=200000,
                      help="element budget before giving up")
     run.add_argument("--sparse", action="store_true",
@@ -494,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "exactly when every overlap fits the bound")
     cb.add_argument("--family", required=True)
     cb.add_argument("--bound", type=int, required=True)
-    cb.add_argument("--window", type=int, default=None)
+    cb.add_argument("--window", type=_window_arg, default=None)
     cb.set_defaults(func=cmd_verify_closure_bound)
 
     iw = vesub.add_parser("ideal-witness", parents=[common],
@@ -527,7 +539,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (InvsemiError, OSError, ValueError, json.JSONDecodeError) as e:
+    except (InvsemiError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

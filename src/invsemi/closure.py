@@ -7,8 +7,10 @@ The closure routine is a breadth-first search of the right Cayley graph
 over the generators and their inverses, with exact dedup; companion
 builders enumerate the structural candidate sets (windowed block groups
 plus finite strata) straight into rows, so the two routes are compared
-row by row.  Rows become ``PartialBijection``s only when a caller asks
-to see the maps.
+row by row.  The closedness check of a known union runs the same search
+over the union's own indices, with exact integer keys (`RowIndex`).
+Rows become ``PartialBijection``s only when a caller asks to see the
+maps.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -183,8 +186,18 @@ def group_rows(block: SetDescriptor, window: int) -> np.ndarray:
             f"block has {len(pts)} points below {window}; refusing {len(pts)}! permutations"
         )
     rows = blank_rows(math.factorial(len(pts)), window)
-    rows[:, pts] = list(itertools.permutations(pts))
+    rows[:, pts] = np.asarray(pts, dtype=np.intp)[_index_tuples(len(pts), len(pts), True)]
     return rows
+
+
+@lru_cache(maxsize=None)
+def _index_tuples(n: int, k: int, ordered: bool) -> np.ndarray:
+    """The k-permutations (`ordered`) or k-combinations of range(n) as a
+    read-only index array, one tuple per row, in `itertools` order."""
+    make = itertools.permutations if ordered else itertools.combinations
+    out = np.array(list(make(range(n), k)), dtype=np.intp)
+    out.flags.writeable = False
+    return out
 
 
 def sparse_group_generators(block: SetDescriptor, window: int) -> list[PartialBijection]:
@@ -219,15 +232,19 @@ def structural_rows(
     if capacity is None:
         capacity = chain_capacity_matrix(family)
     parts = [group_rows(b, window) for b in family.blocks] + [blank_rows(1, window)]
-    pts = [b.below(window) for b in family.blocks]
+    pts = [np.asarray(b.below(window), dtype=np.intp) for b in family.blocks]
     for i, src in enumerate(pts):
         for j, dst in enumerate(pts):
             for k in range(1, min(capacity[i][j], len(src), len(dst)) + 1):
-                images = list(itertools.permutations(dst, k))
-                for dom in itertools.combinations(src, k):
-                    rows = blank_rows(len(images), window)
-                    rows[:, dom] = images
-                    parts.append(rows)
+                # every k-subset of src as domain, with every k-tuple of
+                # dst as images: one row per (domain, images) pair
+                doms = src[_index_tuples(len(src), k, False)]
+                images = dst[_index_tuples(len(dst), k, True)]
+                rows = blank_rows(len(doms) * len(images), window)
+                rows[np.arange(len(rows))[:, None], np.repeat(doms, len(images), axis=0)] = (
+                    np.tile(images, (len(doms), 1))
+                )
+                parts.append(rows)
     return unique_rows(np.concatenate(parts))
 
 
@@ -284,14 +301,11 @@ def rows_closed_under_ops(rows: np.ndarray, window: int) -> tuple[bool, int]:
     return closed, checked
 
 
-def union_closed(family: BlockFamily, n: int, window: int) -> tuple[bool, int]:
-    """(closed, products composed) for the rank-n union U: block groups,
-    strata of rank <= n and the empty map.  A holds the sparse group
-    generators, one map per stratum and the empty map, so A lies in U;
-    the groups carry any k-tuple to any other, so <A> contains U, and U
-    is closed exactly when <A> is U."""
-    b = len(family.blocks)
-    target = structural_rows(family, window, [[n] * b for _ in range(b)])
+def union_generators(family: BlockFamily, n: int, window: int) -> np.ndarray:
+    """A for the rank-n union U: the sparse group generators, the empty
+    map and, for each ordered pair of blocks, one map per rank k up to n,
+    src[:k] onto dst[:k].  A lies in U, and the groups carry any k-tuple
+    to any other, so <A> contains U."""
     pts = [blk.below(window) for blk in family.blocks]
     gens = [family_generators(family, window, sparse=True), blank_rows(1, window)]
     for src in pts:
@@ -301,9 +315,145 @@ def union_closed(family: BlockFamily, n: int, window: int) -> tuple[bool, int]:
             for r in range(len(stratum)):
                 stratum[r:, src[r]] = dst[r]
             gens.append(stratum)
-    result = closure_of(np.concatenate(gens), max_elements=len(target))
-    closed = result.closed and np.array_equal(result.rows, target)
-    return closed, result.products
+    return np.concatenate(gens)
+
+
+class RowIndex:
+    """Exact int64 keys for a fixed set U of distinct rows, sorted as
+    `unique_rows` sorts them, and lookup of other rows in U.
+
+    Only U's live columns, those some row of U defines, enter a key; a
+    row defined on a dead column is not in U.  A live entry takes
+    b = window.bit_length() bits, -1 as all ones, so it sorts after every
+    point, as in the bytewise order.  The entries of a row are packed,
+    first entry highest, into words of at most 52 bits, which a float64
+    matmul forms exactly.  The words fold left to right into one key:
+    each prefix is replaced by its rank among U's prefixes and shifted
+    above the next word, so every window up to MAX_WINDOW fits.  U's keys
+    come out strictly increasing, and a row whose prefix no row of U has
+    is not in U."""
+
+    def __init__(self, rows: np.ndarray):
+        count, window = rows.shape
+        self.bits = window.bit_length()
+        self.ones = float((1 << self.bits) - 1)
+        self.live = np.flatnonzero((rows >= 0).any(axis=0))
+        per_word = max(1, min(52, 62 - count.bit_length()) // self.bits)
+        slot = np.arange(len(self.live))
+        self.slot_of = np.full(window, -1)  # live slot of each column, -1 if dead
+        self.slot_of[self.live] = slot
+        self.word_of = slot // per_word
+        ends = np.minimum(self.word_of * per_word + per_word, len(self.live))
+        self.scale = np.ldexp(1.0, self.bits * (ends - 1 - slot))
+        self.widths = (self.bits * np.bincount(self.word_of)).tolist() or [0]
+        # spread[t] puts live entry t, scaled, into its word
+        self.spread = np.zeros((len(self.live), self.words))
+        self.spread[slot, self.word_of] = self.scale
+        self.entries = self.encode(rows)
+        self._identity = self.pack(np.arange(window, dtype=np.int8)[None])
+        words = (self.entries[:, self.live] @ self.spread).astype(np.int64)
+        key = words[:, 0]
+        self.prefixes = []
+        for width, word in zip(self.widths[1:], words[:, 1:].T):
+            prefix = np.unique(key)
+            self.prefixes.append(prefix)
+            key = (np.searchsorted(prefix, key) << width) | word
+        self.keys = key
+
+    @property
+    def words(self) -> int:
+        return len(self.widths)
+
+    def encode(self, rows: np.ndarray) -> np.ndarray:
+        """The entries as float64, -1 as all ones."""
+        return np.where(rows < 0, self.ones, rows)
+
+    def pack(self, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(M, c) such that, for m words and k maps g_j, encode(u) @ M + c
+        holds the words of u o g_j in columns j*m .. j*m + m - 1 and, in
+        column k*m + j, a count that is zero exactly when u o g_j is
+        undefined on every dead column.  Entry x of u o g_j is entry
+        g_j(x) of u, or -1 where g_j is undefined at x."""
+        k, window = gens.shape
+        m = self.words
+        pack = np.zeros((window, k * (m + 1)))
+        js, xs = np.nonzero(gens >= 0)
+        slot = self.slot_of[xs]
+        live = slot >= 0
+        js_l, slot_l = js[live], slot[live]
+        pack[gens[js_l, xs[live]], js_l * m + self.word_of[slot_l]] = self.scale[slot_l]
+        # for each dead x with g_j(x) = y, the count gains ones - entry y of u,
+        # which is zero exactly when u is undefined at y
+        pack[gens[js[~live], xs[~live]], k * m + js[~live]] = -1.0
+        undefined = (gens[:, self.live] < 0) * self.ones @ self.spread
+        dead = np.bincount(js[~live], minlength=k) * self.ones
+        return pack, np.concatenate([undefined.reshape(-1), dead])
+
+    def products_in(
+        self, entries: np.ndarray, packed: tuple[np.ndarray, np.ndarray]
+    ) -> np.ndarray | None:
+        """The sorted positions in U, with repeats, of every product u o g_j
+        for the rows u with these encoded entries and the maps g_j of
+        `packed`; None when a product is not in U."""
+        pack, shift = packed
+        out = entries @ pack + shift
+        m = self.words
+        split = pack.shape[1] // (m + 1) * m
+        if np.any(out[:, split:]):
+            return None
+        words = out[:, :split].astype(np.int64).reshape(-1, m)
+        key = words[:, 0]
+        for prefix, width, word in zip(self.prefixes, self.widths[1:], words[:, 1:].T):
+            pos = np.searchsorted(prefix, key)
+            if np.any(pos == len(prefix)) or np.any(prefix[pos] != key):
+                return None
+            key = (pos << width) | word
+        key = np.sort(key)
+        pos = np.searchsorted(self.keys, key)
+        if len(pos) and (pos[-1] == len(self.keys) or np.any(self.keys[pos] != key)):
+            return None
+        return pos
+
+    def find(self, rows: np.ndarray) -> np.ndarray | None:
+        """The sorted positions of `rows` in U; None when one is not in U."""
+        return self.products_in(self.encode(rows), self._identity)
+
+
+def union_closed(family: BlockFamily, n: int, window: int) -> tuple[bool, int]:
+    """(closed, products composed) for the rank-n union U: block groups,
+    strata of rank <= n and the empty map.
+
+    U is closed exactly when <A> = U for the generators A of
+    `union_generators`.  A breadth-first search over U's indices composes
+    each element it reaches with every map of A u A^-1 and looks the
+    products up in U by key (`RowIndex`).  The first batch with a product
+    outside U ends the search unclosed; otherwise U is closed when every
+    index is reached, after |U| x |A u A^-1| products."""
+    b = len(family.blocks)
+    index = RowIndex(structural_rows(family, window, [[n] * b for _ in range(b)]))
+    gens = union_generators(family, n, window)
+    gens = unique_rows(np.concatenate([gens, invert_rows(gens)]))
+    frontier = index.find(gens)
+    if frontier is None:
+        return False, 0
+    packed = index.pack(gens)
+    reached = np.zeros(len(index.keys), dtype=bool)
+    reached[frontier] = True
+    products = 0
+    step = max(1, BLOCK_PRODUCTS // len(gens))
+    while len(frontier):
+        fresh = []
+        for start in range(0, len(frontier), step):
+            left = frontier[start : start + step]
+            products += len(left) * len(gens)
+            found = index.products_in(index.entries[left], packed)
+            if found is None:
+                return False, products
+            found = found[~reached[found]]
+            reached[found] = True
+            fresh.append(found)
+        frontier = np.unique(np.concatenate(fresh))
+    return bool(reached.all()), products
 
 
 # -- the closure bound ----------------------------------------------------

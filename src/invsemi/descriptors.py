@@ -272,6 +272,8 @@ class SetDescriptor:
         for seq in (add, remove, residues):
             if not isinstance(seq, (list, tuple)) or not all(isinstance(v, int) for v in seq):
                 raise ParseError("set config lists must contain integers")
+        if any(v < 0 for v in (*add, *remove)):
+            raise ParseError("finite and remove points must be naturals")
         if not isinstance(modulus, int) or modulus < 1:
             raise ParseError("tail mod must be a positive integer")
         return cls.build(add=add, remove=remove, modulus=modulus, residues=residues)
@@ -313,6 +315,8 @@ class SetDescriptor:
             return [int(tok) for tok in raw.split(",")]
 
         modulus = int(m.group("mod")) if m.group("mod") else 1
+        if modulus < 1:
+            raise ParseError(f"tail mod must be a positive integer: {text!r}")
         return cls.build(
             add=ints(m.group("finite")),
             remove=ints(m.group("remove")),

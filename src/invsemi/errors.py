@@ -30,6 +30,13 @@ class UnsupportedFamilyError(InvsemiError):
     asked about a family outside its scope."""
 
 
+class InvalidFamilyError(InvsemiError, ValueError):
+    """Raised when blocks do not form a valid family (fewer than two, a
+    finite block, an infinite or repeated overlap), or a family lies
+    outside the rule an analysis needs.  It is a ``ValueError`` too, so
+    callers that catch bad values keep working."""
+
+
 class BudgetExceededError(InvsemiError):
     """Raised when an enumeration would exceed a configured hard cap."""
 

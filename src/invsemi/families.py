@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .descriptors import SetDescriptor
-from .errors import NotGeneratedError, UnsupportedFamilyError
+from .errors import InvalidFamilyError, NotGeneratedError, ParseError, UnsupportedFamilyError
 from .symbolic import (
     SymElement,
     block_perm,
@@ -37,19 +37,19 @@ class BlockFamily:
 
     def __post_init__(self) -> None:
         if len(self.blocks) < 2:
-            raise ValueError("a block family needs at least two blocks")
+            raise InvalidFamilyError("a block family needs at least two blocks")
         for i, b in enumerate(self.blocks):
             if not b.is_infinite():
-                raise ValueError(f"block {i} is finite")
+                raise InvalidFamilyError(f"block {i} is finite")
         b = len(self.blocks)
         meets: list[list[SetDescriptor | None]] = [[None] * b for _ in range(b)]
         for i in range(b):
             for j in range(i + 1, b):
                 meet = self.blocks[i].intersect(self.blocks[j])
                 if meet.is_infinite():
-                    raise ValueError(f"blocks {i} and {j} overlap infinitely")
+                    raise InvalidFamilyError(f"blocks {i} and {j} overlap infinitely")
                 if self.blocks[i] == self.blocks[j]:
-                    raise ValueError(f"blocks {i} and {j} are equal")
+                    raise InvalidFamilyError(f"blocks {i} and {j} are equal")
                 meets[i][j] = meets[j][i] = meet
         object.__setattr__(self, "_meets", tuple(map(tuple, meets)))
 
@@ -81,6 +81,8 @@ class BlockFamily:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "BlockFamily":
+        if not isinstance(cfg, dict) or not isinstance(cfg.get("blocks"), list):
+            raise ParseError("a family config is an object with a list under 'blocks'")
         blocks = tuple(SetDescriptor.from_config(b) for b in cfg["blocks"])
         return cls(blocks, name=cfg.get("name", ""))
 

@@ -33,7 +33,7 @@ from typing import Iterable
 
 from .catalog import COMMON_POINT_RULE, BlockRule
 from .descriptors import NATURALS, SetDescriptor
-from .errors import InvalidOpenError
+from .errors import InvalidFamilyError, InvalidOpenError
 from .families import BlockFamily, _extend_in_block
 from .symbolic import (
     IdFin,
@@ -612,7 +612,7 @@ def shared_identity_interior_probe(trials: int = 100, seed: int = 0,
     set has empty interior because each basic open around it still
     admits a block identity."""
     if not rule.shared_zero:
-        raise ValueError("the probe needs the shared-point rule")
+        raise InvalidFamilyError("the probe needs the shared-point rule")
     a = fin_map([(0, 1)])
     product = sym_compose(sym_inverse(a), a)
     sole = product == partial_identity([0])

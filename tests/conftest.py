@@ -16,10 +16,14 @@ from invsemi import NATURALS, BlockFamily, PartialBijection, SetDescriptor, bloc
 from invsemi.closure import (
     BLOCK_PRODUCTS,
     GROUP_ENUM_CAP,
+    blank_rows,
+    closure_of,
     compose_rows,
     decode_row,
     group_rows,
     invert_rows,
+    structural_rows,
+    union_generators,
     unique_rows,
 )
 from invsemi.descriptors import _minimal_period
@@ -168,6 +172,39 @@ def closure_by_row_scan(rows, max_elements=None, batch_products=BLOCK_PRODUCTS):
             break
         found.append(np.stack(fresh))
     return unique_rows(np.concatenate(found)), tuple(map(len, found)), products, closed
+
+
+def union_closed_by_search(family: BlockFamily, n: int, window: int) -> tuple[bool, int]:
+    """Reference for `union_closed`: the closure engine grows <A> from the
+    same generators, stopped past |U| elements, and its rows are compared
+    with U's.  Returns (closed, products)."""
+    b = len(family.blocks)
+    target = structural_rows(family, window, [[n] * b for _ in range(b)])
+    result = closure_of(union_generators(family, n, window), max_elements=len(target))
+    return result.closed and np.array_equal(result.rows, target), result.products
+
+
+def group_rows_by_loop(block: SetDescriptor, window: int) -> np.ndarray:
+    """Reference for `group_rows`: the permutations written from a list."""
+    pts = block.below(window)
+    rows = blank_rows(math.factorial(len(pts)), window)
+    rows[:, pts] = list(itertools.permutations(pts))
+    return rows
+
+
+def structural_rows_by_loop(family: BlockFamily, window: int, capacity) -> np.ndarray:
+    """Reference for `structural_rows`: one assignment per domain tuple."""
+    parts = [group_rows_by_loop(b, window) for b in family.blocks] + [blank_rows(1, window)]
+    pts = [b.below(window) for b in family.blocks]
+    for i, src in enumerate(pts):
+        for j, dst in enumerate(pts):
+            for k in range(1, min(capacity[i][j], len(src), len(dst)) + 1):
+                images = list(itertools.permutations(dst, k))
+                for dom in itertools.combinations(src, k):
+                    rows = blank_rows(len(images), window)
+                    rows[:, dom] = images
+                    parts.append(rows)
+    return unique_rows(np.concatenate(parts))
 
 
 def random_partial_injection(rng: random.Random, window: int) -> PartialBijection:

@@ -10,8 +10,9 @@ import pytest
 
 import invsemi
 from invsemi.catalog import named_family
+from invsemi import cli
 from invsemi.cli import build_parser, main
-from invsemi.errors import ParseError
+from invsemi.errors import InvalidFamilyError, ParseError
 
 
 def run(capsys, *argv):
@@ -328,6 +329,42 @@ def test_bad_family_config_exits_one(tmp_path, capsys):
     ]}))
     assert main(["family-check", "--family", str(path)]) == 1
     capsys.readouterr()
+    # a file that is JSON but no family config is bad input too
+    for doc in ([1, 2], {"name": "no blocks"}, {"blocks": "B0"}):
+        path.write_text(json.dumps(doc))
+        assert main(["family-check", "--family", str(path)]) == 1
+        assert "blocks" in capsys.readouterr().err
+
+
+def test_bad_inputs_exit_one(capsys):
+    # each of these once surfaced as a bare ValueError or ZeroDivisionError
+    for argv in (
+        ["family-check", "--family", "common-point:1"],
+        ["family-check", "--family", "common-point:x"],
+        ["verify", "closure-bound", "--family", "bound2", "--bound", "2", "--window", "0"],
+        ["closure", "run", "--family", "disjoint:2", "--window", "-1"],
+        ["verify", "pettis-witness", "--trials", "2", "--seed", "7", "--windows", "a,b"],
+        ["verify", "pettis-witness", "--trials", "2", "--seed", "7", "--family", "disjoint"],
+        ["verify", "ideal-witness", "--trials", "2", "--seed", "1",
+         "--pivot", "tail mod 0 residues [0]"],
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error" in captured.err, argv
+
+
+def test_internal_value_errors_are_not_usage_errors(monkeypatch, capsys):
+    # only package errors, IO and JSON problems are usage errors; a
+    # ValueError from inside a command is a bug and must surface
+    def broken(*args, **kwargs):
+        raise ValueError("internal invariant")
+
+    monkeypatch.setattr(cli, "check_closure_bound", broken)
+    with pytest.raises(ValueError, match="internal invariant"):
+        main(["verify", "closure-bound", "--family", "bound2", "--bound", "2"])
+    assert capsys.readouterr().out == ""
+    with pytest.raises(InvalidFamilyError):
+        named_family("common-point:1")
 
 
 def test_quiet_suppresses_the_summary_line(capsys):

@@ -29,15 +29,18 @@ from invsemi import (
 from invsemi.closure import (
     BLOCK_PRODUCTS,
     MAX_WINDOW,
+    RowIndex,
     compose_rows,
     decode_row,
     encode_rows,
     family_generators,
+    group_rows,
     invert_rows,
     rows_closed_under_ops,
     sparse_group_generators,
     structural_rows,
     union_closed,
+    union_generators,
     unique_rows,
 )
 from invsemi.catalog import (
@@ -52,8 +55,11 @@ from conftest import (
     closure_by_row_scan,
     closure_dicts,
     compose_dicts,
+    group_rows_by_loop,
     invert_dict,
     random_partial_injection,
+    structural_rows_by_loop,
+    union_closed_by_search,
     windowed_block_group,
 )
 from test_families import CATALOG
@@ -183,7 +189,12 @@ def test_closure_bound_satisfied_branch():
     assert report.satisfied and report.closed
     assert report.max_overlap == 2
     assert report.bad_pair is None and report.witness is None
-    assert report.products_checked > 0
+    # each element of U is composed once with every map of A u A^-1
+    rows = structural_rows(fam, report.window, [[2, 2], [2, 2]])
+    gens = union_generators(fam, 2, report.window)
+    both = unique_rows(np.concatenate([gens, invert_rows(gens)]))
+    assert (len(rows), len(both)) == (3223, 15)
+    assert report.products_checked == len(rows) * len(both) == 48345
 
 
 def test_closure_bound_violated_branch():
@@ -225,6 +236,106 @@ def test_union_closed_above_every_overlap():
         assert rows_closed_under_ops(rows, 8)[0]
         closed, products = union_closed(fam, n, 8)
         assert closed and products < len(rows) ** 2
+
+
+def _wide_core_family():
+    """Three blocks on residues mod 20 sharing the point 99: at window 100
+    the union's 16 defined columns need three key words."""
+    return BlockFamily(tuple(
+        SetDescriptor.build(add=[99], modulus=20, residues=[r]) for r in (0, 7, 14)
+    ), name="wide-core")
+
+
+def _union_cases():
+    for seed in range(12):
+        fam, bound, window = random_uniform_family(random.Random(4000 + seed))
+        for n in range(max(bound - 1, 0), bound + 1):
+            yield pytest.param(fam, n, window, id=f"uniform-{seed}-n{n}")
+    yield pytest.param(bound_example(), 1, 22, id="bound2-n1")
+    yield pytest.param(bound_example(), 2, 22, id="bound2-n2")
+    for n in (0, 1):
+        yield pytest.param(_wide_core_family(), n, 100, id=f"wide-core-n{n}")
+
+
+@pytest.mark.parametrize("fam, n, window", _union_cases())
+def test_union_closed_matches_the_closure_search(fam, n, window):
+    closed, products = union_closed(fam, n, window)
+    want, want_products = union_closed_by_search(fam, n, window)
+    assert closed == want
+    if closed:
+        assert products == want_products
+
+
+def test_union_closed_verdicts_on_fixed_families():
+    assert union_closed(bound_example(), 1, 22)[0] is False
+    assert union_closed(bound_example(), 2, 22)[0] is True
+    fam = _wide_core_family()
+    b = len(fam.blocks)
+    assert RowIndex(structural_rows(fam, 100, [[1] * b] * b)).words >= 3
+    assert [union_closed(fam, n, 100)[0] for n in (0, 1)] == [False, True]
+
+
+# -- integer row keys ----------------------------------------------------
+
+
+def _random_rows(rng, count, window, span):
+    """Distinct sorted rows of partial injections on the points below `span`."""
+    maps = [random_partial_injection(rng, span) for _ in range(count)]
+    rows = np.full((count, window), -1, dtype=np.int8)
+    rows[:, :span] = encode_rows(maps, span)
+    return unique_rows(rows)
+
+
+# windows 7 and 63 use every value of b bits: the top one, all ones, is -1
+@pytest.mark.parametrize("window, span", [(7, 7), (22, 12), (63, 63), (MAX_WINDOW, MAX_WINDOW)])
+def test_row_keys_follow_the_bytewise_order(rng, window, span):
+    rows = _random_rows(rng, 300, window, span)
+    index = RowIndex(rows)
+    assert np.all(np.diff(index.keys) > 0)
+    assert np.array_equal(index.find(rows), np.arange(len(rows)))
+    pick = rng.sample(range(len(rows)), 40)
+    assert np.array_equal(index.find(rows[pick]), np.sort(pick))
+    # a row left out of U, and a row defined on a column no row of U defines
+    assert RowIndex(rows[1:]).find(rows[:1]) is None
+    if span < window:
+        outside = rows[:1].copy()
+        outside[0, window - 1] = window - 1
+        assert index.find(outside) is None
+
+
+def test_row_keys_reject_a_prefix_outside_u():
+    # c's first word sorts strictly between a's and b's and the rest of c
+    # matches b, so only the prefix check keeps c out of U
+    a, b, c = (np.arange(40, dtype=np.int8) for _ in range(3))
+    b[[0, 1]] = [1, 0]
+    c[[1, 2]] = [2, 1]
+    index = RowIndex(unique_rows(np.stack([a, b])))
+    assert index.words > 1
+    assert index.find(c[None]) is None
+    assert np.array_equal(index.find(np.stack([b, a])), [0, 1])
+
+
+@pytest.mark.parametrize("window, span", [(8, 8), (30, 20), (MAX_WINDOW, 60)])
+def test_product_keys_match_composed_rows(rng, window, span):
+    left = _random_rows(rng, 60, window, span)
+    gens = _random_rows(rng, 7, window, span)
+    products = compose_rows(left, gens).reshape(-1, window)
+    rows = unique_rows(np.concatenate([left, products]))
+    index = RowIndex(rows)
+    got = index.products_in(index.encode(left), index.pack(gens))
+    want = np.sort([np.flatnonzero((rows == p).all(axis=1))[0] for p in products])
+    assert np.array_equal(got, want)
+    # drop one product from U: the lookup reports it
+    missing = np.flatnonzero(~np.isin(np.arange(len(rows)), index.find(left)))
+    if len(missing):
+        smaller = RowIndex(np.delete(rows, missing[0], axis=0))
+        assert smaller.products_in(smaller.encode(left), smaller.pack(gens)) is None
+    # a map that carries a defined point of U onto a column U never defines
+    if span < window:
+        shift = np.full((1, window), -1, dtype=np.int8)
+        shift[0, window - 1] = 0
+        if np.any(left[:, 0] >= 0):
+            assert index.products_in(index.encode(left), index.pack(shift)) is None
 
 
 def test_minimal_window_covers_the_data():
@@ -277,6 +388,17 @@ def test_structural_rows_match_the_object_route(fam, window, bound):
         rows = structural_rows(fam, window, capacity)
         want = _structural_oracle(fam, window, capacity)
         assert rows.dtype == np.int8
+        assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fam, window, bound", _row_builder_cases())
+def test_row_builders_match_the_per_tuple_construction(fam, window, bound):
+    b = len(fam.blocks)
+    for blk in fam.blocks:
+        assert group_rows(blk, window).tobytes() == group_rows_by_loop(blk, window).tobytes()
+    for capacity in [chain_capacity_matrix(fam)] + [[[n] * b] * b for n in range(bound + 2)]:
+        rows = structural_rows(fam, window, capacity)
+        want = structural_rows_by_loop(fam, window, capacity)
         assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from invsemi import (
     BlockFamily,
     ChainCertificate,
+    InvalidFamilyError,
     NotGeneratedError,
     SetDescriptor,
     chain_capacity_by_enumeration,
@@ -57,6 +58,9 @@ def test_family_validation():
         BlockFamily((evens, evens))
     with pytest.raises(ValueError):
         BlockFamily((evens, SetDescriptor.from_points([1, 3])))  # finite block
+    # a package error, so the CLI reports it as bad input
+    with pytest.raises(InvalidFamilyError, match="overlap infinitely"):
+        BlockFamily((evens, mult4))
 
 
 def test_family_config_round_trip():
