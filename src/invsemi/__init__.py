@@ -8,6 +8,7 @@ with its convergence and isolation certificates.
 from .descriptors import EMPTY, NATURALS, SetDescriptor
 from .errors import (
     BudgetExceededError,
+    InvalidBoundError,
     InvalidFamilyError,
     InvalidOpenError,
     InvsemiError,
@@ -35,7 +36,6 @@ from .symbolic import (
     is_empty_sym,
     parse_sym,
     partial_identity,
-    project_to_window,
     sym_apply,
     sym_compose,
     sym_defined_at,
@@ -78,7 +78,6 @@ from .catalog import (
     dyadic_owner,
     five_block_example,
     named_family,
-    random_sym_element,
     random_uniform_family,
     unequal_example,
     violating_family,

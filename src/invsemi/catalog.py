@@ -21,24 +21,11 @@ from typing import Iterable
 from .descriptors import SetDescriptor
 from .errors import BudgetExceededError, ParseError, UnsupportedFamilyError
 from .families import BlockFamily
-from .symbolic import (
-    BlockPerm,
-    SymElement,
-    block_perm,
-    fin_map,
-    is_empty_sym,
-    partial_identity,
-    sym_element,
-    sym_graph,
-)
+from .symbolic import BlockPerm, SymElement, is_empty_sym, sym_graph
 
 
 def evens() -> SetDescriptor:
     return SetDescriptor.residue_class(0, 2)
-
-
-def odds() -> SetDescriptor:
-    return SetDescriptor.residue_class(1, 2)
 
 
 @lru_cache
@@ -309,62 +296,3 @@ def violating_family(rng: random.Random, bound: int) -> BlockFamily:
     hot = sorted(weights)[rng.randrange(len(weights))]
     weights[hot] = bound + rng.randint(1, 2)
     return marker_family(blocks, weights, name=f"violates-{bound}")
-
-
-# -- random symbolic elements ----------------------------------------------------
-
-
-SYM_POOL_POINT_BOUND = 12
-
-
-def sym_element_pool() -> tuple[SetDescriptor, ...]:
-    """Blocks for random element draws: pairwise overlaps are {0}, so
-    every cross-block composite stays within the point bound."""
-    return tuple(common_point_block(n) for n in range(4))
-
-
-def random_sym_element(rng: random.Random) -> SymElement:
-    """A random element over the fixed pool, all finite data below
-    SYM_POOL_POINT_BOUND so windowing at 16 or more is lossless."""
-    pool = sym_element_pool()
-    bound = SYM_POOL_POINT_BOUND
-    kind = rng.choice(["perm", "perm", "fin", "fin", "blockid", "finid", "patched"])
-    if kind == "perm":
-        block = pool[rng.randrange(len(pool))]
-        pts = block.below(bound)
-        take = rng.randint(2, min(4, len(pts)))
-        sup = rng.sample(pts, take)
-        img = sup[:]
-        while img == sup:
-            rng.shuffle(img)
-        return block_perm(block, zip(sup, img))
-    if kind == "fin":
-        take = rng.randint(0, 4)
-        srcs = rng.sample(range(bound), take)
-        tgts = rng.sample(range(bound), take)
-        return fin_map(zip(srcs, tgts))
-    if kind == "blockid":
-        return partial_identity(pool[rng.randrange(len(pool))])
-    if kind == "finid":
-        take = rng.randint(0, 5)
-        return partial_identity(SetDescriptor.from_points(rng.sample(range(bound), take)))
-    block = pool[rng.randrange(len(pool))]
-    inside = block.below(bound)
-    outside = [x for x in range(bound) if not block.member(x)]
-    cut = rng.sample(inside, min(2, len(inside)))
-    take = rng.randint(1, min(3, len(outside), len(cut) + len(outside) - 1))
-    srcs = rng.sample(outside, take)
-    tgts = rng.sample([x for x in outside + cut if x not in srcs], take)
-    try:
-        return sym_element(block.without_points(cut + srcs + tgts), zip(srcs, tgts))
-    except ValueError:
-        return partial_identity(block)
-
-
-def random_block_permutation(
-    rng: random.Random, block: SetDescriptor, window: int
-) -> SymElement:
-    pts = block.below(window)
-    img = pts[:]
-    rng.shuffle(img)
-    return block_perm(block, zip(pts, img)) if img != pts else partial_identity(block)

@@ -60,6 +60,14 @@ def _window_arg(text: str) -> int:
     return window
 
 
+def _bound_arg(text: str) -> int:
+    """A `--bound` value: a rank, so at least zero."""
+    bound = int(text)
+    if bound < 0:
+        raise argparse.ArgumentTypeError(f"bound must be at least 0, got {bound}")
+    return bound
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -505,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="the rank-bounded union is a subsemigroup "
                                "exactly when every overlap fits the bound")
     cb.add_argument("--family", required=True)
-    cb.add_argument("--bound", type=int, required=True)
+    cb.add_argument("--bound", type=_bound_arg, required=True)
     cb.add_argument("--window", type=_window_arg, default=None)
     cb.set_defaults(func=cmd_verify_closure_bound)
 

@@ -24,7 +24,12 @@ from typing import Sequence
 import numpy as np
 
 from .descriptors import SetDescriptor
-from .errors import BudgetExceededError, NotInjectiveError, WindowMismatchError
+from .errors import (
+    BudgetExceededError,
+    InvalidBoundError,
+    NotInjectiveError,
+    WindowMismatchError,
+)
 from .families import BlockFamily, chain_capacity_matrix
 from .pbij import PartialBijection
 
@@ -303,18 +308,29 @@ def rows_closed_under_ops(rows: np.ndarray, window: int) -> tuple[bool, int]:
 
 def union_generators(family: BlockFamily, n: int, window: int) -> np.ndarray:
     """A for the rank-n union U: the sparse group generators, the empty
-    map and, for each ordered pair of blocks, one map per rank k up to n,
-    src[:k] onto dst[:k].  A lies in U, and the groups carry any k-tuple
-    to any other, so <A> contains U."""
+    map and, routed through one hub block (the first with the most points
+    below the window), one map i -> hub per block i and rank
+    k <= min(n, |B_i|, |B_hub|), carrying B_i's first k points onto the
+    hub's first k.
+
+    Every map of A lies in U, and every map of U is a product over
+    A u A^-1: the sparse generators give the block groups, and a rank-k
+    map from B_i to B_j (k <= min(n, |B_i|, |B_j|) <= |B_hub|) factors
+    as g_j . (j -> hub)^-1 . (i -> hub) . g_i, where g_i in B_i's
+    windowed group carries its domain onto B_i's first k points and g_j
+    carries B_j's first k points onto its images in order.  So <A> = U
+    exactly when U is closed.  A is a subset of the all-pairs set, one
+    map B_i[:k] -> B_j[:k] per ordered pair of blocks, which lies in U
+    too and so decides the same statement."""
     pts = [blk.below(window) for blk in family.blocks]
+    hub = max(pts, key=len)
     gens = [family_generators(family, window, sparse=True), blank_rows(1, window)]
     for src in pts:
-        for dst in pts:
-            # row k - 1 maps src[:k] onto dst[:k], for k = 1 .. its rank cap
-            stratum = blank_rows(min(n, len(src), len(dst)), window)
-            for r in range(len(stratum)):
-                stratum[r:, src[r]] = dst[r]
-            gens.append(stratum)
+        # row k - 1 maps src[:k] onto hub[:k], for k = 1 .. its rank cap
+        stratum = blank_rows(min(n, len(src), len(hub)), window)
+        for r in range(len(stratum)):
+            stratum[r:, src[r]] = hub[r]
+        gens.append(stratum)
     return np.concatenate(gens)
 
 
@@ -392,9 +408,10 @@ class RowIndex:
     def products_in(
         self, entries: np.ndarray, packed: tuple[np.ndarray, np.ndarray]
     ) -> np.ndarray | None:
-        """The sorted positions in U, with repeats, of every product u o g_j
-        for the rows u with these encoded entries and the maps g_j of
-        `packed`; None when a product is not in U."""
+        """The distinct sorted positions in U of the products u o g_j for
+        the rows u with these encoded entries and the maps g_j of
+        `packed`; None when a product is not in U.  Most products repeat,
+        so each distinct key is looked up once."""
         pack, shift = packed
         out = entries @ pack + shift
         m = self.words
@@ -408,14 +425,20 @@ class RowIndex:
             if np.any(pos == len(prefix)) or np.any(prefix[pos] != key):
                 return None
             key = (pos << width) | word
+        # sort and mask: numpy 2.4's np.unique is several times slower
+        # on these int64 keys
         key = np.sort(key)
+        distinct = np.ones(len(key), dtype=bool)
+        distinct[1:] = key[1:] != key[:-1]
+        key = key[distinct]
         pos = np.searchsorted(self.keys, key)
         if len(pos) and (pos[-1] == len(self.keys) or np.any(self.keys[pos] != key)):
             return None
         return pos
 
     def find(self, rows: np.ndarray) -> np.ndarray | None:
-        """The sorted positions of `rows` in U; None when one is not in U."""
+        """The distinct sorted positions of `rows` in U; None when one is not
+        in U."""
         return self.products_in(self.encode(rows), self._identity)
 
 
@@ -426,9 +449,12 @@ def union_closed(family: BlockFamily, n: int, window: int) -> tuple[bool, int]:
     U is closed exactly when <A> = U for the generators A of
     `union_generators`.  A breadth-first search over U's indices composes
     each element it reaches with every map of A u A^-1 and looks the
-    products up in U by key (`RowIndex`).  The first batch with a product
-    outside U ends the search unclosed; otherwise U is closed when every
-    index is reached, after |U| x |A u A^-1| products."""
+    distinct products up in U by key (`RowIndex`).  The first batch with
+    a product outside U ends the search unclosed; otherwise U is closed
+    when every index is reached, after |U| x |A u A^-1| products.  Since
+    every product of every reached element with every map of A u A^-1 is
+    checked, any A inside U that generates U gives the same verdict; only
+    the count of products depends on A."""
     b = len(family.blocks)
     index = RowIndex(structural_rows(family, window, [[n] * b for _ in range(b)]))
     gens = union_generators(family, n, window)
@@ -452,7 +478,7 @@ def union_closed(family: BlockFamily, n: int, window: int) -> tuple[bool, int]:
             found = found[~reached[found]]
             reached[found] = True
             fresh.append(found)
-        frontier = np.unique(np.concatenate(fresh))
+        frontier = np.concatenate(fresh)
     return bool(reached.all()), products
 
 
@@ -478,10 +504,14 @@ def check_closure_bound(family: BlockFamily, n: int, window: int | None = None) 
     is verified closed under composition and inverse by `union_closed`.
     When some overlap is larger, the product of the two block identities
     escapes every stratum of the union; the report carries that witness
-    in exact (unwindowed) form.
+    in exact (unwindowed) form.  A negative n is refused: the union
+    always holds the empty map, which a bound below 0 would report as an
+    escape.
     """
     from .symbolic import format_sym, partial_identity
 
+    if n < 0:
+        raise InvalidBoundError(f"rank bound must be at least 0, got {n}")
     b = len(family.blocks)
     overlaps = [
         (family.intersection_size(i, j), i, j)

@@ -37,6 +37,11 @@ class InvalidFamilyError(InvsemiError, ValueError):
     callers that catch bad values keep working."""
 
 
+class InvalidBoundError(InvsemiError, ValueError):
+    """Raised when a rank bound is negative: every rank-bounded union
+    holds the empty map, of rank 0."""
+
+
 class BudgetExceededError(InvsemiError):
     """Raised when an enumeration would exceed a configured hard cap."""
 

@@ -25,13 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .descriptors import EMPTY, SetDescriptor
-from .errors import (
-    NotInjectiveError,
-    OutOfDomainError,
-    ParseError,
-    WindowMismatchError,
-)
-from .pbij import Pair, PartialBijection, parse_pairs
+from .errors import NotInjectiveError, OutOfDomainError, ParseError
+from .pbij import Pair, parse_pairs
 
 
 def _check_pairs(pairs: tuple[Pair, ...]) -> None:
@@ -233,28 +228,6 @@ def compose_chain(factors) -> SymElement:
     for g in factors[1:]:
         out = sym_compose(out, g)
     return out
-
-
-# -- windowing ----------------------------------------------------
-
-
-def project_to_window(f: SymElement, window: int) -> PartialBijection:
-    """Truncate to the points below ``window``.
-
-    Infinite carriers truncate silently; finite data (moved pairs, and
-    the whole carrier of a finite element) must already fit, since
-    dropping it would change the element rather than window it.
-    """
-    if any(v >= window for p in f.pairs for v in p):
-        raise WindowMismatchError("map pairs exceed the window")
-    if isinstance(f, BlockPerm):
-        moved = dict(f.pairs)
-        pairs = [(x, moved.get(x, x)) for x in f.block.below(window)]
-        return PartialBijection.of(pairs, window)
-    if not f.base.is_infinite() and any(p >= window for p in f.base.points()):
-        raise WindowMismatchError("finite identity base exceeds the window")
-    pairs = list(f.pairs) + [(x, x) for x in f.base.below(window)]
-    return PartialBijection.of(pairs, window)
 
 
 # -- classification ----------------------------------------------------

@@ -12,7 +12,17 @@ import random
 import numpy as np
 import pytest
 
-from invsemi import NATURALS, BlockFamily, PartialBijection, SetDescriptor, block_perm, fin_map, sym_element
+from invsemi import (
+    NATURALS,
+    BlockFamily,
+    PartialBijection,
+    SetDescriptor,
+    block_perm,
+    fin_map,
+    partial_identity,
+    sym_element,
+)
+from invsemi.catalog import common_point_block
 from invsemi.closure import (
     BLOCK_PRODUCTS,
     GROUP_ENUM_CAP,
@@ -20,6 +30,7 @@ from invsemi.closure import (
     closure_of,
     compose_rows,
     decode_row,
+    family_generators,
     group_rows,
     invert_rows,
     structural_rows,
@@ -28,7 +39,15 @@ from invsemi.closure import (
 )
 from invsemi.descriptors import _minimal_period
 from invsemi.errors import BudgetExceededError, WindowMismatchError
-from invsemi.symbolic import dom_set, empty_map, im_set, sym_apply, sym_defined_at
+from invsemi.symbolic import (
+    BlockPerm,
+    SymElement,
+    dom_set,
+    empty_map,
+    im_set,
+    sym_apply,
+    sym_defined_at,
+)
 from invsemi.topology import BasicOpen, open_contains
 
 
@@ -184,6 +203,23 @@ def union_closed_by_search(family: BlockFamily, n: int, window: int) -> tuple[bo
     return result.closed and np.array_equal(result.rows, target), result.products
 
 
+def union_generators_all_pairs(family: BlockFamily, n: int, window: int) -> np.ndarray:
+    """Reference for `union_generators`: the sparse group generators, the
+    empty map and, for each ordered pair of blocks, one map per rank k up
+    to n, src[:k] onto dst[:k].  A superset of the hub-routed set that
+    also lies in the rank-n union."""
+    pts = [blk.below(window) for blk in family.blocks]
+    gens = [family_generators(family, window, sparse=True), blank_rows(1, window)]
+    for src in pts:
+        for dst in pts:
+            # row k - 1 maps src[:k] onto dst[:k], for k = 1 .. its rank cap
+            stratum = blank_rows(min(n, len(src), len(dst)), window)
+            for r in range(len(stratum)):
+                stratum[r:, src[r]] = dst[r]
+            gens.append(stratum)
+    return np.concatenate(gens)
+
+
 def group_rows_by_loop(block: SetDescriptor, window: int) -> np.ndarray:
     """Reference for `group_rows`: the permutations written from a list."""
     pts = block.below(window)
@@ -306,6 +342,88 @@ def random_basic_open_by_descriptors(rng: random.Random, member=None, max_pairs:
     fd = rng.sample(fd_pool, min(rng.randint(0, max_forbid), len(fd_pool)))
     fi = rng.sample(fi_pool, min(rng.randint(0, max_forbid), len(fi_pool)))
     return BasicOpen(pairs, tuple(fd), tuple(fi))
+
+
+# -- test-only element builders ----------------------------------------------------
+
+
+def odds() -> SetDescriptor:
+    return SetDescriptor.residue_class(1, 2)
+
+
+SYM_POOL_POINT_BOUND = 12
+
+
+def sym_element_pool() -> tuple[SetDescriptor, ...]:
+    """Blocks for random element draws: pairwise overlaps are {0}, so
+    every cross-block composite stays within the point bound."""
+    return tuple(common_point_block(n) for n in range(4))
+
+
+def random_sym_element(rng: random.Random) -> SymElement:
+    """A random element over the fixed pool, all finite data below
+    SYM_POOL_POINT_BOUND so windowing at 16 or more is lossless."""
+    pool = sym_element_pool()
+    bound = SYM_POOL_POINT_BOUND
+    kind = rng.choice(["perm", "perm", "fin", "fin", "blockid", "finid", "patched"])
+    if kind == "perm":
+        block = pool[rng.randrange(len(pool))]
+        pts = block.below(bound)
+        take = rng.randint(2, min(4, len(pts)))
+        sup = rng.sample(pts, take)
+        img = sup[:]
+        while img == sup:
+            rng.shuffle(img)
+        return block_perm(block, zip(sup, img))
+    if kind == "fin":
+        take = rng.randint(0, 4)
+        srcs = rng.sample(range(bound), take)
+        tgts = rng.sample(range(bound), take)
+        return fin_map(zip(srcs, tgts))
+    if kind == "blockid":
+        return partial_identity(pool[rng.randrange(len(pool))])
+    if kind == "finid":
+        take = rng.randint(0, 5)
+        return partial_identity(SetDescriptor.from_points(rng.sample(range(bound), take)))
+    block = pool[rng.randrange(len(pool))]
+    inside = block.below(bound)
+    outside = [x for x in range(bound) if not block.member(x)]
+    cut = rng.sample(inside, min(2, len(inside)))
+    take = rng.randint(1, min(3, len(outside), len(cut) + len(outside) - 1))
+    srcs = rng.sample(outside, take)
+    tgts = rng.sample([x for x in outside + cut if x not in srcs], take)
+    try:
+        return sym_element(block.without_points(cut + srcs + tgts), zip(srcs, tgts))
+    except ValueError:
+        return partial_identity(block)
+
+
+def random_block_permutation(
+    rng: random.Random, block: SetDescriptor, window: int
+) -> SymElement:
+    pts = block.below(window)
+    img = pts[:]
+    rng.shuffle(img)
+    return block_perm(block, zip(pts, img)) if img != pts else partial_identity(block)
+
+
+def project_to_window(f: SymElement, window: int) -> PartialBijection:
+    """Truncate to the points below ``window``.
+
+    Infinite carriers truncate silently; finite data (moved pairs, and
+    the whole carrier of a finite element) must already fit, since
+    dropping it would change the element rather than window it.
+    """
+    if any(v >= window for p in f.pairs for v in p):
+        raise WindowMismatchError("map pairs exceed the window")
+    if isinstance(f, BlockPerm):
+        moved = dict(f.pairs)
+        pairs = [(x, moved.get(x, x)) for x in f.block.below(window)]
+        return PartialBijection.of(pairs, window)
+    if not f.base.is_infinite() and any(p >= window for p in f.base.points()):
+        raise WindowMismatchError("finite identity base exceeds the window")
+    pairs = list(f.pairs) + [(x, x) for x in f.base.below(window)]
+    return PartialBijection.of(pairs, window)
 
 
 OVERLAP_BOUND = 12

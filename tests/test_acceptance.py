@@ -31,7 +31,6 @@ from invsemi import (
     ideal_escape_witness,
     minimal_window,
     partial_identity,
-    project_to_window,
     random_basic_open,
     shared_identity_interior_probe,
     sym_compose,
@@ -49,7 +48,6 @@ from invsemi.catalog import (
     five_block_example,
     marker_family,
     named_family,
-    random_sym_element,
     random_uniform_family,
     unequal_example,
     violating_family,
@@ -57,6 +55,7 @@ from invsemi.catalog import (
 from invsemi.closure import family_generators
 from invsemi.cli import main
 from invsemi.topology import GrowingExtensionSeq, BlockIdentitySeq, SingletonIdentitySeq
+from conftest import project_to_window, random_sym_element
 
 MASTER_SEED = 20260817
 

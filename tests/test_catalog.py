@@ -8,18 +8,13 @@ from invsemi.catalog import (
     COMMON_POINT_RULE,
     DISJOINT_RULE,
     BlockRule,
-    SYM_POOL_POINT_BOUND,
     common_point_block,
     common_point_family,
     dyadic_block,
     dyadic_owner,
     evens,
     named_family,
-    odds,
-    random_block_permutation,
-    random_sym_element,
     random_uniform_family,
-    sym_element_pool,
     violating_family,
 )
 from invsemi.symbolic import (
@@ -33,7 +28,14 @@ from invsemi.symbolic import (
     sym_compose,
 )
 
-from conftest import overlapping_sym_element
+from conftest import (
+    SYM_POOL_POINT_BOUND,
+    odds,
+    overlapping_sym_element,
+    random_block_permutation,
+    random_sym_element,
+    sym_element_pool,
+)
 
 
 def test_dyadic_blocks_partition_the_positives():

@@ -351,6 +351,10 @@ def test_bad_inputs_exit_one(capsys):
         assert main(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "error" in captured.err, argv
+    # a negative rank bound once certified a false escape of the empty map
+    assert main(["verify", "closure-bound", "--family", "disjoint:2", "--bound", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --bound: bound must be at least 0" in captured.err
 
 
 def test_internal_value_errors_are_not_usage_errors(monkeypatch, capsys):

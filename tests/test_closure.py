@@ -18,6 +18,7 @@ from invsemi import (
     BlockFamily,
     BudgetExceededError,
     ClosureResult,
+    InvalidBoundError,
     NotInjectiveError,
     PartialBijection,
     SetDescriptor,
@@ -60,6 +61,7 @@ from conftest import (
     random_partial_injection,
     structural_rows_by_loop,
     union_closed_by_search,
+    union_generators_all_pairs,
     windowed_block_group,
 )
 from test_families import CATALOG
@@ -193,8 +195,16 @@ def test_closure_bound_satisfied_branch():
     rows = structural_rows(fam, report.window, [[2, 2], [2, 2]])
     gens = union_generators(fam, 2, report.window)
     both = unique_rows(np.concatenate([gens, invert_rows(gens)]))
-    assert (len(rows), len(both)) == (3223, 15)
-    assert report.products_checked == len(rows) * len(both) == 48345
+    assert (len(rows), len(both)) == (3223, 13)
+    assert report.products_checked == len(rows) * len(both) == 41899
+
+
+def test_closure_bound_refuses_a_negative_bound():
+    # every rank-bounded union holds the empty map, so no escape of rank
+    # 0 > -1 may be reported
+    with pytest.raises(InvalidBoundError, match="at least 0"):
+        check_closure_bound(dyadic_disjoint_family(2), -1)
+    assert issubclass(InvalidBoundError, ValueError)
 
 
 def test_closure_bound_violated_branch():
@@ -246,6 +256,16 @@ def _wide_core_family():
     ), name="wide-core")
 
 
+def _hub_not_first_family():
+    """Unequal blocks whose largest (block 1: six points below window 10)
+    is not block 0; block 2 has two points, so a rank cap of 3 exceeds it."""
+    return BlockFamily((
+        SetDescriptor.build(add=[2], modulus=8, residues=[1]),
+        SetDescriptor.build(add=[1], modulus=2, residues=[0]),
+        SetDescriptor.residue_class(3, 4),
+    ), name="hub-not-first")
+
+
 def _union_cases():
     for seed in range(12):
         fam, bound, window = random_uniform_family(random.Random(4000 + seed))
@@ -255,6 +275,8 @@ def _union_cases():
     yield pytest.param(bound_example(), 2, 22, id="bound2-n2")
     for n in (0, 1):
         yield pytest.param(_wide_core_family(), n, 100, id=f"wide-core-n{n}")
+    for n in (1, 3):
+        yield pytest.param(_hub_not_first_family(), n, 10, id=f"hub-not-first-n{n}")
 
 
 @pytest.mark.parametrize("fam, n, window", _union_cases())
@@ -266,6 +288,40 @@ def test_union_closed_matches_the_closure_search(fam, n, window):
         assert products == want_products
 
 
+def _row_set(rows):
+    return {r.tobytes() for r in rows}
+
+
+@pytest.mark.parametrize("fam, n, window", _union_cases())
+def test_hub_generators_match_all_pairs(fam, n, window, monkeypatch):
+    hub = union_generators(fam, n, window)
+    all_pairs = union_generators_all_pairs(fam, n, window)
+    assert _row_set(hub) <= _row_set(all_pairs)
+    closed, products = union_closed(fam, n, window)
+    monkeypatch.setattr(invsemi.closure, "union_generators", union_generators_all_pairs)
+    closed_all, products_all = union_closed(fam, n, window)
+    assert closed == closed_all
+    if closed:
+        # |U| x |A u A^-1| under either generator set
+        b = len(fam.blocks)
+        size = len(structural_rows(fam, window, [[n] * b for _ in range(b)]))
+        for gens, count in ((hub, products), (all_pairs, products_all)):
+            both = unique_rows(np.concatenate([gens, invert_rows(gens)]))
+            assert count == size * len(both)
+
+
+def test_hub_is_the_first_largest_block():
+    fam = _hub_not_first_family()
+    hub = fam.blocks[1].below(10)
+    assert [len(b.below(10)) for b in fam.blocks] == [3, 6, 2]
+    # past the sparse generators and the empty map: ranks 1-3 from
+    # block 0, 1-3 from the hub itself and 1-2 from block 2, all into the hub
+    strata = union_generators(fam, 3, 10)[len(family_generators(fam, 10, sparse=True)) + 1:]
+    assert len(strata) == 3 + 3 + 2
+    for row in strata:
+        assert set(row[row >= 0].tolist()) == set(hub[: int((row >= 0).sum())])
+
+
 def test_union_closed_verdicts_on_fixed_families():
     assert union_closed(bound_example(), 1, 22)[0] is False
     assert union_closed(bound_example(), 2, 22)[0] is True
@@ -273,6 +329,10 @@ def test_union_closed_verdicts_on_fixed_families():
     b = len(fam.blocks)
     assert RowIndex(structural_rows(fam, 100, [[1] * b] * b)).words >= 3
     assert [union_closed(fam, n, 100)[0] for n in (0, 1)] == [False, True]
+    fam = _hub_not_first_family()
+    for n, want in ((1, False), (2, True)):
+        rows = structural_rows(fam, 10, [[n] * 3] * 3)
+        assert union_closed(fam, n, 10)[0] is rows_closed_under_ops(rows, 10)[0] is want
 
 
 # -- integer row keys ----------------------------------------------------
@@ -323,7 +383,7 @@ def test_product_keys_match_composed_rows(rng, window, span):
     rows = unique_rows(np.concatenate([left, products]))
     index = RowIndex(rows)
     got = index.products_in(index.encode(left), index.pack(gens))
-    want = np.sort([np.flatnonzero((rows == p).all(axis=1))[0] for p in products])
+    want = np.unique([np.flatnonzero((rows == p).all(axis=1))[0] for p in products])
     assert np.array_equal(got, want)
     # drop one product from U: the lookup reports it
     missing = np.flatnonzero(~np.isin(np.arange(len(rows)), index.find(left)))

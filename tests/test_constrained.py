@@ -21,10 +21,11 @@ from invsemi import (
     principal_plus_fin,
     sym_compose,
 )
-from invsemi.catalog import evens, odds
+from invsemi.catalog import evens
 from invsemi.closure import BLOCK_PRODUCTS, compose_rows, encode_rows
 from invsemi.constrained import _composition_escape, _windowed_members, pivot_extension
 from invsemi.topology import BasicOpen, open_contains, random_basic_open
+from conftest import odds
 
 
 def test_ideal_membership():

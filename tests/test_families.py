@@ -26,7 +26,6 @@ from invsemi import (
     fin_map,
     is_generated,
     partial_identity,
-    project_to_window,
     stratum_options,
     sym_compose,
     verify_chain,
@@ -44,7 +43,7 @@ from invsemi.catalog import (
 )
 from invsemi.symbolic import compose_chain
 
-from conftest import chain_capacity_by_literal_walk
+from conftest import chain_capacity_by_literal_walk, project_to_window
 
 
 def test_family_validation():

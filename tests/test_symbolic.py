@@ -25,7 +25,6 @@ from invsemi import (
     format_sym,
     parse_sym,
     partial_identity,
-    project_to_window,
     sym_apply,
     sym_compose,
     sym_defined_at,
@@ -34,13 +33,14 @@ from invsemi import (
     sym_inverse,
     im_set,
 )
-from invsemi.catalog import (
+from invsemi.catalog import common_point_family
+
+from conftest import (
     SYM_POOL_POINT_BOUND,
-    common_point_family,
+    overlapping_sym_element,
+    project_to_window,
     random_sym_element,
 )
-
-from conftest import overlapping_sym_element
 
 EVENS = SetDescriptor.residue_class(0, 2)
 ODDS = SetDescriptor.residue_class(1, 2)

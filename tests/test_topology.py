@@ -18,7 +18,6 @@ from invsemi import (
     check_convergence,
     family_isolation,
     open_contains,
-    project_to_window,
     random_basic_open,
     rank_one_certificate,
     rule_isolation,
@@ -35,7 +34,6 @@ from invsemi.catalog import (
     dyadic_disjoint_family,
     bound_example,
     named_family,
-    random_sym_element,
     random_uniform_family,
 )
 from invsemi.closure import GROUP_ENUM_CAP, decode_row, group_rows, structural_rows
@@ -66,7 +64,9 @@ from conftest import (
     open_contains_by_descriptors,
     open_contains_map,
     overlapping_sym_element,
+    project_to_window,
     random_basic_open_by_descriptors,
+    random_sym_element,
 )
 
 EVENS = SetDescriptor.residue_class(0, 2)
