@@ -24,10 +24,6 @@ from .families import BlockFamily
 from .symbolic import BlockPerm, SymElement, is_empty_sym, sym_graph
 
 
-def evens() -> SetDescriptor:
-    return SetDescriptor.residue_class(0, 2)
-
-
 @lru_cache
 def dyadic_block(n: int) -> SetDescriptor:
     """Odd multiples of 2^n: the n-th class of the dyadic partition of

@@ -68,6 +68,14 @@ def _bound_arg(text: str) -> int:
     return bound
 
 
+def _trials_arg(text: str) -> int:
+    """A `--trials` value: a number of opens, so at least zero."""
+    trials = int(text)
+    if trials < 0:
+        raise argparse.ArgumentTypeError(f"trials must be at least 0, got {trials}")
+    return trials
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -326,7 +334,7 @@ def cmd_verify_ideal_witness(args) -> int:
     ideal = FIN_IDEAL if args.ideal == "fin" else EMPTY_IDEAL
     pivot = SetDescriptor.from_text(args.pivot)
     try:
-        pivot_extension(ideal, pivot)
+        _, extended = pivot_extension(ideal, pivot)
     except ValueError as e:
         raise ParseError(f"--pivot {args.pivot!r}: {e}") from None
     rng = Random(args.seed)
@@ -336,8 +344,8 @@ def cmd_verify_ideal_witness(args) -> int:
         v = random_basic_open(rng)
         w = ideal_escape_witness(v, ideal, pivot)
         trials.append({
-            "open": v.describe(),
-            "element": format_sym(w.element),
+            "open": w.open_text,
+            "element": w.element_text,
             "clauses": {name: ok for name, ok, _ in w.clauses},
             "holds": w.holds,
         })
@@ -346,7 +354,7 @@ def cmd_verify_ideal_witness(args) -> int:
     report = {
         "ideal": args.ideal,
         "pivot": pivot.to_text(),
-        "extended_ideal": f"finite-mod ({pivot.to_text()})",
+        "extended_ideal": extended.describe(),
         "trials": trials,
         "all_hold": all_ok,
     }
@@ -523,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     iw.add_argument("--ideal", choices=["fin", "empty"], default="fin")
     iw.add_argument("--pivot", default="tail mod 2 residues [0]",
                     help="set descriptor text for the extending set")
-    iw.add_argument("--trials", type=int, default=50)
+    iw.add_argument("--trials", type=_trials_arg, default=50)
     iw.add_argument("--seed", type=int, required=True)
     iw.set_defaults(func=cmd_verify_ideal_witness)
 
@@ -531,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="the inverse-product set around the shared "
                                "identity has empty interior")
     pw.add_argument("--family", default="common-point")
-    pw.add_argument("--trials", type=int, default=100)
+    pw.add_argument("--trials", type=_trials_arg, default=100)
     pw.add_argument("--seed", type=int, required=True)
     pw.add_argument("--windows", default="12,20,28")
     pw.set_defaults(func=cmd_verify_pettis_witness)

@@ -89,7 +89,7 @@ class IdealModel:
             return False
         if self.kind == "fin":
             return not d.is_infinite()
-        return not d.difference(self.base).is_infinite()
+        return d.almost_subset_of(self.base)
 
     def is_proper(self) -> bool:
         """True when the full set of naturals is not a member."""
@@ -407,6 +407,8 @@ class EscapeWitness:
     big_ideal: IdealModel
     clauses: tuple[tuple[str, bool, str], ...]
     holds: bool
+    element_text: str  # format_sym(element)
+    open_text: str  # describe() of the open the element lies in
 
     def clause(self, name: str) -> bool:
         for n, ok, _ in self.clauses:
@@ -446,27 +448,27 @@ def ideal_escape_witness(v, ideal: IdealModel, pivot: SetDescriptor) -> EscapeWi
     pivot_c, big = pivot_extension(ideal, pivot)
     srcs = [x for x, _ in v.positive]
     tgts = [y for _, y in v.positive]
-    touched = sorted(set(srcs) | set(tgts) | set(v.forbid_dom) | set(v.forbid_im))
-    carrier = pivot_c.without_points(touched)
-    f = sym_element(carrier, v.positive)
+    touched = v.constraint_points()
+    f = sym_element(pivot_c.without_points(touched), v.positive)
 
     dom_c = dom_set(f).complement()
     im_c = im_set(f).complement()
-    touched_d = SetDescriptor.from_points(touched)
-    spread = pivot.union(touched_d)
-    want_dom = spread.difference(SetDescriptor.from_points(srcs))
-    want_im = spread.difference(SetDescriptor.from_points(tgts))
+    # the formula sides pivot + touched - sources (resp. targets) differ
+    # from the pivot by finitely many points, so they are patches of it
+    spread = pivot.with_points(touched)
+    want_dom = spread.without_points(srcs)
+    want_im = spread.without_points(tgts)
 
+    f_text, v_text, big_text = format_sym(f), v.describe(), big.describe()
     trivial = " (trivial: empty ideal)" if ideal.kind == "empty" else ""
     clauses = (
-        ("member-of-open", open_contains(v, f),
-         f"{format_sym(f)} satisfies {v.describe()}"),
+        ("member-of-open", open_contains(v, f), f"{f_text} satisfies {v_text}"),
         ("domain-complement-in-extended", big.contains(dom_c),
-         f"domain complement {dom_c.to_text()} lies in {big.describe()}"),
+         f"domain complement {dom_c.to_text()} lies in {big_text}"),
         ("domain-complement-outside-original", not ideal.contains(dom_c),
          f"domain complement avoids {ideal.describe()}{trivial}"),
         ("image-complement-in-extended", big.contains(im_c),
-         f"image complement {im_c.to_text()} lies in {big.describe()}"),
+         f"image complement {im_c.to_text()} lies in {big_text}"),
         ("image-complement-outside-original", not ideal.contains(im_c),
          f"image complement avoids {ideal.describe()}{trivial}"),
         ("domain-complement-formula", dom_c == want_dom,
@@ -474,4 +476,5 @@ def ideal_escape_witness(v, ideal: IdealModel, pivot: SetDescriptor) -> EscapeWi
         ("image-complement-formula", im_c == want_im,
          "image complement matches pivot + touched points - targets"),
     )
-    return EscapeWitness(f, ideal, big, clauses, all(ok for _, ok, _ in clauses))
+    return EscapeWitness(f, ideal, big, clauses, all(ok for _, ok, _ in clauses),
+                         f_text, v_text)

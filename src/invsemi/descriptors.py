@@ -241,6 +241,13 @@ class SetDescriptor:
     def disjoint_from(self, other: "SetDescriptor") -> bool:
         return self.intersect(other).is_empty()
 
+    def almost_subset_of(self, other: "SetDescriptor") -> bool:
+        """True when ``self \\ other`` is finite.  The patches are finite,
+        so only the tails decide it: no residue over the lcm of the moduli
+        lies on this tail and off the other's."""
+        big = math.lcm(self.modulus, other.modulus)
+        return not _tail_mask(self, big) & ~_tail_mask(other, big)
+
     # -- serialization ----------------------------------------------------
 
     def to_config(self) -> dict:

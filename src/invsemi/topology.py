@@ -26,6 +26,7 @@ whole tail, and the rule's rank bound, which is its block overlap.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from random import Random
@@ -155,21 +156,31 @@ def random_basic_open(rng: Random, member: SymElement | None = None,
         fd_pool = [p for p in range(bound) if p not in srcs]
         fi_pool = [p for p in range(bound) if p not in tgts]
     else:
-        # the member's domain and image points below the bound: the
-        # identity part on its carrier plus the endpoints of its pairs
-        move = dict(member.pairs)
-        fixed = set(_carrier(member).below(bound))
-        dom = fixed | {x for x in move if x < bound}
-        img = fixed | {y for y in move.values() if y < bound}
-        dom_pts = [x for x in sorted(dom) if move.get(x, x) < bound]
-        npairs = rng.randint(0, min(max_pairs, len(dom_pts)))
-        srcs = rng.sample(dom_pts, npairs)
-        pairs = tuple((x, move.get(x, x)) for x in srcs)
-        fd_pool = [p for p in range(bound) if p not in dom]
-        fi_pool = [p for p in range(bound) if p not in img]
+        dom_pairs, fd_pool, fi_pool = _member_pools(member, bound)
+        npairs = rng.randint(0, min(max_pairs, len(dom_pairs)))
+        pairs = tuple(rng.sample(dom_pairs, npairs))
     fd = rng.sample(fd_pool, min(rng.randint(0, max_forbid), len(fd_pool)))
     fi = rng.sample(fi_pool, min(rng.randint(0, max_forbid), len(fi_pool)))
     return BasicOpen(pairs, tuple(fd), tuple(fi))
+
+
+@functools.lru_cache(maxsize=16)
+def _member_pools(member: SymElement, bound: int
+                  ) -> tuple[tuple[Pair, ...], tuple[int, ...], tuple[int, ...]]:
+    """The draw pools of opens around `member`, as tuples: its pairs
+    (x, member(x)) with both ends below `bound`, ascending in x, and the
+    points below `bound` outside its domain and outside its image.
+    Memoized, since a probe anchors all its draws on one member."""
+    # the member's domain and image points below the bound: the identity
+    # part on its carrier plus the endpoints of its pairs
+    move = dict(member.pairs)
+    fixed = set(_carrier(member).below(bound))
+    dom = fixed | {x for x in move if x < bound}
+    img = fixed | {y for y in move.values() if y < bound}
+    dom_pairs = tuple((x, move.get(x, x)) for x in sorted(dom) if move.get(x, x) < bound)
+    return (dom_pairs,
+            tuple(p for p in range(bound) if p not in dom),
+            tuple(p for p in range(bound) if p not in img))
 
 
 # ---------------------------------------------------------------------------

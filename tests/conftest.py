@@ -37,7 +37,7 @@ from invsemi.closure import (
     union_generators,
     unique_rows,
 )
-from invsemi.descriptors import _minimal_period
+from invsemi.descriptors import EMPTY, _minimal_period
 from invsemi.errors import BudgetExceededError, WindowMismatchError
 from invsemi.symbolic import (
     BlockPerm,
@@ -85,6 +85,39 @@ def pointwise_by_build(a: SetDescriptor, b: SetDescriptor, op) -> SetDescriptor:
         elif x % big in res_set:
             remove.append(x)
     return build_by_loop(add=add, remove=remove, modulus=big, residues=res)
+
+
+def random_descriptor(rng):
+    """Canonical descriptors with moduli up to 12 and patches up to 40,
+    drawn through the reference `build`, plus the two trivial tails."""
+    if rng.random() < 0.1:
+        return rng.choice((EMPTY, NATURALS))
+    modulus = rng.randint(1, 12)
+    return build_by_loop(
+        add=rng.sample(range(41), rng.randint(0, 5)),
+        remove=rng.sample(range(41), rng.randint(0, 5)),
+        modulus=modulus,
+        residues=rng.sample(range(modulus), rng.randint(0, modulus)),
+    )
+
+
+def almost_subset_by_difference(a: SetDescriptor, b: SetDescriptor) -> bool:
+    """Reference for `SetDescriptor.almost_subset_of` and for membership
+    in a principal-plus-fin ideal: build a \\ b and check that it is
+    finite."""
+    return not a.difference(b).is_infinite()
+
+
+def formula_sides_by_algebra(v, pivot: SetDescriptor) -> tuple[SetDescriptor, SetDescriptor]:
+    """Reference for the formula sides of `ideal_escape_witness`: the
+    pivot plus the open's constraint points, minus its sources (resp.
+    its targets), built with `union` and `difference`."""
+    srcs = [x for x, _ in v.positive]
+    tgts = [y for _, y in v.positive]
+    touched = SetDescriptor.from_points({*srcs, *tgts, *v.forbid_dom, *v.forbid_im})
+    spread = pivot.union(touched)
+    return (spread.difference(SetDescriptor.from_points(srcs)),
+            spread.difference(SetDescriptor.from_points(tgts)))
 
 
 def compose_dicts(f: dict, g: dict) -> dict:
@@ -345,6 +378,10 @@ def random_basic_open_by_descriptors(rng: random.Random, member=None, max_pairs:
 
 
 # -- test-only element builders ----------------------------------------------------
+
+
+def evens() -> SetDescriptor:
+    return SetDescriptor.residue_class(0, 2)
 
 
 def odds() -> SetDescriptor:

@@ -44,7 +44,6 @@ from invsemi.catalog import (
     common_point_block,
     common_point_family,
     dyadic_disjoint_family,
-    evens,
     five_block_example,
     marker_family,
     named_family,
@@ -55,7 +54,7 @@ from invsemi.catalog import (
 from invsemi.closure import family_generators
 from invsemi.cli import main
 from invsemi.topology import GrowingExtensionSeq, BlockIdentitySeq, SingletonIdentitySeq
-from conftest import project_to_window, random_sym_element
+from conftest import evens, project_to_window, random_sym_element
 
 MASTER_SEED = 20260817
 

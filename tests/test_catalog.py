@@ -12,7 +12,6 @@ from invsemi.catalog import (
     common_point_family,
     dyadic_block,
     dyadic_owner,
-    evens,
     named_family,
     random_uniform_family,
     violating_family,
@@ -30,6 +29,7 @@ from invsemi.symbolic import (
 
 from conftest import (
     SYM_POOL_POINT_BOUND,
+    evens,
     odds,
     overlapping_sym_element,
     random_block_permutation,

@@ -1,5 +1,6 @@
 """Command line driver: report shape, exit codes, determinism."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -255,6 +256,49 @@ def test_ideal_witness_pivot_errors_are_usage_errors(pivot, capsys):
     code, doc = run(capsys, "verify", "ideal-witness", "--ideal", "empty",
                     "--pivot", pivot, "--trials", "3", "--seed", "1")
     assert code == 0 and report_of(doc)["all_hold"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "ideal-witness", "--trials", "-5", "--seed", "1"],
+    ["verify", "ideal-witness", "--ideal", "empty", "--trials", "-1", "--seed", "1"],
+    ["verify", "pettis-witness", "--trials", "-3", "--seed", "1"],
+])
+def test_negative_trials_are_usage_errors(argv, capsys):
+    # a negative count would otherwise report all_hold / all_ok over no opens
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "argument --trials: trials must be at least 0" in captured.err
+
+
+def _report_digests_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "report_digests.py"
+    spec = importlib.util.spec_from_file_location("report_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# SHA-256 of each README witness report without `meta`, as
+# scripts/report_digests.py prints it
+README_WITNESS_DIGESTS = {
+    "verify ideal-witness --trials 50 --seed 7":
+        "cc1862b5180d7e06f0af9f6535156cd60212ee1cf4d64968fb2b8a3d328a607f",
+    "verify ideal-witness --ideal empty --trials 50 --seed 7":
+        "ca299624815df4bcbcac7760a682e26d14876cf3582f255c507dc3cde9d07608",
+    "verify pettis-witness --trials 100 --seed 7 --windows 12,20,28":
+        "5f988ce70c8afc8468fffd09293a2085b4151f04dcfdd35d876e1b1ec9fb135b",
+}
+
+
+@pytest.mark.parametrize("command", sorted(README_WITNESS_DIGESTS))
+def test_readme_witness_reports_are_pinned(command, capsys):
+    script = _report_digests_script()
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert f"invsemi {command}" in script.readme_commands(readme)
+    code = main(command.split())
+    assert code == 0
+    assert script.report_digest(capsys.readouterr().out) == README_WITNESS_DIGESTS[command]
 
 
 def test_verify_pettis_witness(capsys):

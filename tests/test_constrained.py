@@ -21,11 +21,11 @@ from invsemi import (
     principal_plus_fin,
     sym_compose,
 )
-from invsemi.catalog import evens
+from invsemi.symbolic import dom_set, format_sym, im_set
 from invsemi.closure import BLOCK_PRODUCTS, compose_rows, encode_rows
 from invsemi.constrained import _composition_escape, _windowed_members, pivot_extension
 from invsemi.topology import BasicOpen, open_contains, random_basic_open
-from conftest import odds
+from conftest import almost_subset_by_difference, evens, formula_sides_by_algebra, odds, random_descriptor
 
 
 def test_ideal_membership():
@@ -43,6 +43,23 @@ def test_ideal_membership():
     assert not j.contains(SetDescriptor.naturals())
     assert j.is_proper()
     assert not principal_plus_fin(SetDescriptor.naturals()).is_proper()
+
+
+def test_ideal_membership_matches_the_difference_route():
+    # principal-plus-fin membership compares tails; the reference builds
+    # the difference with the base and asks whether it is infinite
+    rng = random.Random(20261021)
+    outcomes = set()
+    for _ in range(400):
+        base, d = random_descriptor(rng), random_descriptor(rng)
+        ideal = principal_plus_fin(base)
+        got = ideal.contains(d)
+        assert got == almost_subset_by_difference(d, base), (d, base)
+        outcomes.add(got)
+        pts = rng.sample(range(50), rng.randint(0, 4))
+        assert ideal.contains(pts)  # every finite set, given as points
+        assert ideal.contains(base.with_points(pts).without_points(base.add))
+    assert outcomes == {True, False}
 
 
 def test_ideal_validation():
@@ -265,6 +282,28 @@ def test_pivot_checks_are_memoized_only_when_they_pass():
     assert pivot_extension(FIN_IDEAL, evens()) is first
     info = pivot_extension.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 3, 1)
+
+
+def test_formula_sides_match_the_algebra_route():
+    # the witness builds each formula side as a patch of the pivot; the
+    # union/difference route must give the same descriptors, and with
+    # them the same clause verdicts
+    rng = random.Random(20261022)
+    ideals_seen = set()
+    for t in range(300):
+        ideal = (FIN_IDEAL, EMPTY_IDEAL)[t % 2]
+        pivot = random_descriptor(rng)
+        while ideal is FIN_IDEAL and not (pivot.is_infinite() and pivot.complement().is_infinite()):
+            pivot = random_descriptor(rng)
+        v = random_basic_open(rng, bound=rng.choice((8, 20, 64)))
+        w = ideal_escape_witness(v, ideal, pivot)
+        want_dom, want_im = formula_sides_by_algebra(v, pivot)
+        assert dom_set(w.element).complement() == want_dom, (v, pivot)
+        assert im_set(w.element).complement() == want_im, (v, pivot)
+        assert w.holds
+        assert w.element_text == format_sym(w.element) and w.open_text == v.describe()
+        ideals_seen.add((ideal.kind, pivot.is_infinite(), bool(pivot.add or pivot.remove)))
+    assert ("empty", False, True) in ideals_seen and ("fin", True, True) in ideals_seen
 
 
 def test_escape_witness_element_is_in_the_open():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from invsemi import SetDescriptor
 from invsemi.descriptors import EMPTY, NATURALS
 
-from conftest import build_by_loop, pointwise_by_build
+from conftest import almost_subset_by_difference, build_by_loop, pointwise_by_build, random_descriptor
 
 
 PROBE = 150
@@ -198,20 +198,6 @@ def test_constructor_rejects_a_non_minimal_period_after_build_warms_the_cache():
 # -- the bitmask kernels against the point-by-point route -------------------
 
 
-def random_descriptor(rng):
-    """Canonical descriptors with moduli up to 12 and patches up to 40,
-    drawn through the reference `build`, plus the two trivial tails."""
-    if rng.random() < 0.1:
-        return rng.choice((EMPTY, NATURALS))
-    modulus = rng.randint(1, 12)
-    return build_by_loop(
-        add=rng.sample(range(41), rng.randint(0, 5)),
-        remove=rng.sample(range(41), rng.randint(0, 5)),
-        modulus=modulus,
-        residues=rng.sample(range(modulus), rng.randint(0, modulus)),
-    )
-
-
 def test_algebra_matches_the_build_route():
     rng = random.Random(20261018)
     ops = {  # the parent's boolean operators
@@ -243,3 +229,26 @@ def test_below_matches_membership():
     for d in [EMPTY, NATURALS] + [random_descriptor(rng) for _ in range(40)]:
         for n in range(201):
             assert d.below(n) == [x for x in range(n) if d.member(x)], (d, n)
+
+
+def test_almost_subset_matches_the_difference_route():
+    # a \ b is finite exactly when no residue lies on a's tail and off b's;
+    # the patches of either side never change the answer
+    rng = random.Random(20261020)
+    pairs = [(EMPTY, EMPTY), (EMPTY, NATURALS), (NATURALS, EMPTY), (NATURALS, NATURALS)]
+    pairs += [(random_descriptor(rng), random_descriptor(rng)) for _ in range(600)]
+    seen = {"moduli": set(), "outcomes": set(), "finite": 0, "patched_base": 0}
+    for a, b in pairs:
+        for x in (a, a.with_points(rng.sample(range(60), 3)), a.without_points(a.add + a.remove)):
+            got = x.almost_subset_of(b)
+            assert got == almost_subset_by_difference(x, b), (x, b)
+            seen["outcomes"].add(got)
+        seen["moduli"] |= {a.modulus, b.modulus}
+        seen["finite"] += not a.is_infinite()
+        seen["patched_base"] += bool(b.add or b.remove) and b.is_infinite()
+        assert a.almost_subset_of(a)
+        assert a.almost_subset_of(NATURALS)
+        assert a.almost_subset_of(EMPTY) == (not a.is_infinite())
+    assert seen["moduli"] == set(range(1, 13))
+    assert seen["outcomes"] == {True, False}
+    assert seen["finite"] > 20 and seen["patched_base"] > 100

@@ -53,6 +53,7 @@ from invsemi.topology import (
     GroupNeighborSeq,
     GrowingExtensionSeq,
     SingletonIdentitySeq,
+    _member_pools,
     isolated_inverse_check,
     low_rank_open_members,
     open_members,
@@ -394,6 +395,35 @@ def test_member_anchored_draws_are_pinned(kind, bound):
             assert random_basic_open(fast, member=member, bound=bound) == \
                 random_basic_open_by_descriptors(slow, member=member, bound=bound)
         assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("kind", sorted(MEMBER_KINDS))
+def test_member_pools_are_tuples_built_once(kind):
+    # a probe's draws share one set of pools, and no draw can change them
+    member = MEMBER_KINDS[kind]
+    _member_pools.cache_clear()
+    pools = _member_pools(member, 64)
+    assert all(type(pool) is tuple for pool in pools)
+    with pytest.raises(TypeError):
+        pools[1][0] = -1
+    before = tuple(tuple(pool) for pool in pools)
+    rng = random.Random(3)
+    for _ in range(50):
+        v = random_basic_open(rng, member=member, bound=64)
+        assert set(v.positive) <= set(pools[0])
+        assert open_contains(v, member)
+    assert _member_pools(member, 64) is pools and pools == before
+    info = _member_pools.cache_info()
+    assert (info.misses, info.hits) == (1, 51)
+
+
+def test_interior_probes_with_one_seed_draw_the_same_opens():
+    # a cold pool cache and a warm one hand the generator the same pools
+    _member_pools.cache_clear()
+    cold = shared_identity_interior_probe(trials=100, seed=7)
+    warm = shared_identity_interior_probe(trials=100, seed=7)
+    assert cold == warm and len(cold.escapes) == 100
+    assert shared_identity_interior_probe(trials=100, seed=8).escapes != cold.escapes
 
 
 def test_certificate_shape_for_anchored_pairs():
