@@ -334,6 +334,15 @@ def union_generators(family: BlockFamily, n: int, window: int) -> np.ndarray:
     return np.concatenate(gens)
 
 
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """np.unique of int64 keys by sort and mask: numpy 2.4's np.unique
+    is several times slower on them."""
+    keys = np.sort(keys)
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    return keys[distinct]
+
+
 class RowIndex:
     """Exact int64 keys for a fixed set U of distinct rows, sorted as
     `unique_rows` sorts them, and lookup of other rows in U.
@@ -371,7 +380,7 @@ class RowIndex:
         key = words[:, 0]
         self.prefixes = []
         for width, word in zip(self.widths[1:], words[:, 1:].T):
-            prefix = np.unique(key)
+            prefix = _sorted_distinct(key)
             self.prefixes.append(prefix)
             key = (np.searchsorted(prefix, key) << width) | word
         self.keys = key
@@ -425,12 +434,7 @@ class RowIndex:
             if np.any(pos == len(prefix)) or np.any(prefix[pos] != key):
                 return None
             key = (pos << width) | word
-        # sort and mask: numpy 2.4's np.unique is several times slower
-        # on these int64 keys
-        key = np.sort(key)
-        distinct = np.ones(len(key), dtype=bool)
-        distinct[1:] = key[1:] != key[:-1]
-        key = key[distinct]
+        key = _sorted_distinct(key)
         pos = np.searchsorted(self.keys, key)
         if len(pos) and (pos[-1] == len(self.keys) or np.any(self.keys[pos] != key)):
             return None

@@ -153,8 +153,10 @@ def random_basic_open(rng: Random, member: SymElement | None = None,
         srcs = rng.sample(range(bound), npairs)
         tgts = rng.sample(range(bound), npairs)
         pairs = tuple(zip(srcs, tgts))
-        fd_pool = [p for p in range(bound) if p not in srcs]
-        fi_pool = [p for p in range(bound) if p not in tgts]
+        fd_pool, fi_pool = list(range(bound)), list(range(bound))
+        for x, y in pairs:
+            fd_pool.remove(x)
+            fi_pool.remove(y)
     else:
         dom_pairs, fd_pool, fi_pool = _member_pools(member, bound)
         npairs = rng.randint(0, min(max_pairs, len(dom_pairs)))
@@ -466,26 +468,30 @@ def rule_open_members(v: BasicOpen, rule: BlockRule) -> OpenReport:
 
 
 def low_rank_open_members(v: BasicOpen, rule: BlockRule, window: int) -> list[SymElement]:
-    """Exhaustive scan of the rank-at-most-one members of a basic open
-    with both points below the window, plus the empty map.  The empty
-    map comes first, then the maps a -> b in lexicographic (a, b) order.
+    """The rank-at-most-one members of a basic open with both points
+    below the window, plus the empty map.  The empty map comes first,
+    then the maps a -> b in lexicographic (a, b) order.
 
-    A map a -> b can lie in the open only when a is not domain-forbidden,
-    b is not image-forbidden and every required pair is (a, b); only
-    those candidates are built and checked."""
+    Required pairs have distinct sources, so a map a -> b can hold every
+    required pair only when the open requires none or exactly (a, b).
+    An open with one required pair tests that pair alone, one with two
+    or more admits no rank-one map, and only an open with none scans the
+    window, skipping forbidden sources and targets."""
     hits = []
     if open_contains(v, empty_map()):
         hits.append(empty_map())
-    forbid_dom, forbid_im = set(v.forbid_dom), set(v.forbid_im)
-    for a in range(window):
-        if a in forbid_dom:
-            continue
-        for b in range(window):
-            if b in forbid_im or any(p != (a, b) for p in v.positive):
-                continue
-            g = fin_map([(a, b)])
-            if open_contains(v, g) and rule.member(g):
-                hits.append(g)
+    if len(v.positive) > 1:
+        return hits
+    if v.positive:
+        candidates = [p for p in v.positive if max(p) < window]
+    else:
+        forbid_dom, forbid_im = set(v.forbid_dom), set(v.forbid_im)
+        candidates = ((a, b) for a in range(window) if a not in forbid_dom
+                      for b in range(window) if b not in forbid_im)
+    for a, b in candidates:
+        g = fin_map([(a, b)])
+        if open_contains(v, g) and rule.member(g):
+            hits.append(g)
     return hits
 
 
@@ -631,14 +637,20 @@ def shared_identity_interior_probe(trials: int = 100, seed: int = 0,
     rng = Random(seed)
     escapes = []
     ok = sole
+    # the witness of an open is the identity on its first free block, so
+    # it, its verdict apart from the open and its text are built once
+    # per block
+    by_block: dict[int, tuple[SymElement, bool, str]] = {}
     for _ in range(trials):
         v = random_basic_open(rng, member=product, bound=bound)
         n = rule.first_free_block(v.forbid_dom + v.forbid_im)
-        witness = partial_identity(rule.block(n))
-        good = (open_contains(v, witness) and rule.member(witness)
-                and witness != product)
+        if n not in by_block:
+            w = partial_identity(rule.block(n))
+            by_block[n] = (w, rule.member(w) and w != product, format_sym(w))
+        witness, distinct_member, text = by_block[n]
+        good = open_contains(v, witness) and distinct_member
         ok = ok and good
-        escapes.append((v.describe(), format_sym(witness)))
+        escapes.append((v.describe(), text))
     return InteriorProbeReport(product, sole, trials, tuple(escapes), ok)
 
 

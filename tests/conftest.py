@@ -22,7 +22,7 @@ from invsemi import (
     partial_identity,
     sym_element,
 )
-from invsemi.catalog import common_point_block
+from invsemi.catalog import COMMON_POINT_RULE, common_point_block
 from invsemi.closure import (
     BLOCK_PRODUCTS,
     GROUP_ENUM_CAP,
@@ -44,11 +44,19 @@ from invsemi.symbolic import (
     SymElement,
     dom_set,
     empty_map,
+    format_sym,
     im_set,
     sym_apply,
+    sym_compose,
     sym_defined_at,
+    sym_inverse,
 )
-from invsemi.topology import BasicOpen, open_contains
+from invsemi.topology import (
+    BasicOpen,
+    InteriorProbeReport,
+    open_contains,
+    random_basic_open,
+)
 
 
 def build_by_loop(add=(), remove=(), modulus=1, residues=()) -> SetDescriptor:
@@ -375,6 +383,28 @@ def random_basic_open_by_descriptors(rng: random.Random, member=None, max_pairs:
     fd = rng.sample(fd_pool, min(rng.randint(0, max_forbid), len(fd_pool)))
     fi = rng.sample(fi_pool, min(rng.randint(0, max_forbid), len(fi_pool)))
     return BasicOpen(pairs, tuple(fd), tuple(fi))
+
+
+def shared_identity_interior_probe_by_rebuild(trials: int = 100, seed: int = 0,
+                                              rule=COMMON_POINT_RULE,
+                                              bound: int = 64) -> InteriorProbeReport:
+    """Reference for `topology.shared_identity_interior_probe`: every
+    trial builds its witness, checks it and formats it anew."""
+    a = fin_map([(0, 1)])
+    product = sym_compose(sym_inverse(a), a)
+    sole = product == partial_identity([0])
+    rng = random.Random(seed)
+    escapes = []
+    ok = sole
+    for _ in range(trials):
+        v = random_basic_open(rng, member=product, bound=bound)
+        n = rule.first_free_block(v.forbid_dom + v.forbid_im)
+        witness = partial_identity(rule.block(n))
+        good = (open_contains(v, witness) and rule.member(witness)
+                and witness != product)
+        ok = ok and good
+        escapes.append((v.describe(), format_sym(witness)))
+    return InteriorProbeReport(product, sole, trials, tuple(escapes), ok)
 
 
 # -- test-only element builders ----------------------------------------------------

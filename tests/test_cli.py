@@ -279,9 +279,29 @@ def _report_digests_script():
     return module
 
 
-# SHA-256 of each README witness report without `meta`, as
-# scripts/report_digests.py prints it
-README_WITNESS_DIGESTS = {
+# SHA-256 of each README report without `meta`, in README order, as
+# scripts/report_digests.py prints it; every command exits 0
+README_REPORT_DIGESTS = {
+    "family-check --family five-ring":
+        "f499477f28dd870b9e81e84fffed44d485455bb38f5b6661411894cfb87681fe",
+    "family-check --family common-point:3 --csv overlaps.csv":
+        "8aef46dee006081886efec49957fbea1c4a5a0b613dbf52b8469e86b16c668cc",
+    "closure run --family common-point:3 --window 8 --compare":
+        "312245c1a856badc8abdaa688fa078cbe681d304fa90e51b36ae8534971db0c1",
+    "closure run --family disjoint:2 --window 6 --max 5000":
+        "d0939b2f5d678a687bc2f86ae2a79bdd3bb701456339a982b5fd03aa38370c2d",
+    "chains --family five-ring --check":
+        "eaebe9fdf7753f03fc8b472bd4bb7dcda15c5c5f231ba0b077f7ee8b84fe7d54",
+    "chains --family five-ring --csv capacity.csv":
+        "100550918993315473872cf20a2d046995437889062b6355e66bf08e4a95d6e7",
+    'stratify --family common-point:3 --element "fin(5->6)"':
+        "58fa18742886f96ea66c71866a4b2151062b0887300edc387f561c4664c08701",
+    'factorize --family common-point:3 --element "fin(5->6)"':
+        "e8d3373a9220bc42177e1c5f2de53d8c1e4f8fe3d870f1cfb2bd80b385b02921",
+    "verify closure-bound --family bound2 --bound 2":
+        "aef5ccf4a169a07357a62835dbb20cb75526053762440fb610094b6557755fb9",
+    "verify closure-bound --family bound2 --bound 1":
+        "0a12327446169a14d3c87baf9045fda479ada5d8f8577f965bbb7f2737833678",
     "verify ideal-witness --trials 50 --seed 7":
         "cc1862b5180d7e06f0af9f6535156cd60212ee1cf4d64968fb2b8a3d328a607f",
     "verify ideal-witness --ideal empty --trials 50 --seed 7":
@@ -289,6 +309,17 @@ README_WITNESS_DIGESTS = {
     "verify pettis-witness --trials 100 --seed 7 --windows 12,20,28":
         "5f988ce70c8afc8468fffd09293a2085b4151f04dcfdd35d876e1b1ec9fb135b",
 }
+README_WITNESS_DIGESTS = {command: digest for command, digest in README_REPORT_DIGESTS.items()
+                          if "-witness" in command}
+
+
+def test_every_readme_report_is_pinned():
+    # the script runs the commands in a temporary directory, so their
+    # --csv and --out files stay out of the tree
+    script = _report_digests_script()
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert script.digest_pass(script.readme_commands(readme)) == [
+        f"0 {digest} invsemi {command}" for command, digest in README_REPORT_DIGESTS.items()]
 
 
 @pytest.mark.parametrize("command", sorted(README_WITNESS_DIGESTS))

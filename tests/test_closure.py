@@ -31,6 +31,7 @@ from invsemi.closure import (
     BLOCK_PRODUCTS,
     MAX_WINDOW,
     RowIndex,
+    _sorted_distinct,
     compose_rows,
     decode_row,
     encode_rows,
@@ -373,6 +374,16 @@ def test_row_keys_reject_a_prefix_outside_u():
     assert index.words > 1
     assert index.find(c[None]) is None
     assert np.array_equal(index.find(np.stack([b, a])), [0, 1])
+
+
+def test_sorted_distinct_keys_match_np_unique(rng):
+    # the prefix tables and the product lookups deduplicate int64 keys
+    # by sort and mask; wide keys reach the sign bit
+    for size in (0, 1, 2, 50, 3205):
+        keys = np.array([rng.randrange(-40, 40) << 56 | rng.randrange(3) for _ in range(size)],
+                        dtype=np.int64)
+        got = _sorted_distinct(keys)
+        assert got.dtype == keys.dtype and np.array_equal(got, np.unique(keys))
 
 
 @pytest.mark.parametrize("window, span", [(8, 8), (30, 20), (MAX_WINDOW, 60)])

@@ -68,6 +68,7 @@ from conftest import (
     project_to_window,
     random_basic_open_by_descriptors,
     random_sym_element,
+    shared_identity_interior_probe_by_rebuild,
 )
 
 EVENS = SetDescriptor.residue_class(0, 2)
@@ -348,9 +349,10 @@ def test_widest_window_scan_serves_every_window():
 
 def test_low_rank_scan_matches_the_slow_scan():
     # the pruned scan against the build-everything scan at every window
-    # from 1 to 20: the canonical certificates, opens drawn around
-    # rank-one maps and without a member, and opens with 0 to 3 required
-    # pairs, where two or more pairs conflict for a rank-one map
+    # from 1 to 28, the README's widest: the canonical certificates,
+    # opens drawn around rank-one maps and without a member, and opens
+    # with 0 to 3 required pairs, where two or more pairs conflict for a
+    # rank-one map
     cases = [(COMMON_POINT_RULE, rank_one_certificate(a, b, COMMON_POINT_RULE))
              for a, b in ((1, 0), (0, 1), (1, 2))]
     rng = random.Random(20261019)
@@ -369,7 +371,7 @@ def test_low_rank_scan_matches_the_slow_scan():
     assert any(len(v.positive) >= 2 for _, v in cases)
     assert any(len(low_rank_open_members(v, rule, 20)) > 1 for rule, v in cases)
     for rule, v in cases:
-        for w in range(1, 21):
+        for w in range(1, 29):
             assert low_rank_open_members(v, rule, w) == \
                 low_rank_open_members_by_scan(v, rule, w), (rule.name, v.describe(), w)
 
@@ -383,12 +385,16 @@ MEMBER_KINDS = {
 }
 
 
+# the draws without a member ride along as one more case
+DRAW_ANCHORS = {**MEMBER_KINDS, "no member": None}
+
+
 @pytest.mark.parametrize("bound", [10, 16, 64])
-@pytest.mark.parametrize("kind", sorted(MEMBER_KINDS))
+@pytest.mark.parametrize("kind", sorted(DRAW_ANCHORS))
 def test_member_anchored_draws_are_pinned(kind, bound):
     # same seeds, same opens and the same generator state afterwards as
     # the draws that read the member through descriptors
-    member = MEMBER_KINDS[kind]
+    member = DRAW_ANCHORS[kind]
     for seed in range(20):
         fast, slow = random.Random(seed), random.Random(seed)
         for _ in range(5):
@@ -424,6 +430,17 @@ def test_interior_probes_with_one_seed_draw_the_same_opens():
     warm = shared_identity_interior_probe(trials=100, seed=7)
     assert cold == warm and len(cold.escapes) == 100
     assert shared_identity_interior_probe(trials=100, seed=8).escapes != cold.escapes
+
+
+def test_interior_probe_matches_the_rebuilding_probe():
+    # one witness per first free block gives the escapes and the verdict
+    # of a probe that rebuilds the witness on every trial
+    blocks = set()
+    for seed in range(20):
+        rep = shared_identity_interior_probe(trials=100, seed=seed)
+        assert rep == shared_identity_interior_probe_by_rebuild(trials=100, seed=seed), seed
+        blocks |= {text for _, text in rep.escapes}
+    assert len(blocks) > 1
 
 
 def test_certificate_shape_for_anchored_pairs():
