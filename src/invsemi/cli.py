@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -103,7 +104,7 @@ def _emit(args, command: str, config: dict, report: dict, started: float) -> Non
             "elapsed_s": round(time.monotonic() - started, 3),
         },
     }
-    text = json.dumps(doc, sort_keys=True, indent=2)
+    text = _report_text(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -111,6 +112,75 @@ def _emit(args, command: str, config: dict, report: dict, started: float) -> Non
             print(f"report written to {args.out}")
     else:
         print(text)
+
+
+def _report_text(doc) -> str:
+    """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte, except
+    that a key that is not a `str` raises `TypeError` instead of being
+    converted.  With `indent`, `json.dumps` takes its pure-Python encoder,
+    whose nested closures form a reference cycle per call; this writer
+    appends to one list through a module-level function and leaves none."""
+    out: list[str] = []
+    _write_json(doc, out, "\n")
+    return "".join(out)
+
+
+_escape = json.encoder.encode_basestring_ascii  # the escaper json.dumps uses
+
+
+def _write_json(o, out: list[str], newline: str) -> None:
+    # the type tests run in the order of json.encoder's
+    if isinstance(o, str):
+        out.append(_escape(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[")
+        sep = inner
+        for item in o:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        for key in o:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        inner = newline + "  "
+        out.append("{")
+        sep = inner
+        for key, value in sorted(o.items()):
+            out.append(f"{sep}{_escape(key)}: ")
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _float_text(o: float) -> str:
+    if o != o:
+        return "NaN"
+    if o == math.inf:
+        return "Infinity"
+    if o == -math.inf:
+        return "-Infinity"
+    return float.__repr__(o)
 
 
 def _trace(args, message: str) -> None:
@@ -346,7 +416,7 @@ def cmd_verify_ideal_witness(args) -> int:
         trials.append({
             "open": w.open_text,
             "element": w.element_text,
-            "clauses": {name: ok for name, ok, _ in w.clauses},
+            "clauses": dict(w.verdicts),
             "holds": w.holds,
         })
         all_ok = all_ok and w.holds

@@ -102,6 +102,11 @@ class IdealModel:
         return self.kind != "empty"
 
     def describe(self) -> str:
+        return self._text
+
+    @functools.cached_property
+    def _text(self) -> str:
+        # formatted once per model: every escape witness names its two ideals
         if self.kind == "fin":
             return "finite sets"
         if self.kind == "empty":
@@ -402,16 +407,39 @@ def check_collection_laws(model: CollectionModel, window: int = 5,
 
 @dataclass(frozen=True)
 class EscapeWitness:
+    """An escape element with the verdict of each clause.  `verdicts`
+    holds the (name, verdict) pairs; `clauses` adds each clause's detail
+    text, formatted when it is read."""
+
     element: SymElement
     small_ideal: IdealModel
     big_ideal: IdealModel
-    clauses: tuple[tuple[str, bool, str], ...]
+    verdicts: tuple[tuple[str, bool], ...]
     holds: bool
     element_text: str  # format_sym(element)
     open_text: str  # describe() of the open the element lies in
+    domain_complement: SetDescriptor
+    image_complement: SetDescriptor
+
+    @property
+    def clauses(self) -> tuple[tuple[str, bool, str], ...]:
+        """(name, verdict, detail) per clause."""
+        big_text = self.big_ideal.describe()
+        small_text = self.small_ideal.describe()
+        trivial = " (trivial: empty ideal)" if self.small_ideal.kind == "empty" else ""
+        details = (
+            f"{self.element_text} satisfies {self.open_text}",
+            f"domain complement {self.domain_complement.to_text()} lies in {big_text}",
+            f"domain complement avoids {small_text}{trivial}",
+            f"image complement {self.image_complement.to_text()} lies in {big_text}",
+            f"image complement avoids {small_text}{trivial}",
+            "domain complement matches pivot + touched points - sources",
+            "image complement matches pivot + touched points - targets",
+        )
+        return tuple((name, ok, text) for (name, ok), text in zip(self.verdicts, details))
 
     def clause(self, name: str) -> bool:
-        for n, ok, _ in self.clauses:
+        for n, ok in self.verdicts:
             if n == name:
                 return ok
         raise KeyError(name)
@@ -459,22 +487,14 @@ def ideal_escape_witness(v, ideal: IdealModel, pivot: SetDescriptor) -> EscapeWi
     want_dom = spread.without_points(srcs)
     want_im = spread.without_points(tgts)
 
-    f_text, v_text, big_text = format_sym(f), v.describe(), big.describe()
-    trivial = " (trivial: empty ideal)" if ideal.kind == "empty" else ""
-    clauses = (
-        ("member-of-open", open_contains(v, f), f"{f_text} satisfies {v_text}"),
-        ("domain-complement-in-extended", big.contains(dom_c),
-         f"domain complement {dom_c.to_text()} lies in {big_text}"),
-        ("domain-complement-outside-original", not ideal.contains(dom_c),
-         f"domain complement avoids {ideal.describe()}{trivial}"),
-        ("image-complement-in-extended", big.contains(im_c),
-         f"image complement {im_c.to_text()} lies in {big_text}"),
-        ("image-complement-outside-original", not ideal.contains(im_c),
-         f"image complement avoids {ideal.describe()}{trivial}"),
-        ("domain-complement-formula", dom_c == want_dom,
-         "domain complement matches pivot + touched points - sources"),
-        ("image-complement-formula", im_c == want_im,
-         "image complement matches pivot + touched points - targets"),
+    verdicts = (
+        ("member-of-open", open_contains(v, f)),
+        ("domain-complement-in-extended", big.contains(dom_c)),
+        ("domain-complement-outside-original", not ideal.contains(dom_c)),
+        ("image-complement-in-extended", big.contains(im_c)),
+        ("image-complement-outside-original", not ideal.contains(im_c)),
+        ("domain-complement-formula", dom_c == want_dom),
+        ("image-complement-formula", im_c == want_im),
     )
-    return EscapeWitness(f, ideal, big, clauses, all(ok for _, ok, _ in clauses),
-                         f_text, v_text)
+    return EscapeWitness(f, ideal, big, verdicts, all(ok for _, ok in verdicts),
+                         format_sym(f), v.describe(), dom_c, im_c)

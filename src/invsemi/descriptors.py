@@ -24,9 +24,8 @@ from .errors import ParseError
 def _minimal_period(modulus: int, residues: frozenset[int]) -> tuple[int, tuple[int, ...]]:
     """Reduce (modulus, residues) to the least period describing the same tail.
 
-    Memoized: `build`, `_pointwise` and the constructor check all ask for
-    the same pair, so the check costs a lookup and still runs on every
-    instance."""
+    Memoized: `build`, `_pointwise` and the constructor's tail check all
+    ask for the same pair."""
     if not residues:
         return 1, ()
     for d in range(1, modulus + 1):
@@ -35,6 +34,38 @@ def _minimal_period(modulus: int, residues: frozenset[int]) -> tuple[int, tuple[
         if all(((r + d) % modulus in residues) == (r in residues) for r in range(modulus)):
             return d, tuple(sorted({r % d for r in residues}))
     return modulus, tuple(sorted(residues))
+
+
+@functools.lru_cache(maxsize=1024)
+def _checked_tail(modulus: int, residues: tuple[int, ...]) -> frozenset[int]:
+    """The constructor's check of a tail: the modulus is positive, the
+    residues are sorted, distinct and below it, an empty tail uses
+    modulus 1 and the period is minimal.  Returns the residue set the
+    patch checks test against.  The verdict depends on the pair alone, so
+    it is memoized; a rejected pair raises again on every call."""
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
+    res = frozenset(residues)
+    if residues != tuple(sorted(res)):
+        raise ValueError("residues must be sorted and distinct")
+    if residues and (residues[0] < 0 or residues[-1] >= modulus):
+        raise ValueError("residues must lie in [0, modulus)")
+    if not residues and modulus != 1:
+        raise ValueError("empty tail must use modulus 1")
+    if _minimal_period(modulus, res) != (modulus, residues):
+        raise ValueError("tail period is not minimal")
+    return res
+
+
+def _ascending(pts: tuple[int, ...]) -> bool:
+    """``pts == tuple(sorted(set(pts)))`` in one pass: a tuple whose
+    entries strictly increase."""
+    return isinstance(pts, tuple) and (len(pts) < 2 or all(map(operator.lt, pts, pts[1:])))
+
+
+def _is_int(v) -> bool:
+    """An integer config value; JSON's true and false are not numbers."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _spread(mask: int, period: int, length: int) -> int:
@@ -68,20 +99,15 @@ class SetDescriptor:
     residues: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        modulus, residues = self.modulus, self.residues
-        if modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        res = frozenset(residues)
-        if residues != tuple(sorted(res)):
-            raise ValueError("residues must be sorted and distinct")
-        if residues and (residues[0] < 0 or residues[-1] >= modulus):
-            raise ValueError("residues must lie in [0, modulus)")
-        if not residues and modulus != 1:
-            raise ValueError("empty tail must use modulus 1")
-        if _minimal_period(modulus, res) != (modulus, residues):
-            raise ValueError("tail period is not minimal")
+        modulus = self.modulus
+        try:
+            res = _checked_tail(modulus, self.residues)
+        except TypeError:
+            # an unhashable field misses the memo; the unmemoized check
+            # gives the same verdict
+            res = _checked_tail.__wrapped__(modulus, self.residues)
         for name, pts in (("add", self.add), ("remove", self.remove)):
-            if pts != tuple(sorted(set(pts))):
+            if not _ascending(pts):
                 raise ValueError(f"{name} points must be sorted and distinct")
             if pts and pts[0] < 0:
                 raise ValueError(f"{name} points must be naturals")
@@ -277,11 +303,11 @@ class SetDescriptor:
             modulus = tail.get("mod", 1)
             residues = tail.get("residues", [])
         for seq in (add, remove, residues):
-            if not isinstance(seq, (list, tuple)) or not all(isinstance(v, int) for v in seq):
+            if not isinstance(seq, (list, tuple)) or not all(map(_is_int, seq)):
                 raise ParseError("set config lists must contain integers")
         if any(v < 0 for v in (*add, *remove)):
             raise ParseError("finite and remove points must be naturals")
-        if not isinstance(modulus, int) or modulus < 1:
+        if not _is_int(modulus) or modulus < 1:
             raise ParseError("tail mod must be a positive integer")
         return cls.build(add=add, remove=remove, modulus=modulus, residues=residues)
 

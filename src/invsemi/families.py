@@ -172,6 +172,10 @@ def chain_capacity_by_enumeration(family: BlockFamily, max_interior: int | None 
             if e == 0:
                 continue
             walk(i, k1, k1, 1, e)
+    # walk reaches itself through its closure cell; emptying the cell
+    # frees the function, its state and the memo without the cyclic
+    # collector
+    del walk
     return best
 
 

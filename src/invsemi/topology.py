@@ -33,8 +33,8 @@ from random import Random
 from typing import Iterable
 
 from .catalog import COMMON_POINT_RULE, BlockRule
-from .descriptors import NATURALS, SetDescriptor
-from .errors import InvalidFamilyError, InvalidOpenError
+from .descriptors import NATURALS, SetDescriptor, _is_int
+from .errors import InvalidFamilyError, InvalidOpenError, ParseError
 from .families import BlockFamily, _extend_in_block
 from .symbolic import (
     IdFin,
@@ -78,24 +78,27 @@ class BasicOpen:
 
     def __post_init__(self):
         pos = tuple(sorted((int(x), int(y)) for x, y in self.positive))
-        fd = tuple(sorted(int(p) for p in self.forbid_dom))
-        fi = tuple(sorted(int(p) for p in self.forbid_im))
+        fd = tuple(sorted(map(int, self.forbid_dom)))
+        fi = tuple(sorted(map(int, self.forbid_im)))
         object.__setattr__(self, "positive", pos)
         object.__setattr__(self, "forbid_dom", fd)
         object.__setattr__(self, "forbid_im", fi)
-        if any(x < 0 or y < 0 for x, y in pos):
+        # pos is sorted by source and fd, fi ascend, so their least
+        # points come first; the least target needs a min
+        srcs = {x for x, _ in pos}
+        tgts = {y for _, y in pos}
+        if pos and (pos[0][0] < 0 or min(tgts) < 0):
             raise InvalidOpenError("negative point in a required pair")
-        if any(p < 0 for p in fd + fi):
+        if (fd and fd[0] < 0) or (fi and fi[0] < 0):
             raise InvalidOpenError("negative forbidden point")
-        srcs = [x for x, _ in pos]
-        tgts = [y for _, y in pos]
-        if len(set(srcs)) != len(srcs) or len(set(tgts)) != len(tgts):
+        if len(srcs) != len(pos) or len(tgts) != len(pos):
             raise InvalidOpenError("required pairs must form an injective map")
-        if len(set(fd)) != len(fd) or len(set(fi)) != len(fi):
+        fd_set, fi_set = set(fd), set(fi)
+        if len(fd_set) != len(fd) or len(fi_set) != len(fi):
             raise InvalidOpenError("duplicate forbidden point")
-        if set(fd) & set(srcs):
+        if not fd_set.isdisjoint(srcs):
             raise InvalidOpenError("a required source is also domain-forbidden")
-        if set(fi) & set(tgts):
+        if not fi_set.isdisjoint(tgts):
             raise InvalidOpenError("a required target is also image-forbidden")
 
     def constraint_points(self) -> tuple[int, ...]:
@@ -120,11 +123,22 @@ class BasicOpen:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "BasicOpen":
-        return cls(
-            tuple((int(a), int(b)) for a, b in cfg.get("pairs", [])),
-            tuple(int(p) for p in cfg.get("forbid_dom", [])),
-            tuple(int(p) for p in cfg.get("forbid_im", [])),
-        )
+        """Read `to_config` output.  Points must be integers: a JSON
+        boolean or a numeric string is a `ParseError`, not a point."""
+        if not isinstance(cfg, dict):
+            raise ParseError(f"open config must be an object, got {type(cfg).__name__}")
+        pairs = cfg.get("pairs", [])
+        if not isinstance(pairs, (list, tuple)) or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_int, p))
+                for p in pairs):
+            raise ParseError("open config pairs must be [source, target] integer pairs")
+        forbid = []
+        for key in ("forbid_dom", "forbid_im"):
+            pts = cfg.get(key, [])
+            if not isinstance(pts, (list, tuple)) or not all(map(_is_int, pts)):
+                raise ParseError(f"open config {key} must be a list of integers")
+            forbid.append(tuple(pts))
+        return cls(tuple(map(tuple, pairs)), *forbid)
 
 
 def open_contains(v: BasicOpen, f: SymElement) -> bool:

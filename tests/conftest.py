@@ -38,7 +38,8 @@ from invsemi.closure import (
     unique_rows,
 )
 from invsemi.descriptors import EMPTY, _minimal_period
-from invsemi.errors import BudgetExceededError, WindowMismatchError
+from invsemi.constrained import pivot_extension
+from invsemi.errors import BudgetExceededError, InvalidOpenError, WindowMismatchError
 from invsemi.symbolic import (
     BlockPerm,
     SymElement,
@@ -75,6 +76,32 @@ def build_by_loop(add=(), remove=(), modulus=1, residues=()) -> SetDescriptor:
         elif not desired and on_tail:
             fin_remove.append(x)
     return SetDescriptor(tuple(fin_add), tuple(fin_remove), mod, res)
+
+
+def set_descriptor_check_by_rebuild(add=(), remove=(), modulus=1, residues=()) -> None:
+    """Reference for the check in `SetDescriptor.__post_init__`: every
+    instance derives its tail verdict afresh and rebuilds each patch
+    tuple as a sorted set.  Raises the constructor's `ValueError`s."""
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
+    res = frozenset(residues)
+    if residues != tuple(sorted(res)):
+        raise ValueError("residues must be sorted and distinct")
+    if residues and (residues[0] < 0 or residues[-1] >= modulus):
+        raise ValueError("residues must lie in [0, modulus)")
+    if not residues and modulus != 1:
+        raise ValueError("empty tail must use modulus 1")
+    if _minimal_period(modulus, res) != (modulus, residues):
+        raise ValueError("tail period is not minimal")
+    for name, pts in (("add", add), ("remove", remove)):
+        if pts != tuple(sorted(set(pts))):
+            raise ValueError(f"{name} points must be sorted and distinct")
+        if pts and pts[0] < 0:
+            raise ValueError(f"{name} points must be naturals")
+    if add and not res.isdisjoint([a % modulus for a in add]):
+        raise ValueError("added point already on the tail")
+    if remove and not res.issuperset([r % modulus for r in remove]):
+        raise ValueError("removed point is not on the tail")
 
 
 def pointwise_by_build(a: SetDescriptor, b: SetDescriptor, op) -> SetDescriptor:
@@ -383,6 +410,63 @@ def random_basic_open_by_descriptors(rng: random.Random, member=None, max_pairs:
     fd = rng.sample(fd_pool, min(rng.randint(0, max_forbid), len(fd_pool)))
     fi = rng.sample(fi_pool, min(rng.randint(0, max_forbid), len(fi_pool)))
     return BasicOpen(pairs, tuple(fd), tuple(fi))
+
+
+def basic_open_check_by_rebuild(positive=(), forbid_dom=(), forbid_im=()):
+    """Reference for `BasicOpen.__post_init__`: normalize, then run each
+    check on sets built afresh.  Returns the normalized fields or raises
+    the constructor's `InvalidOpenError`s."""
+    pos = tuple(sorted((int(x), int(y)) for x, y in positive))
+    fd = tuple(sorted(int(p) for p in forbid_dom))
+    fi = tuple(sorted(int(p) for p in forbid_im))
+    if any(x < 0 or y < 0 for x, y in pos):
+        raise InvalidOpenError("negative point in a required pair")
+    if any(p < 0 for p in fd + fi):
+        raise InvalidOpenError("negative forbidden point")
+    srcs = [x for x, _ in pos]
+    tgts = [y for _, y in pos]
+    if len(set(srcs)) != len(srcs) or len(set(tgts)) != len(tgts):
+        raise InvalidOpenError("required pairs must form an injective map")
+    if len(set(fd)) != len(fd) or len(set(fi)) != len(fi):
+        raise InvalidOpenError("duplicate forbidden point")
+    if set(fd) & set(srcs):
+        raise InvalidOpenError("a required source is also domain-forbidden")
+    if set(fi) & set(tgts):
+        raise InvalidOpenError("a required target is also image-forbidden")
+    return pos, fd, fi
+
+
+def escape_clauses_by_eager_format(v, ideal, pivot: SetDescriptor) -> tuple:
+    """Reference for `EscapeWitness.clauses`: the seven clauses of
+    `ideal_escape_witness` with every detail text formatted as the
+    witness is built."""
+    pivot_c, big = pivot_extension(ideal, pivot)
+    srcs = [x for x, _ in v.positive]
+    tgts = [y for _, y in v.positive]
+    touched = v.constraint_points()
+    f = sym_element(pivot_c.without_points(touched), v.positive)
+    dom_c = dom_set(f).complement()
+    im_c = im_set(f).complement()
+    spread = pivot.with_points(touched)
+    want_dom = spread.without_points(srcs)
+    want_im = spread.without_points(tgts)
+    f_text, v_text, big_text = format_sym(f), v.describe(), big.describe()
+    trivial = " (trivial: empty ideal)" if ideal.kind == "empty" else ""
+    return (
+        ("member-of-open", open_contains(v, f), f"{f_text} satisfies {v_text}"),
+        ("domain-complement-in-extended", big.contains(dom_c),
+         f"domain complement {dom_c.to_text()} lies in {big_text}"),
+        ("domain-complement-outside-original", not ideal.contains(dom_c),
+         f"domain complement avoids {ideal.describe()}{trivial}"),
+        ("image-complement-in-extended", big.contains(im_c),
+         f"image complement {im_c.to_text()} lies in {big_text}"),
+        ("image-complement-outside-original", not ideal.contains(im_c),
+         f"image complement avoids {ideal.describe()}{trivial}"),
+        ("domain-complement-formula", dom_c == want_dom,
+         "domain complement matches pivot + touched points - sources"),
+        ("image-complement-formula", im_c == want_im,
+         "image complement matches pivot + touched points - targets"),
+    )
 
 
 def shared_identity_interior_probe_by_rebuild(trials: int = 100, seed: int = 0,

@@ -1,8 +1,14 @@
 """Command line driver: report shape, exit codes, determinism."""
 
+import contextlib
+import gc
 import importlib.util
+import io
 import json
+import math
 import os
+import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +18,7 @@ import pytest
 import invsemi
 from invsemi.catalog import named_family
 from invsemi import cli
+from invsemi.families import chain_capacity_by_enumeration
 from invsemi.cli import build_parser, main
 from invsemi.errors import InvalidFamilyError, ParseError
 
@@ -332,6 +339,111 @@ def test_readme_witness_reports_are_pinned(command, capsys):
     assert script.report_digest(capsys.readouterr().out) == README_WITNESS_DIGESTS[command]
 
 
+def _readme_commands():
+    script = _report_digests_script()
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return script.readme_commands(readme)
+
+
+def _quiet_report(command: str) -> str:
+    """The printed report of one README command."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(shlex.split(command)[1:] + ["--quiet"]) == 0, command
+    return buf.getvalue()
+
+
+def test_report_writer_matches_json_dumps_on_readme_reports(tmp_path, monkeypatch):
+    # the printed report is json.dumps(sort_keys=True, indent=2) of the
+    # document it holds, byte for byte
+    monkeypatch.chdir(tmp_path)
+    for command in _readme_commands():
+        text = _quiet_report(command)
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n", command
+        assert cli._report_text(doc) == text[:-1], command
+
+
+def _random_document(rng, depth=0):
+    r = rng.random()
+    if depth > 3 or r < 0.45:
+        return rng.choice([
+            rng.randint(-10**20, 10**20),
+            rng.random() * 10.0 ** rng.randint(-12, 12),
+            rng.choice([0.0, -0.0, 1e-7, 1e16, math.inf, -math.inf, math.nan]),
+            None, True, False,
+            "".join(chr(rng.choice([rng.randint(0, 127), rng.randint(128, 0x10FFFF)]))
+                    for _ in range(rng.randint(0, 6))),
+        ])
+    if r < 0.75:
+        items = [_random_document(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+        return tuple(items) if rng.random() < 0.2 else items
+    return {"".join(chr(rng.randint(0, 0x3000)) for _ in range(rng.randint(0, 4))):
+            _random_document(rng, depth + 1) for _ in range(rng.randint(0, 4))}
+
+
+def test_report_writer_matches_json_dumps_on_nested_documents():
+    rng = random.Random(20261019)
+    docs = [{}, [], (), {"": {}}, [[], {}], "\"\\\n\t\x01\u2028é\U0001F600", -0.0]
+    docs += [_random_document(rng) for _ in range(1500)]
+    for doc in docs:
+        assert cli._report_text(doc) == json.dumps(doc, sort_keys=True, indent=2), doc
+
+
+@pytest.mark.parametrize("doc", [{1: 2}, {"a": {None: 1}}, [{"a": 1, 2: 3}], {"a": {3}},
+                                 [object()]])
+def test_report_writer_rejects_what_a_report_cannot_hold(doc):
+    with pytest.raises(TypeError):
+        cli._report_text(doc)
+
+
+def test_readme_commands_leave_no_cyclic_garbage(tmp_path, monkeypatch):
+    # every report is freed by reference counting: with the collector
+    # off, a collection after each command finds nothing
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    for command in commands:  # first calls fill the memos and the parser
+        _quiet_report(command)
+    left = {}
+    gc.collect()
+    gc.disable()
+    try:
+        for command in commands:
+            _quiet_report(command)
+            left[command] = gc.collect()
+    finally:
+        gc.enable()
+    assert set(left.values()) == {0}, left
+
+
+def test_chain_walk_oracle_leaves_no_cyclic_garbage():
+    # the walk recurses through its own closure cell, which the oracle
+    # empties before it returns
+    fam = named_family("five-ring")
+    gc.collect()
+    gc.disable()
+    try:
+        chain_capacity_by_enumeration(fam)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_witness_commands_format_no_clause_text(monkeypatch, capsys):
+    # the report keeps clause names and verdicts only, so the CLI never
+    # reads the formatted clause details
+    from invsemi.constrained import EscapeWitness
+
+    reads = []
+    clauses = EscapeWitness.clauses
+    monkeypatch.setattr(EscapeWitness, "clauses",
+                        property(lambda w: reads.append(w) or clauses.fget(w)))
+    for command in sorted(README_WITNESS_DIGESTS):
+        assert main(command.split()) == 0
+    capsys.readouterr()
+    assert reads == []
+
+
 def test_verify_pettis_witness(capsys):
     code, doc = run(
         capsys,
@@ -409,6 +521,19 @@ def test_bad_family_config_exits_one(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         assert main(["family-check", "--family", str(path)]) == 1
         assert "blocks" in capsys.readouterr().err
+
+
+def test_family_files_with_boolean_points_exit_one(tmp_path, capsys):
+    # JSON true and false are Python ints; read as points they gave a
+    # block `from_text` cannot read back, or the naturals for mod true
+    path = tmp_path / "bools.json"
+    second = {"tail": {"mod": 2, "residues": [1]}}
+    for first in ({"tail": {"mod": 2, "residues": [0]}, "finite": [True]},
+                  {"tail": {"mod": True, "residues": [False]}}):
+        path.write_text(json.dumps({"blocks": [first, second]}))
+        assert main(["family-check", "--family", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
 
 
 def test_bad_inputs_exit_one(capsys):

@@ -25,7 +25,14 @@ from invsemi.symbolic import dom_set, format_sym, im_set
 from invsemi.closure import BLOCK_PRODUCTS, compose_rows, encode_rows
 from invsemi.constrained import _composition_escape, _windowed_members, pivot_extension
 from invsemi.topology import BasicOpen, open_contains, random_basic_open
-from conftest import almost_subset_by_difference, evens, formula_sides_by_algebra, odds, random_descriptor
+from conftest import (
+    almost_subset_by_difference,
+    escape_clauses_by_eager_format,
+    evens,
+    formula_sides_by_algebra,
+    odds,
+    random_descriptor,
+)
 
 
 def test_ideal_membership():
@@ -251,6 +258,24 @@ def test_escape_witness_with_empty_ideal(seed):
     assert w.small_ideal is EMPTY_IDEAL
     trivial = [d for _, _, d in w.clauses if "trivial" in d]
     assert trivial  # the outside-the-original clauses carry no content here
+
+
+def test_lazy_clause_texts_match_the_eager_route():
+    # the witness stores verdicts and formats the detail texts on read;
+    # they must be the texts the eager route formats while it builds
+    for ideal in (FIN_IDEAL, EMPTY_IDEAL):
+        for seed in range(20):
+            v = random_basic_open(random.Random(seed))
+            w = ideal_escape_witness(v, ideal, evens())
+            assert w.clauses == escape_clauses_by_eager_format(v, ideal, evens()), (seed, ideal)
+            assert w.verdicts == tuple((name, ok) for name, ok, _ in w.clauses)
+
+
+def test_ideal_texts_are_formatted_once_per_model():
+    ideal = principal_plus_fin(evens().with_points([3]))
+    assert ideal.describe() == "finite-mod (finite {3} tail mod 2 residues [0])"
+    assert ideal.describe() is ideal.describe()
+    assert ideal == principal_plus_fin(evens().with_points([3]))
 
 
 def test_escape_witness_extends_the_ideal_properly():

@@ -8,8 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from invsemi import SetDescriptor
 from invsemi.descriptors import EMPTY, NATURALS
+from invsemi.errors import ParseError
 
-from conftest import almost_subset_by_difference, build_by_loop, pointwise_by_build, random_descriptor
+from conftest import (
+    almost_subset_by_difference,
+    build_by_loop,
+    pointwise_by_build,
+    random_descriptor,
+    set_descriptor_check_by_rebuild,
+)
 
 
 PROBE = 150
@@ -77,6 +84,56 @@ def test_constructor_insists_on_canonical_data():
     assert len({message for _, message in REJECTED}) == 11
 
 
+def _outcome(check, fields):
+    try:
+        check(**fields)
+    except ValueError as e:
+        return "rejected", str(e)
+    return "accepted", None
+
+
+def _random_fields(rng):
+    """Constructor fields that are mostly near-canonical: random patch
+    tuples (sometimes unsorted, repeated, negative or on the tail) over a
+    canonical or slightly perturbed tail, now and then given as lists."""
+    modulus = rng.randint(0, 8)
+    if modulus >= 1 and rng.random() < 0.6:
+        tail = build_by_loop(modulus=modulus,
+                             residues=rng.sample(range(modulus), rng.randint(0, modulus)))
+        modulus, residues = tail.modulus, tail.residues
+    else:
+        residues = tuple(rng.randint(-1, modulus) for _ in range(rng.randint(0, 3)))
+    fields = {"modulus": modulus, "residues": residues}
+    for name in ("add", "remove"):
+        pts = sorted(rng.sample(range(-2, 20), rng.randint(0, 4)))
+        if rng.random() < 0.2:
+            rng.shuffle(pts)
+        if pts and rng.random() < 0.1:
+            pts.append(pts[-1])
+        fields[name] = tuple(pts)
+    for name in ("add", "remove", "residues"):
+        if rng.random() < 0.05:
+            fields[name] = list(fields[name])
+    return fields
+
+
+def test_constructor_check_matches_the_rebuild_oracle():
+    # the memoized tail verdict and the one-pass patch checks accept and
+    # reject exactly what the unmemoized check does, with its messages
+    cases = [fields for fields, _ in REJECTED]
+    rng = random.Random(20261019)
+    cases += [_random_fields(rng) for _ in range(3000)]
+    verdicts = set()
+    for fields in cases:
+        for _ in range(2):  # the second call reads the memo, or raises again
+            got = _outcome(SetDescriptor, fields)
+            assert got == _outcome(set_descriptor_check_by_rebuild, fields), fields
+        verdicts.add(got)
+    assert ("accepted", None) in verdicts
+    assert {m for kind, m in verdicts if kind == "rejected"} == {
+        message.replace("\\", "") for _, message in REJECTED}
+
+
 def test_build_canonicalizes():
     assert SetDescriptor.build(modulus=4, residues=[1, 3]) == SetDescriptor.build(
         modulus=2, residues=[1]
@@ -119,6 +176,19 @@ def test_subset_and_disjoint_agree_with_points(a, b):
 def test_text_and_config_round_trip(a):
     assert SetDescriptor.from_text(a.to_text()) == a
     assert SetDescriptor.from_config(a.to_config()) == a
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"tail": {"mod": 2, "residues": [0]}, "finite": [True]}, "lists must contain integers"),
+    ({"tail": {"mod": True, "residues": [False]}}, "lists must contain integers"),
+    ({"tail": {"mod": True, "residues": [0]}}, "tail mod must be a positive integer"),
+    ({"tail": {"mod": 1, "residues": [0]}, "remove": [False]}, "lists must contain integers"),
+])
+def test_config_booleans_are_not_integers(cfg, message):
+    # JSON true and false are Python bools, which are ints; read as
+    # points they would give a block that `from_text` cannot read back
+    with pytest.raises(ParseError, match=message):
+        SetDescriptor.from_config(cfg)
 
 
 def test_text_forms():

@@ -37,7 +37,7 @@ from invsemi.catalog import (
     random_uniform_family,
 )
 from invsemi.closure import GROUP_ENUM_CAP, decode_row, group_rows, structural_rows
-from invsemi.errors import WindowMismatchError
+from invsemi.errors import ParseError, WindowMismatchError
 from invsemi.symbolic import (
     block_perm,
     empty_map,
@@ -60,6 +60,7 @@ from invsemi.topology import (
 )
 from conftest import (
     OVERLAP_BOUND,
+    basic_open_check_by_rebuild,
     group_open_members,
     low_rank_open_members_by_scan,
     open_contains_by_descriptors,
@@ -94,6 +95,49 @@ def test_open_normalization_and_validation():
         BasicOpen((), (2, 2), ())
     with pytest.raises(InvalidOpenError):
         BasicOpen(((-1, 0),), (), ())
+
+
+def _open_outcome(check, fields):
+    try:
+        out = check(*fields)
+    except InvalidOpenError as e:
+        return "rejected", str(e)
+    if isinstance(out, BasicOpen):
+        out = (out.positive, out.forbid_dom, out.forbid_im)
+    return "accepted", out
+
+
+def test_open_constructor_matches_the_rebuild_oracle():
+    # small point ranges make clashes, repeats and negatives common, so
+    # every check fires; the one-pass checks must agree with the oracle
+    # on the verdict, the message and the normalized fields
+    rng = random.Random(20261019)
+    verdicts = set()
+    for _ in range(4000):
+        pairs = [(rng.randint(-1, 6), rng.randint(-1, 6)) for _ in range(rng.randint(0, 3))]
+        fd = [rng.randint(-1, 6) for _ in range(rng.randint(0, 3))]
+        fi = [rng.randint(-1, 6) for _ in range(rng.randint(0, 3))]
+        fields = (tuple(pairs), tuple(fd), tuple(fi))
+        got = _open_outcome(BasicOpen, fields)
+        assert got == _open_outcome(basic_open_check_by_rebuild, fields), fields
+        verdicts.add(got[0] if got[0] == "accepted" else got[1])
+    assert len(verdicts) == 7  # accepted, and each of the six messages
+
+
+@pytest.mark.parametrize("cfg", [
+    {"pairs": [[True, 2]]},
+    {"pairs": [["3", 2]]},
+    {"pairs": [[1, 2, 3]]},
+    {"pairs": [3]},
+    {"pairs": "1,2"},
+    {"forbid_dom": [False]},
+    {"forbid_im": ["3"]},
+    {"forbid_im": 3},
+    [[1, 2]],
+])
+def test_open_config_points_must_be_integers(cfg):
+    with pytest.raises(ParseError):
+        BasicOpen.from_config(cfg)
 
 
 def test_open_describe_and_config():
