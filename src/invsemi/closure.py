@@ -236,6 +236,13 @@ def structural_rows(
     empty map.  Returned as deduplicated sorted rows."""
     if capacity is None:
         capacity = chain_capacity_matrix(family)
+    return unique_rows(structural_parts(family, window, capacity))
+
+
+def structural_parts(family: BlockFamily, window: int, capacity: list[list[int]]) -> np.ndarray:
+    """The rows of `structural_rows` before its dedup: each block group,
+    the empty map, then each stratum, with the repeats where strata share
+    maps with each other or with a group."""
     parts = [group_rows(b, window) for b in family.blocks] + [blank_rows(1, window)]
     pts = [np.asarray(b.below(window), dtype=np.intp) for b in family.blocks]
     for i, src in enumerate(pts):
@@ -250,7 +257,7 @@ def structural_rows(
                     np.tile(images, (len(doms), 1))
                 )
                 parts.append(rows)
-    return unique_rows(np.concatenate(parts))
+    return np.concatenate(parts)
 
 
 # -- comparisons ----------------------------------------------------
@@ -334,18 +341,25 @@ def union_generators(family: BlockFamily, n: int, window: int) -> np.ndarray:
     return np.concatenate(gens)
 
 
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first key of each run of equal keys in a sorted array."""
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = keys[1:] != keys[:-1]
+    return starts
+
+
 def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
     """np.unique of int64 keys by sort and mask: numpy 2.4's np.unique
     is several times slower on them."""
     keys = np.sort(keys)
-    distinct = np.ones(len(keys), dtype=bool)
-    distinct[1:] = keys[1:] != keys[:-1]
-    return keys[distinct]
+    return keys[_run_starts(keys)]
 
 
 class RowIndex:
-    """Exact int64 keys for a fixed set U of distinct rows, sorted as
-    `unique_rows` sorts them, and lookup of other rows in U.
+    """Exact int64 keys for a fixed set U of rows, sorted as `unique_rows`
+    sorts them, and lookup of other rows in U.  The rows may come in any
+    order and with repeats: the index sorts and deduplicates them by key,
+    and `entries` holds U's distinct rows in key order.
 
     Only U's live columns, those some row of U defines, enter a key; a
     row defined on a dead column is not in U.  A live entry takes
@@ -354,9 +368,11 @@ class RowIndex:
     first entry highest, into words of at most 52 bits, which a float64
     matmul forms exactly.  The words fold left to right into one key:
     each prefix is replaced by its rank among U's prefixes and shifted
-    above the next word, so every window up to MAX_WINDOW fits.  U's keys
-    come out strictly increasing, and a row whose prefix no row of U has
-    is not in U."""
+    above the next word, so every window up to MAX_WINDOW fits.  A rank
+    is below the number of rows given, which sizes the words, so the
+    keys depend on that count only through the word layout (`widths`).
+    U's keys come out strictly increasing, and a row whose prefix no row
+    of U has is not in U."""
 
     def __init__(self, rows: np.ndarray):
         count, window = rows.shape
@@ -374,16 +390,23 @@ class RowIndex:
         # spread[t] puts live entry t, scaled, into its word
         self.spread = np.zeros((len(self.live), self.words))
         self.spread[slot, self.word_of] = self.scale
-        self.entries = self.encode(rows)
         self._identity = self.pack(np.arange(window, dtype=np.int8)[None])
-        words = (self.entries[:, self.live] @ self.spread).astype(np.int64)
-        key = words[:, 0]
+        words = (self.encode(rows[:, self.live]) @ self.spread).astype(np.int64)
+        # `order` sorts the rows by the key folded so far: a prefix's rank
+        # counts the distinct prefixes before it, and repeats end up next
+        # to each other
+        order = np.argsort(words[:, 0])
+        key = words[order, 0]
         self.prefixes = []
         for width, word in zip(self.widths[1:], words[:, 1:].T):
-            prefix = _sorted_distinct(key)
-            self.prefixes.append(prefix)
-            key = (np.searchsorted(prefix, key) << width) | word
-        self.keys = key
+            starts = _run_starts(key)
+            self.prefixes.append(key[starts])
+            key = ((np.cumsum(starts) - 1) << width) | word[order]
+            resort = np.argsort(key)
+            order, key = order[resort], key[resort]
+        distinct = _run_starts(key)
+        self.keys = key[distinct]
+        self.entries = self.encode(rows[order[distinct]])
 
     @property
     def words(self) -> int:
@@ -393,41 +416,48 @@ class RowIndex:
         """The entries as float64, -1 as all ones."""
         return np.where(rows < 0, self.ones, rows)
 
-    def pack(self, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(M, c) such that, for m words and k maps g_j, encode(u) @ M + c
-        holds the words of u o g_j in columns j*m .. j*m + m - 1 and, in
-        column k*m + j, a count that is zero exactly when u o g_j is
-        undefined on every dead column.  Entry x of u o g_j is entry
-        g_j(x) of u, or -1 where g_j is undefined at x."""
+    def pack(self, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """(M, c, split) such that, for m words and k maps g_j,
+        encode(u) @ M + c holds the words of u o g_j in columns
+        j*m .. j*m + m - 1, the first split = k*m columns.  Entry x of
+        u o g_j is entry g_j(x) of u, or -1 where g_j is undefined at x.
+
+        u o g_j is defined on a dead column only where g_j is.  So only
+        when some g_j is defined on a dead column does M get k more
+        columns: in column split + j, a count that is zero exactly when
+        u o g_j is undefined on every dead column.  Maps inside U, which
+        are defined on live columns only, pack without them."""
         k, window = gens.shape
         m = self.words
-        pack = np.zeros((window, k * (m + 1)))
+        split = k * m
         js, xs = np.nonzero(gens >= 0)
         slot = self.slot_of[xs]
         live = slot >= 0
+        counted = not live.all()
+        pack = np.zeros((window, split + k * counted))
         js_l, slot_l = js[live], slot[live]
         pack[gens[js_l, xs[live]], js_l * m + self.word_of[slot_l]] = self.scale[slot_l]
-        # for each dead x with g_j(x) = y, the count gains ones - entry y of u,
-        # which is zero exactly when u is undefined at y
-        pack[gens[js[~live], xs[~live]], k * m + js[~live]] = -1.0
-        undefined = (gens[:, self.live] < 0) * self.ones @ self.spread
-        dead = np.bincount(js[~live], minlength=k) * self.ones
-        return pack, np.concatenate([undefined.reshape(-1), dead])
+        shift = ((gens[:, self.live] < 0) * self.ones @ self.spread).reshape(-1)
+        if counted:
+            # for each dead x with g_j(x) = y, the count gains ones - entry y
+            # of u, which is zero exactly when u is undefined at y
+            js_d = js[~live]
+            pack[gens[js_d, xs[~live]], split + js_d] = -1.0
+            shift = np.concatenate([shift, np.bincount(js_d, minlength=k) * self.ones])
+        return pack, shift, split
 
     def products_in(
-        self, entries: np.ndarray, packed: tuple[np.ndarray, np.ndarray]
+        self, entries: np.ndarray, packed: tuple[np.ndarray, np.ndarray, int]
     ) -> np.ndarray | None:
         """The distinct sorted positions in U of the products u o g_j for
         the rows u with these encoded entries and the maps g_j of
         `packed`; None when a product is not in U.  Most products repeat,
         so each distinct key is looked up once."""
-        pack, shift = packed
+        pack, shift, split = packed
         out = entries @ pack + shift
-        m = self.words
-        split = pack.shape[1] // (m + 1) * m
         if np.any(out[:, split:]):
             return None
-        words = out[:, :split].astype(np.int64).reshape(-1, m)
+        words = out[:, :split].astype(np.int64).reshape(-1, self.words)
         key = words[:, 0]
         for prefix, width, word in zip(self.prefixes, self.widths[1:], words[:, 1:].T):
             pos = np.searchsorted(prefix, key)
@@ -450,17 +480,22 @@ def union_closed(family: BlockFamily, n: int, window: int) -> tuple[bool, int]:
     """(closed, products composed) for the rank-n union U: block groups,
     strata of rank <= n and the empty map.
 
-    U is closed exactly when <A> = U for the generators A of
-    `union_generators`.  A breadth-first search over U's indices composes
-    each element it reaches with every map of A u A^-1 and looks the
-    distinct products up in U by key (`RowIndex`).  The first batch with
-    a product outside U ends the search unclosed; otherwise U is closed
-    when every index is reached, after |U| x |A u A^-1| products.  Since
-    every product of every reached element with every map of A u A^-1 is
-    checked, any A inside U that generates U gives the same verdict; only
-    the count of products depends on A."""
+    U's index is built straight from the group and stratum rows
+    (`structural_parts`); `RowIndex` sorts and deduplicates them by key,
+    so no bytewise sort of U runs.  U is closed exactly when <A> = U for
+    the generators A of `union_generators`.  A breadth-first search over
+    U's indices composes each element it reaches with every map of
+    A u A^-1 and looks the distinct products up in U by key.  The maps
+    of A u A^-1 are found in U before they are packed, so they are
+    defined on U's live columns only and pack without count columns.
+    The first batch with a product outside U ends the search unclosed;
+    otherwise U is closed when every index is reached, after
+    |U| x |A u A^-1| products.  Since every product of every reached
+    element with every map of A u A^-1 is checked, any A inside U that
+    generates U gives the same verdict; only the count of products
+    depends on A."""
     b = len(family.blocks)
-    index = RowIndex(structural_rows(family, window, [[n] * b for _ in range(b)]))
+    index = RowIndex(structural_parts(family, window, [[n] * b for _ in range(b)]))
     gens = union_generators(family, n, window)
     gens = unique_rows(np.concatenate([gens, invert_rows(gens)]))
     frontier = index.find(gens)

@@ -81,10 +81,18 @@ class BlockFamily:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "BlockFamily":
+        """Read `to_config` output.  An unknown key or a name that is no
+        string is a `ParseError`, so a misspelt key is not dropped."""
         if not isinstance(cfg, dict) or not isinstance(cfg.get("blocks"), list):
             raise ParseError("a family config is an object with a list under 'blocks'")
+        extra = set(cfg) - {"blocks", "name"}
+        if extra:
+            raise ParseError(f"unknown family config keys: {sorted(extra)}")
+        name = cfg.get("name", "")
+        if not isinstance(name, str):
+            raise ParseError(f"family config name must be a string, got {type(name).__name__}")
         blocks = tuple(SetDescriptor.from_config(b) for b in cfg["blocks"])
-        return cls(blocks, name=cfg.get("name", ""))
+        return cls(blocks, name=name)
 
 
 # -- chain capacities ----------------------------------------------------

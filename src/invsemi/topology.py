@@ -124,9 +124,14 @@ class BasicOpen:
     @classmethod
     def from_config(cls, cfg: dict) -> "BasicOpen":
         """Read `to_config` output.  Points must be integers: a JSON
-        boolean or a numeric string is a `ParseError`, not a point."""
+        boolean or a numeric string is a `ParseError`, not a point.  An
+        unknown key is a `ParseError` too, so a misspelt key is not
+        dropped."""
         if not isinstance(cfg, dict):
             raise ParseError(f"open config must be an object, got {type(cfg).__name__}")
+        extra = set(cfg) - {"pairs", "forbid_dom", "forbid_im"}
+        if extra:
+            raise ParseError(f"unknown open config keys: {sorted(extra)}")
         pairs = cfg.get("pairs", [])
         if not isinstance(pairs, (list, tuple)) or not all(
                 isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_int, p))

@@ -271,6 +271,19 @@ def union_closed_by_search(family: BlockFamily, n: int, window: int) -> tuple[bo
     return result.closed and np.array_equal(result.rows, target), result.products
 
 
+def positions_by_bytes(u_rows: np.ndarray, queries: np.ndarray) -> np.ndarray | None:
+    """Reference for `RowIndex.find` and `products_in`: the distinct sorted
+    positions of the query rows among U's distinct rows in bytewise
+    order, looked up in a dict of row bytes; None when one is not in U."""
+    position = {r.tobytes(): i for i, r in enumerate(unique_rows(u_rows))}
+    found = set()
+    for r in queries:
+        if r.tobytes() not in position:
+            return None
+        found.add(position[r.tobytes()])
+    return np.array(sorted(found), dtype=np.intp)
+
+
 def union_generators_all_pairs(family: BlockFamily, n: int, window: int) -> np.ndarray:
     """Reference for `union_generators`: the sparse group generators, the
     empty map and, for each ordered pair of blocks, one map per rank k up

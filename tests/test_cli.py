@@ -536,6 +536,15 @@ def test_family_files_with_boolean_points_exit_one(tmp_path, capsys):
         assert captured.out == "" and "error:" in captured.err
 
 
+def test_misspelt_family_file_exits_one(tmp_path, capsys):
+    # the misspelt key once read as a family with an empty name
+    path = tmp_path / "misspelt.json"
+    path.write_text(json.dumps(dict(named_family("bound2").to_config(), nmae="x")))
+    assert main(["family-check", "--family", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown family config keys: ['nmae']" in captured.err
+
+
 def test_bad_inputs_exit_one(capsys):
     # each of these once surfaced as a bare ValueError or ZeroDivisionError
     for argv in (

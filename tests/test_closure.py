@@ -40,6 +40,7 @@ from invsemi.closure import (
     invert_rows,
     rows_closed_under_ops,
     sparse_group_generators,
+    structural_parts,
     structural_rows,
     union_closed,
     union_generators,
@@ -59,6 +60,7 @@ from conftest import (
     compose_dicts,
     group_rows_by_loop,
     invert_dict,
+    positions_by_bytes,
     random_partial_injection,
     structural_rows_by_loop,
     union_closed_by_search,
@@ -407,6 +409,102 @@ def test_product_keys_match_composed_rows(rng, window, span):
         shift[0, window - 1] = 0
         if np.any(left[:, 0] >= 0):
             assert index.products_in(index.encode(left), index.pack(shift)) is None
+
+
+# -- the index from raw rows ----------------------------------------------------
+
+# span < window leaves dead columns; 7 and 63 are the widest windows of 3 and 6 bits
+_INDEX_WINDOWS = [(7, 5), (22, 12), (63, 40), (MAX_WINDOW, 60)]
+
+
+def _raw_rows(rng, rows):
+    """`rows` shuffled, a third of them twice."""
+    picks = list(range(len(rows))) + rng.choices(range(len(rows)), k=len(rows) // 3)
+    rng.shuffle(picks)
+    return rows[picks]
+
+
+@pytest.mark.parametrize("window, span", _INDEX_WINDOWS)
+def test_row_index_sorts_and_deduplicates_raw_rows(rng, window, span):
+    for count in (1, 2, 40, 300):
+        rows = _raw_rows(rng, _random_rows(rng, count, window, span))
+        raw, distinct = RowIndex(rows), RowIndex(unique_rows(rows))
+        # the keys depend on the number of rows only through the word layout
+        assert raw.widths == distinct.widths
+        assert np.array_equal(raw.keys, distinct.keys)
+        assert np.array_equal(raw.entries, distinct.entries)
+        assert np.array_equal(raw.entries, raw.encode(unique_rows(rows)))
+
+
+def test_union_index_from_parts_matches_the_sorted_union():
+    cases = [(bound_example(), 2, 22), (common_point_family(3), 1, 9),
+             (dyadic_disjoint_family(3), 1, 12)]
+    for fam, n, window in cases:
+        b = len(fam.blocks)
+        parts = structural_parts(fam, window, [[n] * b] * b)
+        rows = structural_rows(fam, window, [[n] * b] * b)
+        assert np.array_equal(unique_rows(parts), rows)
+        raw, distinct = RowIndex(parts), RowIndex(rows)
+        assert raw.widths == distinct.widths
+        assert np.array_equal(raw.keys, distinct.keys)
+        assert np.array_equal(raw.entries, distinct.entries)
+    # bound2's U at bound 2: the strata repeat 162 maps of the groups and each other
+    fam = bound_example()
+    assert (len(structural_parts(fam, 22, [[2] * 2] * 2)),
+            len(structural_rows(fam, 22, [[2] * 2] * 2))) == (3385, 3223)
+
+
+@pytest.mark.parametrize("window, span", _INDEX_WINDOWS)
+def test_find_matches_a_dict_of_row_bytes(rng, window, span):
+    u = _random_rows(rng, 200, window, span)
+    index = RowIndex(_raw_rows(rng, u))
+    inside = _raw_rows(rng, u[rng.sample(range(len(u)), 50)])
+    foreign = _random_rows(rng, 20, window, span)
+    dead = u[:1].copy()
+    dead[0, window - 1] = window - 1  # a column no row of U defines
+    outcomes = []
+    for queries in (inside, u[:0], np.concatenate([inside, foreign]),
+                    np.concatenate([inside, dead])):
+        got, want = index.find(queries), positions_by_bytes(u, queries)
+        assert (got is None) == (want is None)
+        assert want is None or np.array_equal(got, want)
+        outcomes.append(got is None)
+    assert outcomes[0] is False and outcomes[-1] is True
+
+
+@pytest.mark.parametrize("window, span", _INDEX_WINDOWS)
+def test_products_in_matches_a_dict_of_row_bytes(rng, window, span):
+    left = _random_rows(rng, 60, window, span)
+    left[:, 0] = -1  # no row of left is defined at 0
+    left = unique_rows(left)
+    gens = _random_rows(rng, 7, window, span)
+    u = np.concatenate([left, gens, compose_rows(left, gens).reshape(-1, window)])
+
+    def lookup(u_rows, maps, counted):
+        index = RowIndex(_raw_rows(rng, u_rows))
+        packed = index.pack(maps)
+        k, m = len(maps), index.words
+        assert packed[2] == k * m and packed[0].shape[1] == k * (m + counted)
+        got = index.products_in(index.encode(left), packed)
+        want = positions_by_bytes(u_rows, compose_rows(left, maps).reshape(-1, window))
+        assert (got is None) == (want is None)
+        assert want is None or np.array_equal(got, want)
+        return got
+
+    # maps of U are defined on its live columns only: no count columns
+    assert lookup(u, gens, False) is not None
+    # U without one product outside left and gens: the lookup reports it
+    kept = {r.tobytes() for r in np.concatenate([left, gens])}
+    drop = next(p for p in u[len(left) + len(gens):] if p.tobytes() not in kept)
+    assert lookup(u[~(u == drop).all(axis=1)], gens, False) is None
+    # a map defined on a dead column packs with counts, which pass a
+    # product undefined there and catch one defined there
+    hit = int(np.flatnonzero((left >= 0).any(axis=0))[0])
+    for target, inside in ((0, True), (hit, False)):
+        g = gens[:1].copy()
+        g[g == target] = -1
+        g[0, window - 1] = target
+        assert (lookup(u, g, True) is not None) is inside
 
 
 def test_minimal_window_covers_the_data():

@@ -41,6 +41,7 @@ from invsemi.catalog import (
     unequal_example,
     violating_family,
 )
+from invsemi.errors import ParseError
 from invsemi.symbolic import compose_chain
 
 from conftest import chain_capacity_by_literal_walk, project_to_window
@@ -74,6 +75,18 @@ def test_family_config_round_trip():
     }
     with pytest.raises(ValueError, match="overlap infinitely"):
         BlockFamily.from_config(bad)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"nmae": "x"}, "unknown family config keys: \\['nmae'\\]"),
+    ({"name": "x", "block": []}, "unknown family config keys: \\['block'\\]"),
+    ({"name": 5}, "name must be a string"),
+    ({"name": None}, "name must be a string"),
+])
+def test_family_config_rejects_unknown_keys_and_odd_names(extra, message):
+    cfg = {"blocks": five_block_example().to_config()["blocks"], **extra}
+    with pytest.raises(ParseError, match=message):
+        BlockFamily.from_config(cfg)
 
 
 def test_intersection_matrix():

@@ -140,6 +140,17 @@ def test_open_config_points_must_be_integers(cfg):
         BasicOpen.from_config(cfg)
 
 
+@pytest.mark.parametrize("cfg, key", [
+    ({"pairs": [[1, 2]], "forbid-dom": [3]}, "forbid-dom"),
+    ({"pair": [[1, 2]]}, "pair"),
+    ({"pairs": [], "forbid_dom": [], "forbid_im": [], "bound": 4}, "bound"),
+])
+def test_open_config_rejects_unknown_keys(cfg, key):
+    # a misspelt key once dropped its content: v(1,2) without w1(3)
+    with pytest.raises(ParseError, match=f"unknown open config keys: \\['{key}'\\]"):
+        BasicOpen.from_config(cfg)
+
+
 def test_open_describe_and_config():
     v = BasicOpen(((1, 2),), (3,), (4,))
     assert v.describe() == "v(1,2) & w1(3) & w2(4)"
