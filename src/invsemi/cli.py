@@ -53,28 +53,17 @@ from .topology import (
 )
 
 
-def _window_arg(text: str) -> int:
-    """A `--window` value: at least one point."""
-    window = int(text)
-    if window < 1:
-        raise argparse.ArgumentTypeError(f"window must be at least 1, got {window}")
-    return window
+def _at_least(name: str, least: int):
+    """An argparse type for a count `name` that must be at least `least`."""
 
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{name} must be at least {least}, got {value}")
+        return value
 
-def _bound_arg(text: str) -> int:
-    """A `--bound` value: a rank, so at least zero."""
-    bound = int(text)
-    if bound < 0:
-        raise argparse.ArgumentTypeError(f"bound must be at least 0, got {bound}")
-    return bound
-
-
-def _trials_arg(text: str) -> int:
-    """A `--trials` value: a number of opens, so at least zero."""
-    trials = int(text)
-    if trials < 0:
-        raise argparse.ArgumentTypeError(f"trials must be at least 0, got {trials}")
-    return trials
+    parse.__name__ = name  # argparse names the type in "invalid ... value"
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -290,9 +279,6 @@ def cmd_chains(args) -> int:
     started = time.monotonic()
     if args.max_interior is not None and not args.check:
         raise ParseError("--max-interior bounds the walk oracle and needs --check")
-    if args.max_interior is not None and args.max_interior < 1:
-        raise ParseError("--max-interior must be at least 1: a chain has "
-                         "at least one interior entry")
     fam = _load_family(args.family)
     b = len(fam.blocks)
     dp = chain_capacity_matrix(fam)
@@ -552,8 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="close the block groups under "
                                 "composition and inverse")
     run.add_argument("--family", required=True)
-    run.add_argument("--window", type=_window_arg, default=None)
-    run.add_argument("--max", type=int, default=200000,
+    run.add_argument("--window", type=_at_least("window", 1), default=None)
+    run.add_argument("--max", type=_at_least("max", 0), default=200000,
                      help="element budget before giving up")
     run.add_argument("--sparse", action="store_true",
                      help="generate each group from a transposition and a cycle")
@@ -566,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--check", action="store_true",
                     help="cross-check the dynamic program against literal "
                          "walk enumeration")
-    ch.add_argument("--max-interior", type=int, default=None,
+    ch.add_argument("--max-interior", type=_at_least("max-interior", 1), default=None,
                     help="longest chain interior the --check oracle walks")
     ch.add_argument("--csv", help="write the capacity matrix as CSV")
     ch.set_defaults(func=cmd_chains)
@@ -591,8 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="the rank-bounded union is a subsemigroup "
                                "exactly when every overlap fits the bound")
     cb.add_argument("--family", required=True)
-    cb.add_argument("--bound", type=_bound_arg, required=True)
-    cb.add_argument("--window", type=_window_arg, default=None)
+    cb.add_argument("--bound", type=_at_least("bound", 0), required=True)
+    cb.add_argument("--window", type=_at_least("window", 1), default=None)
     cb.set_defaults(func=cmd_verify_closure_bound)
 
     iw = vesub.add_parser("ideal-witness", parents=[common],
@@ -601,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     iw.add_argument("--ideal", choices=["fin", "empty"], default="fin")
     iw.add_argument("--pivot", default="tail mod 2 residues [0]",
                     help="set descriptor text for the extending set")
-    iw.add_argument("--trials", type=_trials_arg, default=50)
+    iw.add_argument("--trials", type=_at_least("trials", 0), default=50)
     iw.add_argument("--seed", type=int, required=True)
     iw.set_defaults(func=cmd_verify_ideal_witness)
 
@@ -609,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="the inverse-product set around the shared "
                                "identity has empty interior")
     pw.add_argument("--family", default="common-point")
-    pw.add_argument("--trials", type=_trials_arg, default=100)
+    pw.add_argument("--trials", type=_at_least("trials", 0), default=100)
     pw.add_argument("--seed", type=int, required=True)
     pw.add_argument("--windows", default="12,20,28")
     pw.set_defaults(func=cmd_verify_pettis_witness)

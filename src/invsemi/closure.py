@@ -75,7 +75,7 @@ def _check_rows(rows: np.ndarray) -> None:
     """Raise unless `rows` is a 2-D int8 array of partial injections: every
     entry is -1 or a point below the window, and no two points of a row
     share an image."""
-    if rows.ndim != 2 or rows.dtype != np.int8:
+    if not isinstance(rows, np.ndarray) or rows.ndim != 2 or rows.dtype != np.int8:
         raise ValueError("generator rows must be a 2-D int8 array")
     if rows.min() < -1 or rows.max() >= rows.shape[1]:
         raise ValueError("point outside window")
@@ -128,20 +128,15 @@ class ClosureResult:
         return len(self.rows)
 
 
-def closure_of(
-    generators: np.ndarray | Sequence[PartialBijection], max_elements: int | None = None
-) -> ClosureResult:
+def closure_of(rows: np.ndarray, max_elements: int | None = None) -> ClosureResult:
     """Inverse semigroup generated by A, given as an (n, window) int8 row
-    array or as maps (encoded once here): each new element is composed
-    with every map of A u A^-1 once, which enumerates it with no inverse
-    pass.  Stops unclosed before a batch would take it past max_elements."""
-    if len(generators) == 0:
+    array (`encode_rows` turns maps into one): each new element is
+    composed with every map of A u A^-1 once, which enumerates it with no
+    inverse pass.  Stops unclosed before a batch would take it past
+    max_elements."""
+    if len(rows) == 0:
         raise ValueError("need at least one generator")
-    if isinstance(generators, np.ndarray):
-        _check_rows(generators)
-        rows = generators
-    else:
-        rows = encode_rows(generators, generators[0].window)
+    _check_rows(rows)
     window = rows.shape[1]
     gens = unique_rows(np.concatenate([rows, invert_rows(rows)]))
     seen = set(_row_keys(gens))
@@ -205,27 +200,26 @@ def _index_tuples(n: int, k: int, ordered: bool) -> np.ndarray:
     return out
 
 
-def sparse_group_generators(block: SetDescriptor, window: int) -> list[PartialBijection]:
-    """A transposition and a full cycle: enough to regrow the whole group."""
+def sparse_group_generators(block: SetDescriptor, window: int) -> np.ndarray:
+    """As int8 rows, the transposition of the block's first two points
+    below the window, then the full cycle of them: enough to regrow the
+    whole group.  Two points take the transposition alone, fewer the
+    identity on them."""
     pts = block.below(window)
-    if len(pts) < 2:
-        return [PartialBijection.identity_on(pts, window)]
-    swap = {pts[0]: pts[1], pts[1]: pts[0]}
-    maps = [PartialBijection.of({p: swap.get(p, p) for p in pts}, window)]
-    if len(pts) > 2:
-        cycle = {p: q for p, q in zip(pts, pts[1:] + pts[:1])}
-        maps.append(PartialBijection.of(cycle, window))
-    return maps
+    n = len(pts)
+    swap, cycle = [1, 0, *range(2, n)], [*range(1, n), 0]
+    perms = [list(range(n))] if n < 2 else [swap, cycle][: n - 1]
+    rows = blank_rows(len(perms), window)
+    rows[:, pts] = np.asarray(pts, dtype=np.intp)[np.array(perms, dtype=np.intp)]
+    return rows
 
 
 def family_generators(family: BlockFamily, window: int, sparse: bool = False) -> np.ndarray:
     """The generators of the block groups as int8 rows: every element of
     each windowed group, or with `sparse` a transposition and a full cycle
     per block."""
-    if sparse:
-        maps = [f for b in family.blocks for f in sparse_group_generators(b, window)]
-        return encode_rows(maps, window)
-    return np.concatenate([group_rows(b, window) for b in family.blocks])
+    build = sparse_group_generators if sparse else group_rows
+    return np.concatenate([build(b, window) for b in family.blocks])
 
 
 def structural_rows(
@@ -279,38 +273,38 @@ def compare_with_structural(
     got = result.rows
     if np.array_equal(got, target):  # both sorted and distinct
         return StructuralDiff(True, (), (), len(got), len(target))
-    target_keys = {r.tobytes() for r in target}
-    got_keys = {r.tobytes() for r in got}
-    missing = tuple(
-        decode_row(r, result.window) for r in target if r.tobytes() not in got_keys
-    )
-    extra = tuple(
-        decode_row(r, result.window) for r in got if r.tobytes() not in target_keys
-    )
-    return StructuralDiff(
-        matches=not missing and not extra,
-        missing=missing,
-        extra=extra,
-        closure_size=len(got),
-        structural_size=len(target),
-    )
+    got_keys, target_keys = set(_row_keys(got)), set(_row_keys(target))
+    missing = tuple(decode_row(r, result.window) for r in target if r.tobytes() not in got_keys)
+    extra = tuple(decode_row(r, result.window) for r in got if r.tobytes() not in target_keys)
+    return StructuralDiff(not missing and not extra, missing, extra, len(got), len(target))
+
+
+def composition_escape(rows: np.ndarray) -> tuple[int, np.ndarray | None]:
+    """All-pairs scan of a row set under composition, batches of left
+    factors against the whole set: (products composed up to the batch of
+    the first escape, the first composite outside the set in (i, j) order
+    or None)."""
+    keys = {r.tobytes() for r in rows}
+    checked = 0
+    step = max(1, BLOCK_PRODUCTS // len(rows))
+    for start in range(0, len(rows), step):
+        prods = compose_rows(rows[start : start + step], rows).reshape(-1, rows.shape[1])
+        checked += len(prods)
+        escape = next((k for k in _row_keys(prods) if k not in keys), None)
+        if escape is not None:
+            return checked, np.frombuffer(escape, dtype=np.int8)
+    return checked, None
 
 
 def rows_closed_under_ops(rows: np.ndarray, window: int) -> tuple[bool, int]:
     """All-pairs check that a row set is closed under composition and
     inverse: the reference oracle for `union_closed`.
 
-    Returns (closed, products_checked); stops at the first escape."""
+    Returns (closed, products_checked), with `composition_escape`'s count;
+    `window` is the width of the rows."""
+    checked, escape = composition_escape(rows)
     keys = {r.tobytes() for r in rows}
-    checked = 0
-    step = max(1, BLOCK_PRODUCTS // len(rows))
-    for start in range(0, len(rows), step):
-        prods = compose_rows(rows, rows[start : start + step]).reshape(-1, window)
-        checked += len(prods)
-        if any(r.tobytes() not in keys for r in unique_rows(prods)):
-            return False, checked
-    closed = all(r.tobytes() in keys for r in invert_rows(rows))
-    return closed, checked
+    return escape is None and all(r.tobytes() in keys for r in invert_rows(rows)), checked
 
 
 def union_generators(family: BlockFamily, n: int, window: int) -> np.ndarray:
@@ -390,7 +384,7 @@ class RowIndex:
         # spread[t] puts live entry t, scaled, into its word
         self.spread = np.zeros((len(self.live), self.words))
         self.spread[slot, self.word_of] = self.scale
-        self._identity = self.pack(np.arange(window, dtype=np.int8)[None])
+        self._identity = self.pack(np.where(self.slot_of < 0, -1, np.arange(window))[None])
         words = (self.encode(rows[:, self.live]) @ self.spread).astype(np.int64)
         # `order` sorts the rows by the key folded so far: a prefix's rank
         # counts the distinct prefixes before it, and repeats end up next
@@ -416,48 +410,33 @@ class RowIndex:
         """The entries as float64, -1 as all ones."""
         return np.where(rows < 0, self.ones, rows)
 
-    def pack(self, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-        """(M, c, split) such that, for m words and k maps g_j,
-        encode(u) @ M + c holds the words of u o g_j in columns
-        j*m .. j*m + m - 1, the first split = k*m columns.  Entry x of
-        u o g_j is entry g_j(x) of u, or -1 where g_j is undefined at x.
-
-        u o g_j is defined on a dead column only where g_j is.  So only
-        when some g_j is defined on a dead column does M get k more
-        columns: in column split + j, a count that is zero exactly when
-        u o g_j is undefined on every dead column.  Maps inside U, which
-        are defined on live columns only, pack without them."""
+    def pack(self, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(M, c) such that, for m words and k maps g_j defined on U's
+        live columns only, encode(u) @ M + c holds the words of u o g_j
+        in columns j*m .. j*m + m - 1.  Entry x of u o g_j is entry g_j(x)
+        of u, or -1 where g_j is undefined at x, so u o g_j too is defined
+        on live columns only.  A map defined on a dead column raises
+        ValueError: its products could leave U on a column no key reads."""
         k, window = gens.shape
         m = self.words
-        split = k * m
         js, xs = np.nonzero(gens >= 0)
         slot = self.slot_of[xs]
-        live = slot >= 0
-        counted = not live.all()
-        pack = np.zeros((window, split + k * counted))
-        js_l, slot_l = js[live], slot[live]
-        pack[gens[js_l, xs[live]], js_l * m + self.word_of[slot_l]] = self.scale[slot_l]
+        if np.any(slot < 0):
+            raise ValueError("cannot pack a map defined on a column no row of U defines")
+        pack = np.zeros((window, k * m))
+        pack[gens[js, xs], js * m + self.word_of[slot]] = self.scale[slot]
         shift = ((gens[:, self.live] < 0) * self.ones @ self.spread).reshape(-1)
-        if counted:
-            # for each dead x with g_j(x) = y, the count gains ones - entry y
-            # of u, which is zero exactly when u is undefined at y
-            js_d = js[~live]
-            pack[gens[js_d, xs[~live]], split + js_d] = -1.0
-            shift = np.concatenate([shift, np.bincount(js_d, minlength=k) * self.ones])
-        return pack, shift, split
+        return pack, shift
 
     def products_in(
-        self, entries: np.ndarray, packed: tuple[np.ndarray, np.ndarray, int]
+        self, entries: np.ndarray, packed: tuple[np.ndarray, np.ndarray]
     ) -> np.ndarray | None:
         """The distinct sorted positions in U of the products u o g_j for
         the rows u with these encoded entries and the maps g_j of
-        `packed`; None when a product is not in U.  Most products repeat,
-        so each distinct key is looked up once."""
-        pack, shift, split = packed
-        out = entries @ pack + shift
-        if np.any(out[:, split:]):
-            return None
-        words = out[:, :split].astype(np.int64).reshape(-1, self.words)
+        `packed` (`pack`); None when a product is not in U.  Most products
+        repeat, so each distinct key is looked up once."""
+        pack, shift = packed
+        words = (entries @ pack + shift).astype(np.int64).reshape(-1, self.words)
         key = words[:, 0]
         for prefix, width, word in zip(self.prefixes, self.widths[1:], words[:, 1:].T):
             pos = np.searchsorted(prefix, key)
@@ -472,7 +451,9 @@ class RowIndex:
 
     def find(self, rows: np.ndarray) -> np.ndarray | None:
         """The distinct sorted positions of `rows` in U; None when one is not
-        in U."""
+        in U, as is every row defined on a dead column."""
+        if np.any(rows[:, self.slot_of < 0] >= 0):
+            return None
         return self.products_in(self.encode(rows), self._identity)
 
 
@@ -487,7 +468,7 @@ def union_closed(family: BlockFamily, n: int, window: int) -> tuple[bool, int]:
     U's indices composes each element it reaches with every map of
     A u A^-1 and looks the distinct products up in U by key.  The maps
     of A u A^-1 are found in U before they are packed, so they are
-    defined on U's live columns only and pack without count columns.
+    defined on U's live columns only, as `RowIndex.pack` requires.
     The first batch with a product outside U ends the search unclosed;
     otherwise U is closed when every index is reached, after
     |U| x |A u A^-1| products.  Since every product of every reached
@@ -545,7 +526,8 @@ def check_closure_bound(family: BlockFamily, n: int, window: int | None = None) 
     escapes every stratum of the union; the report carries that witness
     in exact (unwindowed) form.  A negative n is refused: the union
     always holds the empty map, which a bound below 0 would report as an
-    escape.
+    escape.  So is a window below `minimal_window`, the default: it could
+    leave overlap points out of the check.
     """
     from .symbolic import format_sym, partial_identity
 
@@ -582,8 +564,12 @@ def check_closure_bound(family: BlockFamily, n: int, window: int | None = None) 
             witness=witness,
             products_checked=0,
         )
-    if window is None:
-        window = minimal_window(family, [[n] * b for _ in range(b)])
+    least = minimal_window(family, [[n] * b for _ in range(b)])
+    window = least if window is None else window
+    if window < least:
+        raise WindowMismatchError(
+            f"window {window} is below the minimal window {least} of this family at bound {n}"
+        )
     ok, checked = union_closed(family, n, window)
     return ClosureBoundReport(
         satisfied=True,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Union
 
-from .closure import BLOCK_PRODUCTS, compose_rows, decode_row, encode_rows
+from .closure import composition_escape, decode_row, encode_rows
 from .descriptors import NATURALS, SetDescriptor
 from .pbij import PartialBijection, all_partial_bijections
 from .symbolic import (
@@ -244,19 +244,10 @@ def _composition_escape(model: CollectionModel, window: int):
     members = _windowed_members(model, window)
     if not members:
         return 0, None
-    rows = encode_rows(members, window)
     # the members are every windowed map whose domain and image the model
     # holds, so a composite lies in S(C) exactly when its row is a member's
-    keys = {r.tobytes() for r in rows}
-    step = max(1, BLOCK_PRODUCTS // len(members))
-    checked = 0
-    for lo in range(0, len(members), step):
-        prods = compose_rows(rows[lo:lo + step], rows).reshape(-1, window)
-        checked += prods.shape[0]
-        for r in prods:
-            if r.tobytes() not in keys:
-                return checked, decode_row(r, window)
-    return checked, None
+    checked, escape = composition_escape(encode_rows(members, window))
+    return checked, None if escape is None else decode_row(escape, window)
 
 
 def _meet_pool(model: CollectionModel, window: int) -> list[SetDescriptor]:

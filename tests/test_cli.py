@@ -552,6 +552,7 @@ def test_bad_inputs_exit_one(capsys):
         ["family-check", "--family", "common-point:x"],
         ["verify", "closure-bound", "--family", "bound2", "--bound", "2", "--window", "0"],
         ["closure", "run", "--family", "disjoint:2", "--window", "-1"],
+        ["closure", "run", "--family", "disjoint:2", "--max", "-1"],
         ["verify", "pettis-witness", "--trials", "2", "--seed", "7", "--windows", "a,b"],
         ["verify", "pettis-witness", "--trials", "2", "--seed", "7", "--family", "disjoint"],
         ["verify", "ideal-witness", "--trials", "2", "--seed", "1",
@@ -564,6 +565,15 @@ def test_bad_inputs_exit_one(capsys):
     assert main(["verify", "closure-bound", "--family", "disjoint:2", "--bound", "-1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "argument --bound: bound must be at least 0" in captured.err
+
+
+def test_closure_bound_window_below_the_family_exits_one(capsys):
+    # window 3 once reported bound2's union closed after 4 products,
+    # with the overlap points 16 and 17 outside the window
+    assert main(["verify", "closure-bound", "--family", "bound2", "--bound", "2",
+                 "--window", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "window 3" in captured.err and "window 22" in captured.err
 
 
 def test_internal_value_errors_are_not_usage_errors(monkeypatch, capsys):

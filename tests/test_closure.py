@@ -23,6 +23,7 @@ from invsemi import (
     PartialBijection,
     SetDescriptor,
     check_closure_bound,
+    WindowMismatchError,
     closure_of,
     compare_with_structural,
     minimal_window,
@@ -33,6 +34,7 @@ from invsemi.closure import (
     RowIndex,
     _sorted_distinct,
     compose_rows,
+    composition_escape,
     decode_row,
     encode_rows,
     family_generators,
@@ -109,7 +111,7 @@ def test_invert_rows(rng):
 def test_closure_matches_dict_oracle(seed):
     rng = random.Random(seed)
     gens = [random_partial_injection(rng, 5) for _ in range(3)]
-    result = closure_of(gens)
+    result = closure_of(encode_rows(gens, 5))
     expected = closure_dicts([g.as_dict() for g in gens])
     got = {frozenset(f.pairs) for f in result.elements}
     assert got == expected
@@ -118,7 +120,7 @@ def test_closure_matches_dict_oracle(seed):
 
 def test_closure_budget():
     gens = windowed_block_group(SetDescriptor.naturals(), 6)[:30]
-    result = closure_of(gens, max_elements=50)
+    result = closure_of(encode_rows(gens, 6), max_elements=50)
     assert not result.closed  # stopped before the frontier burst the budget
     assert result.size() <= 50
     assert result.products <= BLOCK_PRODUCTS  # the first batch already overflows
@@ -147,6 +149,28 @@ def test_sparse_generators_generate_the_full_group():
     # closure also picks up restrictions, so compare against the union
     perms = {f for f in result.elements if len(f.pairs) == 5}
     assert perms == group
+
+
+def _sparse_maps(block, window):
+    """The transposition of the first two points and the full cycle, as maps."""
+    pts = block.below(window)
+    if len(pts) < 2:
+        return [PartialBijection.identity_on(pts, window)]
+    swap = {pts[0]: pts[1], pts[1]: pts[0]}
+    maps = [PartialBijection.of({p: swap.get(p, p) for p in pts}, window)]
+    if len(pts) > 2:
+        maps.append(PartialBijection.of(zip(pts, pts[1:] + pts[:1]), window))
+    return maps
+
+
+def test_sparse_rows_encode_the_transposition_and_the_cycle():
+    small = [SetDescriptor.from_points(p) for p in ([], [4], [2, 7])]
+    for block in small + [blk for fam in CATALOG for blk in fam.blocks]:
+        for window in (9, 16):
+            got = sparse_group_generators(block, window)
+            want = encode_rows(_sparse_maps(block, window), window)
+            assert got.dtype == np.int8 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_disjoint_family_closure_sizes():
@@ -210,6 +234,18 @@ def test_closure_bound_refuses_a_negative_bound():
     assert issubclass(InvalidBoundError, ValueError)
 
 
+def test_closure_bound_refuses_a_window_below_the_minimal_one():
+    # bound2's overlap points 16 and 17 lie outside window 3
+    fam = bound_example()
+    least = minimal_window(fam, [[2, 2], [2, 2]])
+    assert check_closure_bound(fam, 2, least).products_checked == 41899
+    for window in (3, least - 1):
+        with pytest.raises(WindowMismatchError, match=f"window {window} .* {least}"):
+            check_closure_bound(fam, 2, window)
+    # the violated branch needs no window
+    assert not check_closure_bound(fam, 1, 3).satisfied
+
+
 def test_closure_bound_violated_branch():
     fam = bound_example()
     report = check_closure_bound(fam, 1)
@@ -238,6 +274,44 @@ def test_union_closed_matches_all_pairs_oracle(seed):
     for n in range(max(bound - 1, 0), bound + 1):
         rows = structural_rows(fam, window, [[n] * b for _ in range(b)])
         assert union_closed(fam, n, window)[0] == rows_closed_under_ops(rows, window)[0]
+
+
+def _escape_by_plain_scan(rows, step):
+    """The first (i, j) with rows[i] o rows[j] outside the rows, by dicts,
+    and the products in the batches of `step` left factors up to it."""
+    maps = [decode_row(r, rows.shape[1]).as_dict() for r in rows]
+    inside = {frozenset(f.items()) for f in maps}
+    for i, f in enumerate(maps):
+        for g in maps:
+            h = compose_dicts(f, g)
+            if frozenset(h.items()) not in inside:
+                return min(len(rows), (i // step + 1) * step) * len(rows), h
+    return len(rows) ** 2, None
+
+
+def _escape_cases(rng):
+    closed = [closure_of(family_generators(dyadic_disjoint_family(2), 6)).rows,
+              structural_rows(common_point_family(3), 8)]
+    for _ in range(3):
+        gens = encode_rows([random_partial_injection(rng, 5) for _ in range(2)], 5)
+        closed.append(closure_of(gens).rows)
+    yield from closed
+    for rows in closed:  # one element left out, so a product escapes
+        yield np.delete(rows, rng.randrange(len(rows)), axis=0)
+    yield encode_rows([random_partial_injection(rng, 6) for _ in range(30)], 6)
+
+
+def test_composition_escape_matches_a_plain_scan(rng, monkeypatch):
+    for block_products in (BLOCK_PRODUCTS, 300):
+        monkeypatch.setattr("invsemi.closure.BLOCK_PRODUCTS", block_products)
+        for rows in _escape_cases(rng):
+            checked, escape = composition_escape(rows)
+            want_checked, want = _escape_by_plain_scan(rows, max(1, block_products // len(rows)))
+            assert checked == want_checked
+            if want is None:
+                assert escape is None
+            else:
+                assert decode_row(escape, rows.shape[1]).as_dict() == want
 
 
 def test_union_closed_above_every_overlap():
@@ -393,13 +467,14 @@ def test_product_keys_match_composed_rows(rng, window, span):
     left = _random_rows(rng, 60, window, span)
     gens = _random_rows(rng, 7, window, span)
     products = compose_rows(left, gens).reshape(-1, window)
-    rows = unique_rows(np.concatenate([left, products]))
+    rows = unique_rows(np.concatenate([left, gens, products]))
     index = RowIndex(rows)
     got = index.products_in(index.encode(left), index.pack(gens))
     want = np.unique([np.flatnonzero((rows == p).all(axis=1))[0] for p in products])
     assert np.array_equal(got, want)
-    # drop one product from U: the lookup reports it
-    missing = np.flatnonzero(~np.isin(np.arange(len(rows)), index.find(left)))
+    # drop one product outside left and gens from U: the lookup reports it
+    factors = np.concatenate([index.find(left), index.find(gens)])
+    missing = np.flatnonzero(~np.isin(np.arange(len(rows)), factors))
     if len(missing):
         smaller = RowIndex(np.delete(rows, missing[0], axis=0))
         assert smaller.products_in(smaller.encode(left), smaller.pack(gens)) is None
@@ -407,8 +482,8 @@ def test_product_keys_match_composed_rows(rng, window, span):
     if span < window:
         shift = np.full((1, window), -1, dtype=np.int8)
         shift[0, window - 1] = 0
-        if np.any(left[:, 0] >= 0):
-            assert index.products_in(index.encode(left), index.pack(shift)) is None
+        with pytest.raises(ValueError, match="no row of U defines"):
+            index.pack(shift)
 
 
 # -- the index from raw rows ----------------------------------------------------
@@ -480,31 +555,32 @@ def test_products_in_matches_a_dict_of_row_bytes(rng, window, span):
     gens = _random_rows(rng, 7, window, span)
     u = np.concatenate([left, gens, compose_rows(left, gens).reshape(-1, window)])
 
-    def lookup(u_rows, maps, counted):
+    def lookup(u_rows, maps):
         index = RowIndex(_raw_rows(rng, u_rows))
         packed = index.pack(maps)
-        k, m = len(maps), index.words
-        assert packed[2] == k * m and packed[0].shape[1] == k * (m + counted)
+        assert packed[0].shape[1] == len(maps) * index.words
         got = index.products_in(index.encode(left), packed)
         want = positions_by_bytes(u_rows, compose_rows(left, maps).reshape(-1, window))
         assert (got is None) == (want is None)
         assert want is None or np.array_equal(got, want)
         return got
 
-    # maps of U are defined on its live columns only: no count columns
-    assert lookup(u, gens, False) is not None
+    # maps of U are defined on its live columns only
+    assert lookup(u, gens) is not None
     # U without one product outside left and gens: the lookup reports it
     kept = {r.tobytes() for r in np.concatenate([left, gens])}
     drop = next(p for p in u[len(left) + len(gens):] if p.tobytes() not in kept)
-    assert lookup(u[~(u == drop).all(axis=1)], gens, False) is None
-    # a map defined on a dead column packs with counts, which pass a
-    # product undefined there and catch one defined there
+    assert lookup(u[~(u == drop).all(axis=1)], gens) is None
+    # a map defined on a dead column is refused, whether or not a product
+    # of left with it is defined there
     hit = int(np.flatnonzero((left >= 0).any(axis=0))[0])
-    for target, inside in ((0, True), (hit, False)):
+    index = RowIndex(u)
+    for target in (0, hit):
         g = gens[:1].copy()
         g[g == target] = -1
         g[0, window - 1] = target
-        assert (lookup(u, g, True) is not None) is inside
+        with pytest.raises(ValueError, match="no row of U defines"):
+            index.pack(g)
 
 
 def test_minimal_window_covers_the_data():
@@ -586,9 +662,10 @@ def test_block_group_keeps_the_permutation_order():
 
 def test_closure_rows_are_the_encoded_elements(rng):
     runs = [
-        closure_of([random_partial_injection(rng, 6) for _ in range(3)]),
+        closure_of(encode_rows([random_partial_injection(rng, 6) for _ in range(3)], 6)),
         closure_of(family_generators(common_point_family(3), 8)),
-        closure_of(windowed_block_group(SetDescriptor.naturals(), 6)[:30], max_elements=50),
+        closure_of(encode_rows(windowed_block_group(SetDescriptor.naturals(), 6)[:30], 6),
+                   max_elements=50),
     ]
     for result in runs:
         encoded = encode_rows(result.elements, result.window)
@@ -636,7 +713,7 @@ def test_row_and_map_generators_close_alike(fam, window):
     for gens in (full, sparse):
         maps = [decode_row(r, window) for r in gens]
         for cap in (None, whole.size() // 2):
-            got, want = closure_of(gens, cap), closure_of(maps, cap)
+            got, want = closure_of(gens, cap), closure_of(encode_rows(maps, window), cap)
             assert np.array_equal(got.rows, want.rows)
             assert got.frontier_sizes == want.frontier_sizes
             assert (got.products, got.closed) == (want.products, want.closed)
@@ -688,6 +765,8 @@ def test_closure_refuses_rows_that_are_no_partial_injections():
     bad = [
         (swap.astype(np.int16), ValueError, "2-D int8"),
         (swap[0], ValueError, "2-D int8"),
+        ([PartialBijection.of([(0, 1), (1, 0)], 4)], ValueError, "2-D int8"),  # maps, not rows
+        ([[1, 0, -1, -1]], ValueError, "2-D int8"),
         (np.array([[4, -1, -1, -1]], np.int8), ValueError, "outside window"),
         (np.array([[-2, -1, -1, -1]], np.int8), ValueError, "outside window"),
         (np.array([[2, -1, 2, -1]], np.int8), NotInjectiveError, "repeated target"),

@@ -1,0 +1,22 @@
+"""The two research scripts, run end to end as subprocesses."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["closure_sweep.py", "--count", "3", "--seed", "1"], "3/3 families agree"),
+    (["chain_report.py", "five-ring"], "[oracle agrees]"),
+], ids=["closure_sweep", "chain_report"])
+def test_research_script_runs(argv, line):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert line in out.stdout
