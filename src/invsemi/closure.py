@@ -8,7 +8,8 @@ over the generators and their inverses, with exact dedup; companion
 builders enumerate the structural candidate sets (windowed block groups
 plus finite strata) straight into rows, so the two routes are compared
 row by row.  The closedness check of a known union runs the same search
-over the union's own indices, with exact integer keys (`RowIndex`).
+over the union's own indices, with exact one-word integer keys
+(`RowIndex`).
 Rows become ``PartialBijection``s only when a caller asks to see the
 maps.
 """
@@ -133,12 +134,15 @@ def closure_of(rows: np.ndarray, max_elements: int | None = None) -> ClosureResu
     array (`encode_rows` turns maps into one): each new element is
     composed with every map of A u A^-1 once, which enumerates it with no
     inverse pass.  Stops unclosed before a batch would take it past
-    max_elements."""
+    max_elements; when A u A^-1 alone is past it, the result is unclosed
+    and empty, with no rounds and no products."""
     if len(rows) == 0:
         raise ValueError("need at least one generator")
     _check_rows(rows)
     window = rows.shape[1]
     gens = unique_rows(np.concatenate([rows, invert_rows(rows)]))
+    if max_elements is not None and len(gens) > max_elements:
+        return ClosureResult(gens[:0], (), 0, False, window)
     seen = set(_row_keys(gens))
     found = [gens]
     frontier_sizes = [len(gens)]
@@ -349,141 +353,173 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
     return keys[_run_starts(keys)]
 
 
+KEY_BITS = 52  # widest key word that a float64 matmul forms exactly
+NO_KEY = np.iinfo(np.int64).max  # above every key: a row that no key group holds
+
+
 class RowIndex:
-    """Exact int64 keys for a fixed set U of rows, sorted as `unique_rows`
-    sorts them, and lookup of other rows in U.  The rows may come in any
-    order and with repeats: the index sorts and deduplicates them by key,
-    and `entries` holds U's distinct rows in key order.
+    """One-word int64 keys for a fixed set U of rows, and lookup of other
+    rows in U.
 
-    Only U's live columns, those some row of U defines, enter a key; a
-    row defined on a dead column is not in U.  A live entry takes
-    b = window.bit_length() bits, -1 as all ones, so it sorts after every
-    point, as in the bytewise order.  The entries of a row are packed,
-    first entry highest, into words of at most 52 bits, which a float64
-    matmul forms exactly.  The words fold left to right into one key:
-    each prefix is replaced by its rank among U's prefixes and shifted
-    above the next word, so every window up to MAX_WINDOW fits.  A rank
-    is below the number of rows given, which sizes the words, so the
-    keys depend on that count only through the word layout (`widths`).
-    U's keys come out strictly increasing, and a row whose prefix no row
-    of U has is not in U."""
+    The columns fall into key `groups` (column arrays, which may overlap),
+    and every row of U must lie in a group: no column outside it is
+    defined.  A row's key under group t is t, above the row's entries on
+    t's columns.  An entry takes b = window.bit_length() bits, -1 as all
+    ones, so it sorts after every point, and the entries are packed first
+    column highest: under one group the keys sort as `unique_rows` sorts
+    the rows.  The entries of a group must fit one 52-bit word, which a
+    float64 matmul forms exactly.
 
-    def __init__(self, rows: np.ndarray):
+    The rows may come in any order and with repeats.  `entries` holds U's
+    distinct rows, sorted by their key under the first group that holds
+    each.  A row that several groups hold (the empty map, a map defined on
+    overlap points only) is an alias: it is listed under each of them,
+    with one position.  A row that no group holds is not in U."""
+
+    def __init__(self, rows: np.ndarray, groups: Sequence[Sequence[int]]):
         count, window = rows.shape
         self.bits = window.bit_length()
-        self.ones = float((1 << self.bits) - 1)
-        self.live = np.flatnonzero((rows >= 0).any(axis=0))
-        per_word = max(1, min(52, 62 - count.bit_length()) // self.bits)
-        slot = np.arange(len(self.live))
-        self.slot_of = np.full(window, -1)  # live slot of each column, -1 if dead
-        self.slot_of[self.live] = slot
-        self.word_of = slot // per_word
-        ends = np.minimum(self.word_of * per_word + per_word, len(self.live))
-        self.scale = np.ldexp(1.0, self.bits * (ends - 1 - slot))
-        self.widths = (self.bits * np.bincount(self.word_of)).tolist() or [0]
-        # spread[t] puts live entry t, scaled, into its word
-        self.spread = np.zeros((len(self.live), self.words))
-        self.spread[slot, self.word_of] = self.scale
-        self._identity = self.pack(np.where(self.slot_of < 0, -1, np.arange(window))[None])
-        words = (self.encode(rows[:, self.live]) @ self.spread).astype(np.int64)
-        # `order` sorts the rows by the key folded so far: a prefix's rank
-        # counts the distinct prefixes before it, and repeats end up next
-        # to each other
-        order = np.argsort(words[:, 0])
-        key = words[order, 0]
-        self.prefixes = []
-        for width, word in zip(self.widths[1:], words[:, 1:].T):
-            starts = _run_starts(key)
-            self.prefixes.append(key[starts])
-            key = ((np.cumsum(starts) - 1) << width) | word[order]
-            resort = np.argsort(key)
-            order, key = order[resort], key[resort]
-        distinct = _run_starts(key)
-        self.keys = key[distinct]
-        self.entries = self.encode(rows[order[distinct]])
-
-    @property
-    def words(self) -> int:
-        return len(self.widths)
+        self.ones = (1 << self.bits) - 1
+        self.groups = [np.unique(np.asarray(cols, dtype=np.intp)) for cols in groups]
+        g = len(self.groups)
+        width = self.bits * max(map(len, self.groups), default=0)
+        if width > KEY_BITS or width + (g - 1).bit_length() > 62:
+            raise ValueError(f"a key group needs {width} bits, more than one {KEY_BITS}-bit word")
+        self.tags = np.arange(g, dtype=np.int64) << width
+        # weights[x, t] places entry x within group t's word, and
+        # weights[x, g + t] is 1 where x lies outside group t
+        self.weights = np.zeros((window, 2 * g))
+        self.weights[:, g:] = 1
+        for t, cols in enumerate(self.groups):
+            self.weights[cols, t] = np.ldexp(1.0, self.bits * np.arange(len(cols))[::-1])
+            self.weights[cols, g + t] = 0
+        self.unset = self.ones * self.weights[:, g:].sum(axis=0)
+        entries = self.encode(rows)
+        inside, keys = self._group_keys(entries)
+        # tags rise with t, so a row's least key is its key under the
+        # first group that holds it
+        home = np.where(inside, keys, NO_KEY).min(axis=1)
+        if np.any(home == NO_KEY):
+            raise ValueError("a row of U lies in no key group")
+        order = np.argsort(home)
+        first = order[_run_starts(home[order])]  # one row per distinct key
+        self.entries = np.take(entries, first, axis=0)
+        self.keys, self.position = home[first], None
+        if inside.sum() > count:  # aliases: list each row under every group that holds it
+            at, group = np.nonzero(inside[first])
+            listed = keys[first[at], group]
+            by_key = np.argsort(listed)
+            self.keys, self.position = listed[by_key], at[by_key]
 
     def encode(self, rows: np.ndarray) -> np.ndarray:
-        """The entries as float64, -1 as all ones."""
-        return np.where(rows < 0, self.ones, rows)
+        """The entries as float64, -1 as all ones: an int8 -1 has every bit
+        set, and a point below the window none above the b <= 7 bits."""
+        return (rows & np.int8(self.ones)).astype(np.float64)
+
+    def _group_keys(self, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(inside, keys), each (rows, groups), from one matmul: whether
+        the group holds the encoded row, that is whether the row's entries
+        outside the group are all ones, and the row's key under it."""
+        sums = entries @ self.weights
+        g = len(self.groups)
+        return sums[:, g:] == self.unset, sums[:, :g].astype(np.int64) + self.tags
+
+    def _positions(self, keys: np.ndarray) -> np.ndarray | None:
+        """The distinct sorted positions in U of these keys; None when one is
+        not in U."""
+        keys = _sorted_distinct(keys.ravel())
+        pos = np.searchsorted(self.keys, keys)
+        if len(pos) and (pos[-1] == len(self.keys) or np.any(self.keys[pos] != keys)):
+            return None
+        return pos if self.position is None else _sorted_distinct(self.position[pos])
 
     def pack(self, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(M, c) such that, for m words and k maps g_j defined on U's
-        live columns only, encode(u) @ M + c holds the words of u o g_j
-        in columns j*m .. j*m + m - 1.  Entry x of u o g_j is entry g_j(x)
-        of u, or -1 where g_j is undefined at x, so u o g_j too is defined
-        on live columns only.  A map defined on a dead column raises
+        """(M, c) such that, for k maps g_j that each lie in a group,
+        (encode(u) @ M) as int64, plus c, holds the one-word key of u o g_j
+        in column j, under the first group that holds g_j.  Entry x of u o g_j
+        is entry g_j(x) of u, or -1 where g_j is undefined at x, so u o g_j
+        lies in that group too.  A map that no group holds raises
         ValueError: its products could leave U on a column no key reads."""
         k, window = gens.shape
-        m = self.words
+        inside, _ = self._group_keys(self.encode(gens))
+        if not inside.any(axis=1).all():
+            raise ValueError("cannot pack a map that no key group holds")
+        home = inside.argmax(axis=1)
+        scale = self.weights[:, home].T
         js, xs = np.nonzero(gens >= 0)
-        slot = self.slot_of[xs]
-        if np.any(slot < 0):
-            raise ValueError("cannot pack a map defined on a column no row of U defines")
-        pack = np.zeros((window, k * m))
-        pack[gens[js, xs], js * m + self.word_of[slot]] = self.scale[slot]
-        shift = ((gens[:, self.live] < 0) * self.ones @ self.spread).reshape(-1)
-        return pack, shift
+        pack = np.zeros((window, k))
+        pack[gens[js, xs], js] = scale[js, xs]
+        # the all-ones entries where g_j is undefined, and g_j's group tag
+        unset = (self.ones * (scale * (gens < 0)).sum(axis=1)).astype(np.int64)
+        return pack, unset + self.tags[home]
 
     def products_in(
         self, entries: np.ndarray, packed: tuple[np.ndarray, np.ndarray]
     ) -> np.ndarray | None:
         """The distinct sorted positions in U of the products u o g_j for
         the rows u with these encoded entries and the maps g_j of
-        `packed` (`pack`); None when a product is not in U.  Most products
-        repeat, so each distinct key is looked up once."""
-        pack, shift = packed
-        words = (entries @ pack + shift).astype(np.int64).reshape(-1, self.words)
-        key = words[:, 0]
-        for prefix, width, word in zip(self.prefixes, self.widths[1:], words[:, 1:].T):
-            pos = np.searchsorted(prefix, key)
-            if np.any(pos == len(prefix)) or np.any(prefix[pos] != key):
-                return None
-            key = (pos << width) | word
-        key = _sorted_distinct(key)
-        pos = np.searchsorted(self.keys, key)
-        if len(pos) and (pos[-1] == len(self.keys) or np.any(self.keys[pos] != key)):
-            return None
-        return pos
+        `packed` (`pack`); None when a product is not in U.  One matmul
+        forms every product's one-word key; the distinct keys are looked
+        up once each, in order, and positions are deduplicated only when
+        U has aliases."""
+        pack, offset = packed
+        keys = (entries @ pack).astype(np.int64)
+        keys += offset
+        return self._positions(keys)
 
     def find(self, rows: np.ndarray) -> np.ndarray | None:
         """The distinct sorted positions of `rows` in U; None when one is not
-        in U, as is every row defined on a dead column."""
-        if np.any(rows[:, self.slot_of < 0] >= 0):
-            return None
-        return self.products_in(self.encode(rows), self._identity)
+        in U, as is every row that no group holds.  Each row is looked up
+        by its one-word key under the first group that holds it."""
+        inside, keys = self._group_keys(self.encode(rows))
+        return self._positions(np.where(inside, keys, NO_KEY).min(axis=1))
+
+
+def union_index(family: BlockFamily, n: int, window: int) -> RowIndex:
+    """The `RowIndex` of the rank-n union U, built straight from the group
+    and stratum rows (`structural_parts`), so no bytewise sort of U runs.
+
+    U's live columns, the block points below the window, form one key
+    group when their entries fit one word.  Otherwise each block's points
+    form a group.  Every map of U, and every map of `union_generators`
+    and its inverse, has its domain inside one block, and a block has at
+    most GROUP_ENUM_CAP = 7 points below the window (`group_rows` refuses
+    more) with entries of at most 7 bits, so a block's word needs at most
+    49 bits."""
+    b = len(family.blocks)
+    blocks = [blk.below(window) for blk in family.blocks]
+    live = sorted(set().union(*blocks))
+    one_word = len(live) * window.bit_length() <= KEY_BITS
+    rows = structural_parts(family, window, [[n] * b for _ in range(b)])
+    return RowIndex(rows, [live] if one_word else blocks)
 
 
 def union_closed(family: BlockFamily, n: int, window: int) -> tuple[bool, int]:
     """(closed, products composed) for the rank-n union U: block groups,
     strata of rank <= n and the empty map.
 
-    U's index is built straight from the group and stratum rows
-    (`structural_parts`); `RowIndex` sorts and deduplicates them by key,
-    so no bytewise sort of U runs.  U is closed exactly when <A> = U for
-    the generators A of `union_generators`.  A breadth-first search over
-    U's indices composes each element it reaches with every map of
-    A u A^-1 and looks the distinct products up in U by key.  The maps
-    of A u A^-1 are found in U before they are packed, so they are
-    defined on U's live columns only, as `RowIndex.pack` requires.
+    U is closed exactly when <A> = U for the generators A of
+    `union_generators`.  A breadth-first search over the positions of
+    U's index (`union_index`) composes each element it reaches with every
+    map of A u A^-1 and looks the distinct products up in U by their
+    one-word keys; when U is keyed by block, a batch's positions are
+    deduplicated too, since a map in several blocks has a key in each.
+    The maps of A u A^-1 are found in U before they are packed, so each
+    lies in a key group, as `RowIndex.pack` requires.
     The first batch with a product outside U ends the search unclosed;
-    otherwise U is closed when every index is reached, after
+    otherwise U is closed when every position is reached, after
     |U| x |A u A^-1| products.  Since every product of every reached
     element with every map of A u A^-1 is checked, any A inside U that
     generates U gives the same verdict; only the count of products
     depends on A."""
-    b = len(family.blocks)
-    index = RowIndex(structural_parts(family, window, [[n] * b for _ in range(b)]))
+    index = union_index(family, n, window)
     gens = union_generators(family, n, window)
     gens = unique_rows(np.concatenate([gens, invert_rows(gens)]))
     frontier = index.find(gens)
     if frontier is None:
         return False, 0
     packed = index.pack(gens)
-    reached = np.zeros(len(index.keys), dtype=bool)
+    reached = np.zeros(len(index.entries), dtype=bool)
     reached[frontier] = True
     products = 0
     step = max(1, BLOCK_PRODUCTS // len(gens))
@@ -492,7 +528,7 @@ def union_closed(family: BlockFamily, n: int, window: int) -> tuple[bool, int]:
         for start in range(0, len(frontier), step):
             left = frontier[start : start + step]
             products += len(left) * len(gens)
-            found = index.products_in(index.entries[left], packed)
+            found = index.products_in(np.take(index.entries, left, axis=0), packed)
             if found is None:
                 return False, products
             found = found[~reached[found]]

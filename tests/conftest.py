@@ -238,6 +238,8 @@ def closure_by_row_scan(rows, max_elements=None, batch_products=BLOCK_PRODUCTS):
     Returns (rows, frontier_sizes, products, closed)."""
     window = rows.shape[1]
     gens = unique_rows(np.concatenate([rows, invert_rows(rows)]))
+    if max_elements is not None and len(gens) > max_elements:
+        return gens[:0], (), 0, False
     seen = {r.tobytes() for r in gens}
     found = [gens]
     step = max(1, batch_products // len(gens))
@@ -271,17 +273,14 @@ def union_closed_by_search(family: BlockFamily, n: int, window: int) -> tuple[bo
     return result.closed and np.array_equal(result.rows, target), result.products
 
 
-def positions_by_bytes(u_rows: np.ndarray, queries: np.ndarray) -> np.ndarray | None:
-    """Reference for `RowIndex.find` and `products_in`: the distinct sorted
-    positions of the query rows among U's distinct rows in bytewise
-    order, looked up in a dict of row bytes; None when one is not in U."""
-    position = {r.tobytes(): i for i, r in enumerate(unique_rows(u_rows))}
-    found = set()
-    for r in queries:
-        if r.tobytes() not in position:
-            return None
-        found.add(position[r.tobytes()])
-    return np.array(sorted(found), dtype=np.intp)
+def rows_by_bytes(u_rows: np.ndarray, queries: np.ndarray) -> np.ndarray | None:
+    """Reference for `RowIndex.find` and `products_in`: the distinct query
+    rows in bytewise order, each looked up in a set of U's row bytes;
+    None when one is not in U."""
+    inside = {r.tobytes() for r in u_rows}
+    if any(r.tobytes() not in inside for r in queries):
+        return None
+    return unique_rows(queries)
 
 
 def union_generators_all_pairs(family: BlockFamily, n: int, window: int) -> np.ndarray:

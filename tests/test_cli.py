@@ -111,6 +111,17 @@ def test_closure_run_budget_flag(capsys):
     assert report_of(doc)["closed"] is False
 
 
+def test_closure_run_budget_below_the_generators(capsys):
+    # disjoint:2 at window 6 has 7 maps in A u A^-1, more than a budget of 0
+    code, doc = run(
+        capsys, "closure", "run", "--family", "disjoint:2", "--window", "6", "--max", "0",
+    )
+    rep = report_of(doc)
+    assert code == 0 and rep["generators"] == 7
+    assert (rep["closed"], rep["elements"], rep["rounds"], rep["frontier_sizes"]) == (
+        False, 0, 0, [])
+
+
 def test_chains_with_oracle_check(capsys):
     code, doc = run(capsys, "chains", "--family", "five-ring", "--check")
     assert code == 0
