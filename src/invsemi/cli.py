@@ -32,7 +32,8 @@ from .closure import (
 )
 from .constrained import EMPTY_IDEAL, FIN_IDEAL, ideal_escape_witness, pivot_extension
 from .descriptors import SetDescriptor
-from .errors import InvalidFamilyError, InvsemiError, NotGeneratedError, ParseError
+from .errors import (InvalidFamilyError, InvsemiError, NotGeneratedError, ParseError,
+                     WindowMismatchError)
 from .families import (
     BlockFamily,
     chain_capacity_by_enumeration,
@@ -246,6 +247,12 @@ def cmd_closure_run(args) -> int:
             "extra": [m.format_literal() for m in diff.extra[:10]],
         }
         if not diff.matches:
+            least = minimal_window(fam, capacity)
+            if window < least:
+                # the prediction routes through waypoints the window lacks
+                raise WindowMismatchError(
+                    f"window {window} is below the minimal window {least} of this "
+                    "family, so its structural mismatch is no counterexample")
             code = 2
     _say(args, f"closure: {result.size()} elements in {len(result.frontier_sizes)} "
                f"rounds (closed: {result.closed})")

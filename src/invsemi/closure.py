@@ -133,9 +133,12 @@ def closure_of(rows: np.ndarray, max_elements: int | None = None) -> ClosureResu
     """Inverse semigroup generated by A, given as an (n, window) int8 row
     array (`encode_rows` turns maps into one): each new element is
     composed with every map of A u A^-1 once, which enumerates it with no
-    inverse pass.  Stops unclosed before a batch would take it past
-    max_elements; when A u A^-1 alone is past it, the result is unclosed
-    and empty, with no rounds and no products."""
+    inverse pass.  Each batch's new rows keep the bytewise order in which
+    `unique_rows` returns the batch's composites, with no re-sort, so the
+    frontier does not depend on the iteration order of a set.  Stops
+    unclosed before a batch would take it past max_elements; when
+    A u A^-1 alone is past it, the result is unclosed and empty, with no
+    rounds and no products."""
     if len(rows) == 0:
         raise ValueError("need at least one generator")
     _check_rows(rows)
@@ -157,15 +160,13 @@ def closure_of(rows: np.ndarray, max_elements: int | None = None) -> ClosureResu
             products += len(left) * len(gens)
             # no name holds the composites, so they are freed before the
             # next batch is composed
-            new = set(_row_keys(unique_rows(compose_rows(left, gens).reshape(-1, window))))
-            new -= seen
+            distinct = _row_keys(unique_rows(compose_rows(left, gens).reshape(-1, window)))
+            new = [key for key in distinct if key not in seen]
             if max_elements is not None and len(seen) + len(new) > max_elements:
                 closed = False
                 break
-            seen |= new
-            # bytewise order, as `unique_rows` gave them: the frontier
-            # does not depend on the iteration order of the set
-            fresh += sorted(new)
+            seen.update(new)
+            fresh += new
         if not fresh:
             break
         frontier = np.frombuffer(b"".join(fresh), dtype=np.int8).reshape(-1, window)

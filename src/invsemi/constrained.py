@@ -286,8 +286,11 @@ def _symbolic_pool(seed: int) -> list[SymElement]:
     return pool
 
 
+DENSITY_OPENS = 25  # random basic opens probed for the density law
+
+
 def check_collection_laws(model: CollectionModel, window: int = 5,
-                          seed: int = 0, opens: int = 25) -> list[LawVerdict]:
+                          seed: int = 0) -> list[LawVerdict]:
     """Probe the four closure laws on a concrete collection.
 
     Laws with a true premise must come back holding; when the premise
@@ -349,14 +352,14 @@ def check_collection_laws(model: CollectionModel, window: int = 5,
     if model.contains_all_finite:
         rng = Random(seed)
         bad = None
-        for _ in range(opens):
+        for _ in range(DENSITY_OPENS):
             v = random_basic_open(rng)
             member = fin_map(v.positive) if v.positive else empty_map()
             if not (open_contains(v, member) and in_constrained(member, model)):
                 bad = v
                 break
         holds = bad is None
-        detail = (f"found a member in each of {opens} random basic opens"
+        detail = (f"found a member in each of {DENSITY_OPENS} random basic opens"
                   if holds else f"no member found in {bad.describe()}")
     else:
         holds, detail = True, "collection misses some finite set; not probed"

@@ -17,7 +17,19 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .errors import ParseError
+from .errors import BudgetExceededError, ParseError
+
+# The largest tail modulus, and the largest common modulus two tails are
+# spread to.  The period search and the residue listing of a combined tail
+# cost up to the square of the modulus, so a larger one is refused before
+# either runs.
+MAX_MODULUS = 1 << 16
+
+
+def _within_budget(modulus: int) -> int:
+    if modulus > MAX_MODULUS:
+        raise BudgetExceededError(f"tail modulus {modulus} exceeds the limit {MAX_MODULUS}")
+    return modulus
 
 
 @functools.lru_cache
@@ -25,9 +37,10 @@ def _minimal_period(modulus: int, residues: frozenset[int]) -> tuple[int, tuple[
     """Reduce (modulus, residues) to the least period describing the same tail.
 
     Memoized: `build`, `_pointwise` and the constructor's tail check all
-    ask for the same pair."""
+    ask for the same pair.  A nonempty tail past `MAX_MODULUS` is refused."""
     if not residues:
         return 1, ()
+    _within_budget(modulus)
     for d in range(1, modulus + 1):
         if modulus % d != 0:
             continue
@@ -219,7 +232,7 @@ class SetDescriptor:
         """Combine two sets with a bitwise ``op`` (``&``, ``|`` or ``& ~``):
         the tails as residue bitmasks over the lcm of the moduli, the
         patches point by point on the finitely many patched points."""
-        big = math.lcm(self.modulus, other.modulus)
+        big = _within_budget(math.lcm(self.modulus, other.modulus))
         tail = op(_tail_mask(self, big), _tail_mask(other, big))
         mod, res = _minimal_period(big, frozenset(r for r in range(big) if tail >> r & 1))
         add, remove = [], []
@@ -244,7 +257,8 @@ class SetDescriptor:
     def complement(self) -> "SetDescriptor":
         # a tail and its complement share their least period (a full tail
         # has period 1), and the added and removed points trade places
-        residues = tuple(r for r in range(self.modulus) if r not in self.residues)
+        on_tail = _checked_tail(self.modulus, self.residues)
+        residues = tuple(r for r in range(self.modulus) if r not in on_tail)
         return SetDescriptor(self.remove, self.add, self.modulus, residues)
 
     def with_points(self, points: Iterable[int]) -> "SetDescriptor":
@@ -271,7 +285,7 @@ class SetDescriptor:
         """True when ``self \\ other`` is finite.  The patches are finite,
         so only the tails decide it: no residue over the lcm of the moduli
         lies on this tail and off the other's."""
-        big = math.lcm(self.modulus, other.modulus)
+        big = _within_budget(math.lcm(self.modulus, other.modulus))
         return not _tail_mask(self, big) & ~_tail_mask(other, big)
 
     # -- serialization ----------------------------------------------------

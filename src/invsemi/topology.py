@@ -641,12 +641,12 @@ class InteriorProbeReport:
 
 
 def shared_identity_interior_probe(trials: int = 100, seed: int = 0,
-                                   rule: BlockRule = COMMON_POINT_RULE,
-                                   bound: int = 64) -> InteriorProbeReport:
+                                   rule: BlockRule = COMMON_POINT_RULE) -> InteriorProbeReport:
     """Probe the set {a} with a = (0 -> 1): composing the inverse with a
     gives exactly the identity on the shared point, and that singleton
     set has empty interior because each basic open around it still
-    admits a block identity."""
+    admits a block identity.  The opens are `random_basic_open`'s around
+    the product, with points below its default bound."""
     if not rule.shared_zero:
         raise InvalidFamilyError("the probe needs the shared-point rule")
     a = fin_map([(0, 1)])
@@ -661,7 +661,7 @@ def shared_identity_interior_probe(trials: int = 100, seed: int = 0,
     # per block
     by_block: dict[int, tuple[SymElement, bool, str]] = {}
     for _ in range(trials):
-        v = random_basic_open(rng, member=product, bound=bound)
+        v = random_basic_open(rng, member=product)
         n = rule.first_free_block(v.forbid_dom + v.forbid_im)
         if n not in by_block:
             w = partial_identity(rule.block(n))

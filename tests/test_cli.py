@@ -11,6 +11,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,8 @@ import pytest
 import invsemi
 from invsemi.catalog import named_family
 from invsemi import cli
-from invsemi.families import chain_capacity_by_enumeration
+from invsemi.closure import StructuralDiff, minimal_window
+from invsemi.families import chain_capacity_by_enumeration, chain_capacity_matrix
 from invsemi.cli import build_parser, main
 from invsemi.errors import InvalidFamilyError, ParseError
 
@@ -547,6 +549,32 @@ def test_family_files_with_boolean_points_exit_one(tmp_path, capsys):
         assert captured.out == "" and "error:" in captured.err
 
 
+def test_moduli_past_the_descriptor_budget_exit_one(tmp_path, capsys):
+    # disjoint:N has a block of modulus 2^N, past the budget from N = 17;
+    # each run is refused before any period search or residue mask
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"blocks": [{"tail": {"mod": 1 << 17, "residues": [1]}},
+                                           {"tail": {"mod": 2, "residues": [0]}}]}))
+    for argv in (["family-check", "--family", "disjoint:17"],
+                 ["family-check", "--family", str(path)],
+                 ["verify", "ideal-witness", "--seed", "1", "--trials", "1",
+                  "--pivot", "tail mod 131072 residues [0]"]):
+        started = time.monotonic()
+        assert main(argv) == 1
+        assert time.monotonic() - started < 5, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "tail modulus 131072 exceeds the limit 65536" in captured.err
+    # at the budget the complement's residue listing is linear in the
+    # modulus; with a tuple scan per residue one trial ran past 30 s
+    started = time.monotonic()
+    code, doc = run(capsys, "verify", "ideal-witness", "--seed", "1", "--trials", "5",
+                    "--pivot", "tail mod 65536 residues [0]")
+    assert code == 0 and report_of(doc)["all_hold"] is True
+    assert time.monotonic() - started < 10
+    code, doc = run(capsys, "family-check", "--family", "disjoint:16")
+    assert code == 0 and len(report_of(doc)["blocks"]) == 16
+
+
 def test_misspelt_family_file_exits_one(tmp_path, capsys):
     # the misspelt key once read as a family with an empty name
     path = tmp_path / "misspelt.json"
@@ -585,6 +613,34 @@ def test_closure_bound_window_below_the_family_exits_one(capsys):
                  "--window", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "window 3" in captured.err and "window 22" in captured.err
+
+
+def test_closure_run_mismatch_below_the_minimal_window_exits_one(capsys):
+    # at window 5 bound2's closure has 3 maps and the prediction 5: the
+    # prediction routes through waypoints below the minimal window of 22,
+    # so the mismatch is no structural failure
+    assert main(["closure", "run", "--family", "bound2", "--window", "5", "--compare"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "window 5" in captured.err and "window 22" in captured.err
+    code, doc = run(capsys, "closure", "run", "--family", "bound2", "--compare")
+    rep = report_of(doc)
+    assert code == 0 and rep["window"] == 22 and rep["diff"]["matches"] is True
+    # a match below the minimal window (21 for common-point:3) stays a match
+    assert minimal_window(named_family("common-point:3"),
+                          chain_capacity_matrix(named_family("common-point:3"))) == 21
+    code, doc = run(capsys, "closure", "run", "--family", "common-point:3", "--window", "8",
+                    "--compare")
+    assert code == 0 and report_of(doc)["diff"]["matches"] is True
+
+
+def test_closure_run_mismatch_at_the_minimal_window_exits_two(monkeypatch, capsys):
+    # from the minimal window up, a mismatch is a structural failure
+    monkeypatch.setattr(cli, "compare_with_structural",
+                        lambda result, fam, capacity: StructuralDiff(
+                            False, (), (), result.size(), result.size() + 1))
+    code, doc = run(capsys, "closure", "run", "--family", "disjoint:2", "--sparse",
+                    "--compare")
+    assert code == 2 and report_of(doc)["diff"]["matches"] is False
 
 
 def test_internal_value_errors_are_not_usage_errors(monkeypatch, capsys):

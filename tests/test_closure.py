@@ -103,6 +103,22 @@ def test_compose_rows_is_all_pairwise(rng):
             )
 
 
+def test_row_kernels_leave_their_inputs_unchanged(rng):
+    # closure_of composes every batch against the same `gens`: a kernel
+    # that sorted or wrote its input in place would permute them between
+    # batches
+    maps = [random_partial_injection(rng, 7) for _ in range(12)]
+    rows = encode_rows(maps + maps[:4], 7)
+    other = encode_rows(maps[::-1], 7)
+    kept, kept_other = rows.copy(), other.copy()
+    assert not np.array_equal(rows, unique_rows(rows))  # the dedup reorders
+    compose_rows(rows, other)
+    compose_rows(other, rows)
+    unique_rows(compose_rows(rows, other).reshape(-1, 7))
+    closure_of(rows)
+    assert np.array_equal(rows, kept) and np.array_equal(other, kept_other)
+
+
 def test_invert_rows(rng):
     maps = [random_partial_injection(rng, 8) for _ in range(20)]
     inv = invert_rows(encode_rows(maps, 8))

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invsemi import SetDescriptor
-from invsemi.descriptors import EMPTY, NATURALS
-from invsemi.errors import ParseError
+from invsemi.descriptors import EMPTY, MAX_MODULUS, NATURALS
+from invsemi.errors import BudgetExceededError, ParseError
 
 from conftest import (
     almost_subset_by_difference,
@@ -263,6 +263,28 @@ def test_constructor_rejects_a_non_minimal_period_after_build_warms_the_cache():
         SetDescriptor(modulus=4, residues=(0, 2))
     with pytest.raises(ValueError, match="tail period is not minimal"):
         SetDescriptor(modulus=4, residues=(0, 2))
+
+
+def test_moduli_past_the_budget_are_refused_before_any_work():
+    at_cap = SetDescriptor.residue_class(0, MAX_MODULUS)
+    rest = at_cap.complement()
+    assert (rest.modulus, len(rest.residues)) == (MAX_MODULUS, MAX_MODULUS - 1)
+    assert at_cap.union(rest) == NATURALS and at_cap.intersect(rest) == EMPTY
+    over = MAX_MODULUS + 1
+    with pytest.raises(BudgetExceededError, match=f"tail modulus {over}"):
+        SetDescriptor.build(modulus=over, residues=[0])
+    with pytest.raises(BudgetExceededError):
+        SetDescriptor(modulus=over, residues=(0,))
+    with pytest.raises(BudgetExceededError):
+        SetDescriptor.from_text(f"tail mod {2 * MAX_MODULUS} residues [0,{MAX_MODULUS}]")
+    # two moduli within the budget whose lcm is past it
+    thirds = SetDescriptor.residue_class(0, 3)
+    for combine in (at_cap.intersect, at_cap.union, at_cap.difference,
+                    at_cap.almost_subset_of):
+        with pytest.raises(BudgetExceededError, match=f"tail modulus {3 * MAX_MODULUS}"):
+            combine(thirds)
+    # an empty tail needs no period search, whatever its modulus
+    assert SetDescriptor.build(add=[3], modulus=10**9) == SetDescriptor.from_points([3])
 
 
 # -- the bitmask kernels against the point-by-point route -------------------
