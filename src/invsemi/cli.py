@@ -32,8 +32,8 @@ from .closure import (
 )
 from .constrained import EMPTY_IDEAL, FIN_IDEAL, ideal_escape_witness, pivot_extension
 from .descriptors import SetDescriptor
-from .errors import (InvalidFamilyError, InvsemiError, NotGeneratedError, ParseError,
-                     WindowMismatchError)
+from .errors import (BudgetExceededError, InvalidFamilyError, InvsemiError,
+                     NotGeneratedError, ParseError, WindowMismatchError)
 from .families import (
     BlockFamily,
     chain_capacity_by_enumeration,
@@ -247,6 +247,11 @@ def cmd_closure_run(args) -> int:
             "extra": [m.format_literal() for m in diff.extra[:10]],
         }
         if not diff.matches:
+            if not result.closed:
+                # the maps the prediction lacks may lie past the budget
+                raise BudgetExceededError(
+                    f"the closure stopped at --max {args.max} before it closed, "
+                    "so its structural mismatch is no counterexample")
             least = minimal_window(fam, capacity)
             if window < least:
                 # the prediction routes through waypoints the window lacks

@@ -8,10 +8,18 @@ over the generators and their inverses, with exact dedup; companion
 builders enumerate the structural candidate sets (windowed block groups
 plus finite strata) straight into rows, so the two routes are compared
 row by row.  The closedness check of a known union runs the same search
-over the union's own indices, with exact one-word integer keys
-(`RowIndex`).
-Rows become ``PartialBijection``s only when a caller asks to see the
-maps.
+over the union's own indices (`RowIndex`).
+
+Both searches key rows by exact one-word integers with one entry format:
+b = window.bit_length() bits per entry, -1 as all ones, first column
+highest, so keys sort as the rows' bytes do.  `RowIndex` keys a column
+group's entries under the group's tag.  `word_keys` keys a whole row,
+which fits one int64 up to KEY_WINDOW = 15 columns (15 entries of 4
+bits); `unique_rows` and `closure_of` use it there and fall back to the
+rows' bytes for wider rows.  `closure_of` stops unclosed at the first
+batch whose new elements would pass its budget, and that batch adds
+nothing.  Rows become ``PartialBijection``s only when a caller asks to
+see the maps.
 """
 
 from __future__ import annotations
@@ -37,16 +45,71 @@ from .pbij import PartialBijection
 MAX_WINDOW = 120  # int8 rows: images must stay below 127
 
 
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first key of each run of equal keys in a sorted array."""
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = keys[1:] != keys[:-1]
+    return starts
+
+
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """np.unique of int64 keys by sort and mask: numpy 2.4's np.unique
+    is several times slower on them."""
+    keys = np.sort(keys)
+    return keys[_run_starts(keys)]
+
+
+KEY_WINDOW = 15  # the widest rows whose entries fit one int64 word: 15 x 4 bits
+
+
+@lru_cache(maxsize=None)
+def _key_shifts(window: int) -> np.ndarray:
+    """The bit offset of each column's entry in a row's key, first column
+    highest, as a read-only array."""
+    out = window.bit_length() * np.arange(window - 1, -1, -1, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+def _key_entries(rows: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """The entries of int8 rows as `dtype`, -1 as all ones: an int8 -1 has
+    every bit set, and a point below the window none above its b bits."""
+    return (rows & np.int8((1 << rows.shape[1].bit_length()) - 1)).astype(dtype)
+
+
+def word_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 key per row of width w <= KEY_WINDOW, in `RowIndex`'s
+    format: b = w.bit_length() bits per entry, -1 as all ones, first
+    column highest.  Every point is below 2^b - 1, so the keys sort as the
+    rows' bytes do, and the empty map at width 15 has the largest key,
+    2^60 - 1."""
+    return _key_entries(rows) @ (np.int64(1) << _key_shifts(rows.shape[1]))
+
+
+def rows_from_keys(keys: np.ndarray, window: int) -> np.ndarray:
+    """The int8 rows whose `word_keys` these are, in the same order."""
+    # the low byte of each shifted key holds the entry in its low b bits;
+    # adding one carries an all-ones entry out of them, so it reads -1
+    entries = (keys[:, None] >> _key_shifts(window)).astype(np.int8)
+    return ((entries + 1) & ((1 << window.bit_length()) - 1)) - 1
+
+
 def unique_rows(rows: np.ndarray) -> np.ndarray:
-    """Deduplicate int8 rows, sorted bytewise (undefined slots last)."""
+    """Deduplicate int8 rows, sorted bytewise (undefined slots last).
+
+    Rows of width w <= KEY_WINDOW are sorted and deduplicated as one-word
+    integer keys (`word_keys`) and rebuilt from the distinct keys; wider
+    rows by their bytes."""
     if len(rows) == 0:
         return rows
+    if rows.shape[1] <= KEY_WINDOW:
+        return rows_from_keys(_sorted_distinct(word_keys(rows)), rows.shape[1])
     flat = np.ascontiguousarray(rows)
     keys = flat.view(np.dtype((np.void, flat.shape[1]))).ravel()
     return np.unique(keys).view(np.int8).reshape(-1, flat.shape[1])
 
 
-def _row_keys(rows: np.ndarray) -> list[bytes]:
+def _row_bytes(rows: np.ndarray) -> list[bytes]:
     """The bytes of each row of a contiguous array, in order."""
     return rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
 
@@ -129,16 +192,93 @@ class ClosureResult:
         return len(self.rows)
 
 
+class _KeySeen:
+    """`closure_of`'s elements so far, for rows of width w <= KEY_WINDOW:
+    the sorted int64 array of their `word_keys`.
+
+    A batch's product keys come from one int64 matmul of the left
+    factors' entries against a (w x k) matrix packed from the k maps g_j
+    of A u A^-1, as `RowIndex.pack` does it: entry x of u o g_j is entry
+    g_j(x) of u, or all ones where g_j is undefined at x.  No composite
+    row is built.  Membership is a `searchsorted` of the batch's distinct
+    keys, and the new keys are merged in; the new rows are rebuilt from
+    their keys by shifts and masks, in key order, which is bytewise."""
+
+    def __init__(self, gens: np.ndarray):
+        self.window = gens.shape[1]
+        self.keys = word_keys(gens)  # sorted: gens come from unique_rows
+        weights = np.int64(1) << _key_shifts(self.window)
+        js, xs = np.nonzero(gens >= 0)
+        self.pack = np.zeros((self.window, len(gens)), dtype=np.int64)
+        self.pack[gens[js, xs], js] = weights[xs]
+        self.unset = ((1 << self.window.bit_length()) - 1) * (gens < 0) @ weights
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def grow(self, left: np.ndarray, room: int | None) -> np.ndarray | None:
+        """The rows of left o A u A^-1 not seen yet, in bytewise order, now
+        seen; None, with nothing added, when they are more than `room`."""
+        keys = _key_entries(left) @ self.pack
+        keys += self.unset
+        distinct = _sorted_distinct(keys.ravel())
+        at = np.searchsorted(self.keys, distinct)
+        new = self.keys.take(at, mode="clip") != distinct
+        if room is not None and np.count_nonzero(new) > room:
+            return None
+        added = distinct[new]
+        # a stable sort merges the two sorted runs in linear time
+        self.keys = np.concatenate([self.keys, added])
+        self.keys.sort(kind="stable")
+        return rows_from_keys(added, self.window)
+
+
+class _ByteSeen:
+    """`closure_of`'s elements so far, for rows wider than KEY_WINDOW: the
+    bytes of each row in a set.  Each batch's composites are built by
+    `compose_rows` and deduplicated by `unique_rows`.  Per-block or
+    two-word integer keys would serve these windows too (ROADMAP.md)."""
+
+    def __init__(self, gens: np.ndarray):
+        self.gens = gens
+        self.keys = set(_row_bytes(gens))
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def grow(self, left: np.ndarray, room: int | None) -> np.ndarray | None:
+        """As `_KeySeen.grow`."""
+        window = self.gens.shape[1]
+        # no name holds the composites, so they are freed before the
+        # next batch is composed
+        distinct = _row_bytes(unique_rows(compose_rows(left, self.gens).reshape(-1, window)))
+        new = [key for key in distinct if key not in self.keys]
+        if room is not None and len(new) > room:
+            return None
+        self.keys.update(new)
+        return np.frombuffer(b"".join(new), dtype=np.int8).reshape(-1, window)
+
+
 def closure_of(rows: np.ndarray, max_elements: int | None = None) -> ClosureResult:
     """Inverse semigroup generated by A, given as an (n, window) int8 row
     array (`encode_rows` turns maps into one): each new element is
     composed with every map of A u A^-1 once, which enumerates it with no
-    inverse pass.  Each batch's new rows keep the bytewise order in which
-    `unique_rows` returns the batch's composites, with no re-sort, so the
-    frontier does not depend on the iteration order of a set.  Stops
-    unclosed before a batch would take it past max_elements; when
-    A u A^-1 alone is past it, the result is unclosed and empty, with no
-    rounds and no products."""
+    inverse pass.  The frontier is composed in batches of at most
+    BLOCK_PRODUCTS products, and each batch's new rows keep the bytewise
+    order of the batch's distinct products, with no re-sort, so the
+    frontier does not depend on the iteration order of a set.
+
+    Windows up to KEY_WINDOW = 15 key each element by one int64
+    (`word_keys`: b = window.bit_length() bits per entry, -1 as all ones,
+    first column highest), keep the keys seen in a sorted array, and never
+    build a composite row (`_KeySeen`).  Wider windows build the
+    composites and keep their bytes in a set (`_ByteSeen`).  Both give the
+    same rows, frontiers and counts.
+
+    Stops unclosed at the first batch whose new rows would take it past
+    max_elements: that batch adds nothing, and the batches before it in
+    its round keep their rows.  When A u A^-1 alone is past the budget,
+    the result is unclosed and empty, with no rounds and no products."""
     if len(rows) == 0:
         raise ValueError("need at least one generator")
     _check_rows(rows)
@@ -146,7 +286,7 @@ def closure_of(rows: np.ndarray, max_elements: int | None = None) -> ClosureResu
     gens = unique_rows(np.concatenate([rows, invert_rows(rows)]))
     if max_elements is not None and len(gens) > max_elements:
         return ClosureResult(gens[:0], (), 0, False, window)
-    seen = set(_row_keys(gens))
+    seen = (_KeySeen if window <= KEY_WINDOW else _ByteSeen)(gens)
     found = [gens]
     frontier_sizes = [len(gens)]
     products = 0
@@ -154,22 +294,18 @@ def closure_of(rows: np.ndarray, max_elements: int | None = None) -> ClosureResu
     step = max(1, BLOCK_PRODUCTS // len(gens))
     frontier = gens
     while closed:
-        fresh: list[bytes] = []
+        fresh = [gens[:0]]  # so that a round that adds no rows concatenates to none
         for start in range(0, len(frontier), step):
             left = frontier[start : start + step]
             products += len(left) * len(gens)
-            # no name holds the composites, so they are freed before the
-            # next batch is composed
-            distinct = _row_keys(unique_rows(compose_rows(left, gens).reshape(-1, window)))
-            new = [key for key in distinct if key not in seen]
-            if max_elements is not None and len(seen) + len(new) > max_elements:
+            new = seen.grow(left, None if max_elements is None else max_elements - len(seen))
+            if new is None:
                 closed = False
                 break
-            seen.update(new)
-            fresh += new
-        if not fresh:
+            fresh.append(new)
+        frontier = np.concatenate(fresh)
+        if not len(frontier):
             break
-        frontier = np.frombuffer(b"".join(fresh), dtype=np.int8).reshape(-1, window)
         found.append(frontier)
         frontier_sizes.append(len(frontier))
     order = unique_rows(np.concatenate(found))
@@ -278,7 +414,7 @@ def compare_with_structural(
     got = result.rows
     if np.array_equal(got, target):  # both sorted and distinct
         return StructuralDiff(True, (), (), len(got), len(target))
-    got_keys, target_keys = set(_row_keys(got)), set(_row_keys(target))
+    got_keys, target_keys = set(_row_bytes(got)), set(_row_bytes(target))
     missing = tuple(decode_row(r, result.window) for r in target if r.tobytes() not in got_keys)
     extra = tuple(decode_row(r, result.window) for r in got if r.tobytes() not in target_keys)
     return StructuralDiff(not missing and not extra, missing, extra, len(got), len(target))
@@ -295,7 +431,7 @@ def composition_escape(rows: np.ndarray) -> tuple[int, np.ndarray | None]:
     for start in range(0, len(rows), step):
         prods = compose_rows(rows[start : start + step], rows).reshape(-1, rows.shape[1])
         checked += len(prods)
-        escape = next((k for k in _row_keys(prods) if k not in keys), None)
+        escape = next((k for k in _row_bytes(prods) if k not in keys), None)
         if escape is not None:
             return checked, np.frombuffer(escape, dtype=np.int8)
     return checked, None
@@ -338,20 +474,6 @@ def union_generators(family: BlockFamily, n: int, window: int) -> np.ndarray:
             stratum[r:, src[r]] = hub[r]
         gens.append(stratum)
     return np.concatenate(gens)
-
-
-def _run_starts(keys: np.ndarray) -> np.ndarray:
-    """Mask of the first key of each run of equal keys in a sorted array."""
-    starts = np.ones(len(keys), dtype=bool)
-    starts[1:] = keys[1:] != keys[:-1]
-    return starts
-
-
-def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
-    """np.unique of int64 keys by sort and mask: numpy 2.4's np.unique
-    is several times slower on them."""
-    keys = np.sort(keys)
-    return keys[_run_starts(keys)]
 
 
 KEY_BITS = 52  # widest key word that a float64 matmul forms exactly
@@ -413,9 +535,8 @@ class RowIndex:
             self.keys, self.position = listed[by_key], at[by_key]
 
     def encode(self, rows: np.ndarray) -> np.ndarray:
-        """The entries as float64, -1 as all ones: an int8 -1 has every bit
-        set, and a point below the window none above the b <= 7 bits."""
-        return (rows & np.int8(self.ones)).astype(np.float64)
+        """The entries as float64, -1 as all ones (`_key_entries`)."""
+        return _key_entries(rows, np.float64)
 
     def _group_keys(self, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(inside, keys), each (rows, groups), from one matmul: whether

@@ -37,7 +37,7 @@ from invsemi.closure import (
     union_generators,
     unique_rows,
 )
-from invsemi.descriptors import EMPTY, _minimal_period
+from invsemi.descriptors import EMPTY, _spread
 from invsemi.constrained import pivot_extension
 from invsemi.errors import BudgetExceededError, InvalidOpenError, WindowMismatchError
 from invsemi.symbolic import (
@@ -60,11 +60,43 @@ from invsemi.topology import (
 )
 
 
+def minimal_period_by_scan(modulus: int, residues: frozenset[int]) -> tuple[int, tuple[int, ...]]:
+    """Reference for `descriptors._minimal_period`: each divisor of the
+    modulus tested residue by residue, O(modulus^2) membership tests."""
+    if not residues:
+        return 1, ()
+    for d in range(1, modulus + 1):
+        if modulus % d != 0:
+            continue
+        if all(((r + d) % modulus in residues) == (r in residues) for r in range(modulus)):
+            return d, tuple(sorted({r % d for r in residues}))
+    return modulus, tuple(sorted(residues))
+
+
+def pointwise_by_shifts(a: SetDescriptor, b: SetDescriptor, op) -> SetDescriptor:
+    """Reference for `SetDescriptor._pointwise` with a bitwise ``op``: the
+    tails as residue masks over the lcm built by summing one bit per
+    residue, the combined tail's residues listed by shifting its mask once
+    per residue, and its period found by `minimal_period_by_scan`."""
+    big = math.lcm(a.modulus, b.modulus)
+    tail = op(*(_spread(sum(1 << r for r in d.residues), d.modulus, big) for d in (a, b)))
+    mod, res = minimal_period_by_scan(big, frozenset(r for r in range(big) if tail >> r & 1))
+    add, remove = [], []
+    for x in sorted({*a.add, *a.remove, *b.add, *b.remove}):
+        on_tail = tail >> x % big & 1
+        if op(a.member(x), b.member(x)):
+            if not on_tail:
+                add.append(x)
+        elif on_tail:
+            remove.append(x)
+    return SetDescriptor(tuple(add), tuple(remove), mod, res)
+
+
 def build_by_loop(add=(), remove=(), modulus=1, residues=()) -> SetDescriptor:
     """Reference for `SetDescriptor.build`: the point-by-point patch loop."""
     add_set = set(add)
     remove_set = set(remove) - add_set
-    mod, res = _minimal_period(modulus, frozenset(r % modulus for r in residues))
+    mod, res = minimal_period_by_scan(modulus, frozenset(r % modulus for r in residues))
     res_set = set(res)
     fin_add = []
     fin_remove = []
@@ -91,7 +123,7 @@ def set_descriptor_check_by_rebuild(add=(), remove=(), modulus=1, residues=()) -
         raise ValueError("residues must lie in [0, modulus)")
     if not residues and modulus != 1:
         raise ValueError("empty tail must use modulus 1")
-    if _minimal_period(modulus, res) != (modulus, residues):
+    if minimal_period_by_scan(modulus, res) != (modulus, residues):
         raise ValueError("tail period is not minimal")
     for name, pts in (("add", add), ("remove", remove)):
         if pts != tuple(sorted(set(pts))):
@@ -230,14 +262,22 @@ def chain_capacity_by_literal_walk(family: BlockFamily, max_interior: int | None
     return best
 
 
+def unique_rows_by_bytes(rows: np.ndarray) -> np.ndarray:
+    """Reference for `unique_rows`: ``sorted(set(row bytes))`` back as
+    int8 rows."""
+    distinct = sorted({r.tobytes() for r in rows})
+    return np.frombuffer(b"".join(distinct), dtype=np.int8).reshape(-1, rows.shape[1])
+
+
 def closure_by_row_scan(rows, max_elements=None, batch_products=BLOCK_PRODUCTS):
     """Reference for `closure_of` on int8 rows: the same breadth-first
-    search in the same batches, with each batch's distinct composites
-    scanned row by row against the elements seen so far.
+    search in the same batches, with each batch's composites built by
+    `compose_rows`, deduplicated and sorted by their bytes, and scanned
+    row by row against the elements seen so far.
 
     Returns (rows, frontier_sizes, products, closed)."""
     window = rows.shape[1]
-    gens = unique_rows(np.concatenate([rows, invert_rows(rows)]))
+    gens = unique_rows_by_bytes(np.concatenate([rows, invert_rows(rows)]))
     if max_elements is not None and len(gens) > max_elements:
         return gens[:0], (), 0, False
     seen = {r.tobytes() for r in gens}
@@ -250,7 +290,7 @@ def closure_by_row_scan(rows, max_elements=None, batch_products=BLOCK_PRODUCTS):
         for start in range(0, len(found[-1]), step):
             left = found[-1][start : start + step]
             products += len(left) * len(gens)
-            distinct = unique_rows(compose_rows(left, gens).reshape(-1, window))
+            distinct = unique_rows_by_bytes(compose_rows(left, gens).reshape(-1, window))
             batch = [r for r in distinct if r.tobytes() not in seen]
             if max_elements is not None and len(seen) + len(batch) > max_elements:
                 closed = False  # the batches before this one still count
@@ -260,7 +300,7 @@ def closure_by_row_scan(rows, max_elements=None, batch_products=BLOCK_PRODUCTS):
         if not fresh:
             break
         found.append(np.stack(fresh))
-    return unique_rows(np.concatenate(found)), tuple(map(len, found)), products, closed
+    return unique_rows_by_bytes(np.concatenate(found)), tuple(map(len, found)), products, closed
 
 
 def union_closed_by_search(family: BlockFamily, n: int, window: int) -> tuple[bool, int]:

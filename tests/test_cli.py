@@ -643,6 +643,41 @@ def test_closure_run_mismatch_at_the_minimal_window_exits_two(monkeypatch, capsy
     assert code == 2 and report_of(doc)["diff"]["matches"] is False
 
 
+def test_closure_run_mismatch_of_a_stopped_closure_exits_one(capsys):
+    # --max 10 stops disjoint:2 at window 8 before its 27 maps are found:
+    # the predicted maps it lacks may lie past the budget, so the mismatch
+    # is no counterexample
+    command = "closure run --family disjoint:2 --window 8 --max 10 --compare"
+    assert main(command.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--max 10" in captured.err
+    code, doc = run(capsys, "closure", "run", "--family", "disjoint:2", "--window", "8",
+                    "--compare")
+    rep = report_of(doc)
+    assert code == 0 and rep["closed"] is True and rep["diff"]["matches"] is True
+    assert rep["elements"] == rep["diff"]["structural_size"] == 27
+    # README's budgeted line has no --compare, closes within its budget and
+    # keeps its report
+    command = "closure run --family disjoint:2 --window 6 --max 5000"
+    assert main(command.split()) == 0
+    digest = _report_digests_script().report_digest(capsys.readouterr().out)
+    assert digest == README_REPORT_DIGESTS[command]
+
+
+def test_python_dash_m_invsemi_runs_the_command_line():
+    src = str(Path(invsemi.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "invsemi", "family-check", "--family",
+                          "five-ring", "--quiet"], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert _report_digests_script().report_digest(out.stdout) == (
+        README_REPORT_DIGESTS["family-check --family five-ring"])
+    bad = subprocess.run([sys.executable, "-m", "invsemi", "family-check", "--family", "no-such"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert bad.returncode == 1 and "unknown family" in bad.stderr
+
+
 def test_internal_value_errors_are_not_usage_errors(monkeypatch, capsys):
     # only package errors, IO and JSON problems are usage errors; a
     # ValueError from inside a command is a bug and must surface

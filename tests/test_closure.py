@@ -32,9 +32,11 @@ from invsemi.closure import (
     BLOCK_PRODUCTS,
     MAX_WINDOW,
     KEY_BITS,
+    KEY_WINDOW,
     NO_KEY,
     RowIndex,
     _sorted_distinct,
+    blank_rows,
     compose_rows,
     composition_escape,
     decode_row,
@@ -50,6 +52,7 @@ from invsemi.closure import (
     union_generators,
     union_index,
     unique_rows,
+    word_keys,
 )
 from invsemi.catalog import (
     bound_example,
@@ -71,6 +74,7 @@ from conftest import (
     structural_rows_by_loop,
     union_closed_by_search,
     union_generators_all_pairs,
+    unique_rows_by_bytes,
     windowed_block_group,
 )
 from test_families import CATALOG
@@ -89,6 +93,23 @@ def test_unique_rows_deduplicates(rng):
     uniq = unique_rows(rows)
     assert len(uniq) == len(set(maps))
     assert len(unique_rows(uniq)) == len(uniq)
+
+
+@pytest.mark.parametrize("width", [1, KEY_WINDOW, KEY_WINDOW + 1])
+def test_unique_rows_sort_as_the_row_bytes(rng, width):
+    # integer keys up to KEY_WINDOW, row bytes past it: one order
+    maps = [random_partial_injection(rng, width) for _ in range(50)]
+    maps.append(PartialBijection.identity_on(range(width), width))
+    rows = np.concatenate([encode_rows(maps + maps[::3], width), blank_rows(2, width)])
+    rows = rows[rng.sample(range(len(rows)), len(rows))]
+    uniq = unique_rows(rows)
+    want = unique_rows_by_bytes(rows)
+    assert uniq.dtype == np.int8 and uniq.shape == want.shape
+    assert uniq.tobytes() == want.tobytes()
+    assert uniq[-1].tolist() == [-1] * width  # the empty map sorts last
+    if width == KEY_WINDOW:
+        keys = word_keys(uniq)
+        assert np.all(keys[1:] > keys[:-1]) and keys[-1] == 2**60 - 1
 
 
 def test_compose_rows_is_all_pairwise(rng):
@@ -839,6 +860,11 @@ def _generator_cases():
             w for w in range(1, top + 1) if all(len(blk.below(w)) <= 4 for blk in fam.blocks)
         )
         yield pytest.param(fam, window, id=f"{fam.name}-w{window}")
+    # one family on both sides of KEY_WINDOW: integer keys at 15, row bytes
+    # at 16 (682 and 1,069 elements in 10 rounds)
+    fam = next(f for f in CATALOG if f.name == "unequal-overlaps")
+    for window in (KEY_WINDOW, KEY_WINDOW + 1):
+        yield pytest.param(fam, window, id=f"{fam.name}-w{window}")
 
 
 @pytest.mark.parametrize("fam, window", _generator_cases())
@@ -874,18 +900,23 @@ def test_batch_dedup_matches_a_row_scan(fam, window, monkeypatch):
 _DIGEST = """
 import hashlib
 from invsemi import closure
-from invsemi.catalog import common_point_family
+from invsemi.catalog import common_point_family, named_family
 closure.BLOCK_PRODUCTS = 64
-gens = closure.family_generators(common_point_family(3), 9, sparse=True)
-for cap in (None, 60, 150):  # the budgets stop the search inside a round
-    r = closure.closure_of(gens, cap)
-    print(hashlib.sha256(r.rows.tobytes() + repr((r.frontier_sizes, r.products)).encode())
-          .hexdigest())
+# window 9 takes the integer keys, window 16 the sets of row bytes; the
+# budgets stop each search inside a round
+for fam, window, caps in ((common_point_family(3), 9, (None, 60, 150)),
+                          (named_family("unequal"), 16, (None, 300, 700))):
+    gens = closure.family_generators(fam, window, sparse=True)
+    for cap in caps:
+        r = closure.closure_of(gens, cap)
+        print(hashlib.sha256(r.rows.tobytes() + repr((r.frontier_sizes, r.products)).encode())
+              .hexdigest())
 """
 
 
 def test_closure_does_not_depend_on_the_hash_seed():
-    # the dedup iterates sets of bytes, whose order follows PYTHONHASHSEED
+    # past KEY_WINDOW the dedup keeps sets of row bytes, whose iteration
+    # order follows PYTHONHASHSEED; no frontier may depend on it
     src = str(Path(invsemi.__file__).resolve().parents[1])
     digests = set()
     for seed in ("0", "1"):
@@ -894,7 +925,7 @@ def test_closure_does_not_depend_on_the_hash_seed():
                              text=True, check=True, timeout=120)
         digests.add(out.stdout)
     assert len(digests) == 1
-    assert len(digests.pop().split()) == 3
+    assert len(digests.pop().split()) == 6
 
 
 def test_closure_refuses_rows_that_are_no_partial_injections():

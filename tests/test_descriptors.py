@@ -1,19 +1,22 @@
 """Set descriptor algebra checked against explicit point sets."""
 
 import math
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from invsemi import SetDescriptor
-from invsemi.descriptors import EMPTY, MAX_MODULUS, NATURALS
+from invsemi.descriptors import EMPTY, MAX_MODULUS, NATURALS, _and_not, _minimal_period
 from invsemi.errors import BudgetExceededError, ParseError
 
 from conftest import (
     almost_subset_by_difference,
     build_by_loop,
+    minimal_period_by_scan,
     pointwise_by_build,
+    pointwise_by_shifts,
     random_descriptor,
     set_descriptor_check_by_rebuild,
 )
@@ -314,6 +317,31 @@ def test_algebra_matches_the_build_route():
                    modulus=rng.randint(1, 24), residues=rng.sample(range(30), 4))
         assert SetDescriptor.build(**raw) == build_by_loop(**raw), raw
     assert max(seen_moduli) > 12  # some results keep an lcm of two moduli
+
+
+def test_period_search_and_residue_listing_match_the_scans():
+    # the rotation test and the bin-string listing against the
+    # residue-by-residue period scan and the shift-per-residue listing
+    rng = random.Random(20261021)
+    cases = []
+    for _ in range(1000):
+        modulus = rng.randint(1, 96)
+        cases.append((modulus, frozenset(rng.sample(range(modulus), rng.randint(0, modulus)))))
+    periodic = []
+    for modulus in (12, 16, 30, 36, 48, 60, 64):
+        for d in [d for d in range(1, modulus) if modulus % d == 0][-4:]:
+            pattern = set(rng.sample(range(d), rng.randint(1, d)))
+            periodic.append((modulus, frozenset(r for r in range(modulus) if r % d in pattern)))
+            cases.append(periodic[-1])
+    assert len(periodic) == 28
+    for modulus, residues in cases:
+        assert _minimal_period(modulus, residues) == minimal_period_by_scan(modulus, residues)
+    assert all(_minimal_period(m, res)[0] < m for m, res in periodic)
+    ops = {"intersect": operator.and_, "union": operator.or_, "difference": _and_not}
+    for _ in range(1000):
+        a, b = random_descriptor(rng), random_descriptor(rng)
+        name = rng.choice(sorted(ops))
+        assert getattr(a, name)(b) == pointwise_by_shifts(a, b, ops[name]), (name, a, b)
 
 
 def test_below_matches_membership():
