@@ -22,6 +22,8 @@ import sys
 import time
 from random import Random
 
+import numpy as np
+
 from .catalog import COMMON_POINT_RULE, FAMILY_BUILDERS, common_point_block, named_family
 from .closure import (
     check_closure_bound,
@@ -268,22 +270,29 @@ def cmd_closure_run(args) -> int:
 
 
 def _stratum_counts(result, fam: BlockFamily) -> dict[str, int]:
-    prefixes = [set(blk.below(result.window)) for blk in fam.blocks]
+    """The closure's elements per stratum, counted from their rows:
+    `empty`, `group[i]` for a permutation of block i's points below the
+    window, `rank{k}[i,j]` for a rank-k map from block i into block j,
+    else `other`.  i and j are the first blocks holding the whole domain,
+    the whole image or both."""
+    rows = result.rows
+    inside = np.zeros((result.window, len(fam.blocks)), dtype=bool)  # point x in block i
+    for i, blk in enumerate(fam.blocks):
+        inside[blk.below(result.window), i] = True
+    defined = rows >= 0
+    images = np.zeros_like(defined)
+    images[np.nonzero(defined)[0], rows[defined]] = True
+    # a block holds a point set when no point of the set lies outside it
+    dom_in, img_in = ~(defined @ ~inside), ~(images @ ~inside)
+    rank = defined.sum(axis=1)
+    group = dom_in & img_in & (rank[:, None] == inside.sum(axis=0))
+    first = [np.where(m.any(axis=1), m.argmax(axis=1), -1) for m in (group, dom_in, img_in)]
+    kinds, tally = np.unique(np.stack([rank, *first], axis=1), axis=0, return_counts=True)
     counts: dict[str, int] = {}
-    for f in result.elements:
-        dom = set(f.domain())
-        img = set(f.image())
-        if not dom:
-            key = "empty"
-        else:
-            gi = next((i for i, p in enumerate(prefixes) if dom == p and img == p), None)
-            if gi is not None:
-                key = f"group[{gi}]"
-            else:
-                i = next((i for i, p in enumerate(prefixes) if dom <= p), None)
-                j = next((j for j, p in enumerate(prefixes) if img <= p), None)
-                key = f"rank{len(dom)}[{i},{j}]" if i is not None and j is not None else "other"
-        counts[key] = counts.get(key, 0) + 1
+    for (k, g, i, j), n in zip(kinds.tolist(), tally.tolist()):
+        key = "empty" if k == 0 else f"group[{g}]" if g >= 0 else (
+            f"rank{k}[{i},{j}]" if i >= 0 and j >= 0 else "other")
+        counts[key] = counts.get(key, 0) + n
     return dict(sorted(counts.items()))
 
 

@@ -3,23 +3,18 @@
 Everything here works on the points below a fixed window.  Maps are
 kept as int8 rows (entry x holds the image of x, -1 for undefined), so
 composing a batch against a batch is two numpy indexing operations.
-The closure routine is a breadth-first search of the right Cayley graph
-over the generators and their inverses, with exact dedup; companion
-builders enumerate the structural candidate sets (windowed block groups
-plus finite strata) straight into rows, so the two routes are compared
-row by row.  The closedness check of a known union runs the same search
-over the union's own indices (`RowIndex`).
+The closure routine and the closedness check of a known union run one
+breadth-first search (`_search`) with exact dedup; companion builders
+enumerate the structural candidate sets (windowed block groups plus
+finite strata) straight into rows, so the two routes are compared row
+by row.
 
-Both searches key rows by exact one-word integers with one entry format:
-b = window.bit_length() bits per entry, -1 as all ones, first column
-highest, so keys sort as the rows' bytes do.  `RowIndex` keys a column
-group's entries under the group's tag.  `word_keys` keys a whole row,
-which fits one int64 up to KEY_WINDOW = 15 columns (15 entries of 4
-bits); `unique_rows` and `closure_of` use it there and fall back to the
-rows' bytes for wider rows.  `closure_of` stops unclosed at the first
-batch whose new elements would pass its budget, and that batch adds
-nothing.  Rows become ``PartialBijection``s only when a caller asks to
-see the maps.
+Both searches key rows by exact one-word integers in one entry format
+(`word_keys`).  `RowIndex` keys a column group's entries under the
+group's tag; `unique_rows` and `closure_of` key whole rows up to
+KEY_WINDOW = 15 columns and fall back to the rows' bytes for wider
+rows.  Rows become ``PartialBijection``s only when a caller asks to see
+the maps.
 """
 
 from __future__ import annotations
@@ -197,10 +192,9 @@ class _KeySeen:
     the sorted int64 array of their `word_keys`.
 
     A batch's product keys come from one int64 matmul of the left
-    factors' entries against a (w x k) matrix packed from the k maps g_j
-    of A u A^-1, as `RowIndex.pack` does it: entry x of u o g_j is entry
-    g_j(x) of u, or all ones where g_j is undefined at x.  No composite
-    row is built.  Membership is a `searchsorted` of the batch's distinct
+    factors' entries against a (w x k) matrix packed from the k maps of
+    A u A^-1 as `RowIndex.pack` packs them, so no composite row is
+    built.  Membership is a `searchsorted` of the batch's distinct
     keys, and the new keys are merged in; the new rows are rebuilt from
     their keys by shifts and masks, in key order, which is bytewise."""
 
@@ -236,8 +230,7 @@ class _KeySeen:
 class _ByteSeen:
     """`closure_of`'s elements so far, for rows wider than KEY_WINDOW: the
     bytes of each row in a set.  Each batch's composites are built by
-    `compose_rows` and deduplicated by `unique_rows`.  Per-block or
-    two-word integer keys would serve these windows too (ROADMAP.md)."""
+    `compose_rows` and deduplicated by `unique_rows`."""
 
     def __init__(self, gens: np.ndarray):
         self.gens = gens
@@ -259,26 +252,48 @@ class _ByteSeen:
         return np.frombuffer(b"".join(new), dtype=np.int8).reshape(-1, window)
 
 
+def _search(frontier: np.ndarray, k: int, grow) -> tuple[list[np.ndarray], int, bool]:
+    """Breadth-first search of the right Cayley graph from `frontier`, the
+    elements found so far, over k maps: each element is composed with
+    every map once (Froidure and Pin, 1997), which enumerates the
+    semigroup with no inverse pass when the maps are A u A^-1.
+
+    Each round composes the last round's new elements in order, in
+    batches of at most BLOCK_PRODUCTS // k left factors (at least one).
+    `grow(left)` returns the batch's products not seen yet, now seen, in
+    an order that does not depend on the iteration order of a set, or
+    None to stop: the search then ends unclosed, and the batches before
+    the stopping one keep their elements.  Returns (rounds, products,
+    closed): each nonempty round's new elements, the products composed
+    up to and including the last batch, and whether no batch stopped."""
+    step = max(1, BLOCK_PRODUCTS // k)
+    rounds: list[np.ndarray] = []
+    products = 0
+    closed = True
+    while closed and len(frontier):
+        fresh = [frontier[:0]]  # so that a round that adds nothing concatenates to none
+        for start in range(0, len(frontier), step):
+            left = frontier[start : start + step]
+            products += len(left) * k
+            new = grow(left)
+            if new is None:
+                closed = False
+                break
+            fresh.append(new)
+        frontier = np.concatenate(fresh)
+        if len(frontier):
+            rounds.append(frontier)
+    return rounds, products, closed
+
+
 def closure_of(rows: np.ndarray, max_elements: int | None = None) -> ClosureResult:
     """Inverse semigroup generated by A, given as an (n, window) int8 row
-    array (`encode_rows` turns maps into one): each new element is
-    composed with every map of A u A^-1 once, which enumerates it with no
-    inverse pass.  The frontier is composed in batches of at most
-    BLOCK_PRODUCTS products, and each batch's new rows keep the bytewise
-    order of the batch's distinct products, with no re-sort, so the
-    frontier does not depend on the iteration order of a set.
-
-    Windows up to KEY_WINDOW = 15 key each element by one int64
-    (`word_keys`: b = window.bit_length() bits per entry, -1 as all ones,
-    first column highest), keep the keys seen in a sorted array, and never
-    build a composite row (`_KeySeen`).  Wider windows build the
-    composites and keep their bytes in a set (`_ByteSeen`).  Both give the
-    same rows, frontiers and counts.
-
-    Stops unclosed at the first batch whose new rows would take it past
-    max_elements: that batch adds nothing, and the batches before it in
-    its round keep their rows.  When A u A^-1 alone is past the budget,
-    the result is unclosed and empty, with no rounds and no products."""
+    array (`encode_rows` turns maps into one), by `_search` over A u A^-1,
+    each batch's new rows in the bytewise order of its distinct products.
+    Windows up to KEY_WINDOW keep the elements seen as one-word keys
+    (`_KeySeen`), wider ones as row bytes (`_ByteSeen`), with the same
+    results.  A batch whose new rows would pass max_elements stops the
+    search; when A u A^-1 alone does, the result is empty."""
     if len(rows) == 0:
         raise ValueError("need at least one generator")
     _check_rows(rows)
@@ -287,29 +302,13 @@ def closure_of(rows: np.ndarray, max_elements: int | None = None) -> ClosureResu
     if max_elements is not None and len(gens) > max_elements:
         return ClosureResult(gens[:0], (), 0, False, window)
     seen = (_KeySeen if window <= KEY_WINDOW else _ByteSeen)(gens)
-    found = [gens]
-    frontier_sizes = [len(gens)]
-    products = 0
-    closed = True
-    step = max(1, BLOCK_PRODUCTS // len(gens))
-    frontier = gens
-    while closed:
-        fresh = [gens[:0]]  # so that a round that adds no rows concatenates to none
-        for start in range(0, len(frontier), step):
-            left = frontier[start : start + step]
-            products += len(left) * len(gens)
-            new = seen.grow(left, None if max_elements is None else max_elements - len(seen))
-            if new is None:
-                closed = False
-                break
-            fresh.append(new)
-        frontier = np.concatenate(fresh)
-        if not len(frontier):
-            break
-        found.append(frontier)
-        frontier_sizes.append(len(frontier))
+    rounds, products, closed = _search(
+        gens, len(gens),
+        lambda left: seen.grow(left, None if max_elements is None else max_elements - len(seen)),
+    )
+    found = [gens, *rounds]
     order = unique_rows(np.concatenate(found))
-    return ClosureResult(order, tuple(frontier_sizes), products, closed, window)
+    return ClosureResult(order, tuple(map(len, found)), products, closed, window)
 
 
 # -- structural candidate sets ----------------------------------------------------
@@ -437,12 +436,11 @@ def composition_escape(rows: np.ndarray) -> tuple[int, np.ndarray | None]:
     return checked, None
 
 
-def rows_closed_under_ops(rows: np.ndarray, window: int) -> tuple[bool, int]:
+def rows_closed_under_ops(rows: np.ndarray) -> tuple[bool, int]:
     """All-pairs check that a row set is closed under composition and
     inverse: the reference oracle for `union_closed`.
 
-    Returns (closed, products_checked), with `composition_escape`'s count;
-    `window` is the width of the rows."""
+    Returns (closed, products_checked), with `composition_escape`'s count."""
     checked, escape = composition_escape(rows)
     keys = {r.tobytes() for r in rows}
     return escape is None and all(r.tobytes() in keys for r in invert_rows(rows)), checked
@@ -621,43 +619,30 @@ def union_closed(family: BlockFamily, n: int, window: int) -> tuple[bool, int]:
     strata of rank <= n and the empty map.
 
     U is closed exactly when <A> = U for the generators A of
-    `union_generators`.  A breadth-first search over the positions of
-    U's index (`union_index`) composes each element it reaches with every
-    map of A u A^-1 and looks the distinct products up in U by their
-    one-word keys; when U is keyed by block, a batch's positions are
-    deduplicated too, since a map in several blocks has a key in each.
-    The maps of A u A^-1 are found in U before they are packed, so each
-    lies in a key group, as `RowIndex.pack` requires.
-    The first batch with a product outside U ends the search unclosed;
-    otherwise U is closed when every position is reached, after
-    |U| x |A u A^-1| products.  Since every product of every reached
-    element with every map of A u A^-1 is checked, any A inside U that
-    generates U gives the same verdict; only the count of products
-    depends on A."""
+    `union_generators`.  `_search` runs over the positions of U's index
+    (`union_index`), and a product outside U stops it; otherwise U is
+    closed when every position is reached, after |U| x |A u A^-1|
+    products.  Every product of every reached element is checked, so any
+    A inside U that generates U gives the same verdict."""
     index = union_index(family, n, window)
     gens = union_generators(family, n, window)
     gens = unique_rows(np.concatenate([gens, invert_rows(gens)]))
-    frontier = index.find(gens)
+    frontier = index.find(gens)  # so each map packed below lies in a key group
     if frontier is None:
         return False, 0
     packed = index.pack(gens)
     reached = np.zeros(len(index.entries), dtype=bool)
     reached[frontier] = True
-    products = 0
-    step = max(1, BLOCK_PRODUCTS // len(gens))
-    while len(frontier):
-        fresh = []
-        for start in range(0, len(frontier), step):
-            left = frontier[start : start + step]
-            products += len(left) * len(gens)
-            found = index.products_in(np.take(index.entries, left, axis=0), packed)
-            if found is None:
-                return False, products
+
+    def grow(left: np.ndarray) -> np.ndarray | None:
+        found = index.products_in(np.take(index.entries, left, axis=0), packed)
+        if found is not None:
             found = found[~reached[found]]
             reached[found] = True
-            fresh.append(found)
-        frontier = np.concatenate(fresh)
-    return bool(reached.all()), products
+        return found
+
+    _, products, closed = _search(frontier, len(gens), grow)
+    return closed and bool(reached.all()), products
 
 
 # -- the closure bound ----------------------------------------------------
@@ -749,23 +734,20 @@ def minimal_window(family: BlockFamily, rank_matrix: list[list[int]]) -> int:
 
     Each block needs its largest incident rank plus its largest overlap
     plus two points below the window (waypoints, parking space and
-    slack), and every overlap point must itself sit below the window.
+    slack), and every overlap point must itself sit below the window: the
+    window lies above every overlap point and above the needs[i]-th
+    member of each block i.
     """
     b = len(family.blocks)
-    needs = []
-    for i in range(b):
+    overlap_pts = {p for i in range(b) for j in range(i + 1, b) for p in family.meet(i, j).points()}
+    least = max(overlap_pts, default=0) + 1
+    for i, blk in enumerate(family.blocks):
         max_rank = max(max(rank_matrix[i][j], rank_matrix[j][i]) for j in range(b))
-        max_off = max(
-            (family.intersection_size(i, j) for j in range(b) if j != i), default=0
-        )
-        needs.append(max_rank + max_off + 2)
-    overlap_pts: set[int] = set()
-    for i in range(b):
-        for j in range(i + 1, b):
-            overlap_pts.update(family.meet(i, j).points())
-    for w in range(1, MAX_WINDOW + 1):
-        if all(p < w for p in overlap_pts) and all(
-            len(family.blocks[i].below(w)) >= needs[i] for i in range(b)
-        ):
-            return w
-    raise BudgetExceededError("no window within the int8 limit fits this family")
+        max_off = max((family.intersection_size(i, j) for j in range(b) if j != i), default=0)
+        need = max_rank + max_off + 2
+        # a block short of `need` members below the limit fits no window
+        pts = blk.below(MAX_WINDOW)
+        least = max(least, pts[need - 1] + 1 if len(pts) >= need else MAX_WINDOW + 1)
+    if least > MAX_WINDOW:
+        raise BudgetExceededError("no window within the int8 limit fits this family")
+    return least

@@ -32,9 +32,11 @@ def _within_budget(modulus: int) -> int:
     return modulus
 
 
-def _residue_mask(residues: Iterable[int], modulus: int) -> int:
+@functools.lru_cache(maxsize=1024)
+def _residue_mask(residues: tuple[int, ...] | frozenset[int], modulus: int) -> int:
     """Bit r set for each residue r below ``modulus``, read from one
-    string of binary digits: linear in the modulus."""
+    string of binary digits: linear in the modulus.  Memoized for the
+    small tails that the boolean algebra combines again and again."""
     digits = bytearray(b"0" * modulus)
     for r in residues:
         digits[modulus - 1 - r] = ord("1")
@@ -109,7 +111,7 @@ def _spread(mask: int, period: int, length: int) -> int:
 
 def _tail_mask(d: "SetDescriptor", length: int) -> int:
     """Bit r set when residue r modulo ``length`` lies on d's tail."""
-    return _spread(sum(1 << r for r in d.residues), d.modulus, length)
+    return _spread(_residue_mask(d.residues, d.modulus), d.modulus, length)
 
 
 def _and_not(a: int, b: int) -> int:

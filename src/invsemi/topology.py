@@ -161,14 +161,16 @@ def open_contains(v: BasicOpen, f: SymElement) -> bool:
     return not any(p in targets or carrier.member(p) for p in v.forbid_im)
 
 
+MAX_PAIRS, MAX_FORBID = 3, 4  # a random open's required pairs, forbidden points per side
+
+
 def random_basic_open(rng: Random, member: SymElement | None = None,
-                      max_pairs: int = 3, max_forbid: int = 4,
                       bound: int = 64) -> BasicOpen:
     """A random valid basic open with all constraint points below
     `bound`.  When `member` is given the open is built around it, so the
     result is guaranteed to contain `member`."""
     if member is None:
-        npairs = rng.randint(0, max_pairs)
+        npairs = rng.randint(0, MAX_PAIRS)
         srcs = rng.sample(range(bound), npairs)
         tgts = rng.sample(range(bound), npairs)
         pairs = tuple(zip(srcs, tgts))
@@ -178,10 +180,10 @@ def random_basic_open(rng: Random, member: SymElement | None = None,
             fi_pool.remove(y)
     else:
         dom_pairs, fd_pool, fi_pool = _member_pools(member, bound)
-        npairs = rng.randint(0, min(max_pairs, len(dom_pairs)))
+        npairs = rng.randint(0, min(MAX_PAIRS, len(dom_pairs)))
         pairs = tuple(rng.sample(dom_pairs, npairs))
-    fd = rng.sample(fd_pool, min(rng.randint(0, max_forbid), len(fd_pool)))
-    fi = rng.sample(fi_pool, min(rng.randint(0, max_forbid), len(fi_pool)))
+    fd = rng.sample(fd_pool, min(rng.randint(0, MAX_FORBID), len(fd_pool)))
+    fi = rng.sample(fi_pool, min(rng.randint(0, MAX_FORBID), len(fi_pool)))
     return BasicOpen(pairs, tuple(fd), tuple(fi))
 
 

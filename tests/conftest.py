@@ -26,6 +26,7 @@ from invsemi.catalog import COMMON_POINT_RULE, common_point_block
 from invsemi.closure import (
     BLOCK_PRODUCTS,
     GROUP_ENUM_CAP,
+    MAX_WINDOW,
     blank_rows,
     closure_of,
     compose_rows,
@@ -73,13 +74,19 @@ def minimal_period_by_scan(modulus: int, residues: frozenset[int]) -> tuple[int,
     return modulus, tuple(sorted(residues))
 
 
+def tail_mask_by_shifts(d: SetDescriptor, length: int) -> int:
+    """Reference for `descriptors._tail_mask`: one shifted bit summed per
+    residue, quadratic in the modulus, then spread to ``length`` bits."""
+    return _spread(sum(1 << r for r in d.residues), d.modulus, length)
+
+
 def pointwise_by_shifts(a: SetDescriptor, b: SetDescriptor, op) -> SetDescriptor:
     """Reference for `SetDescriptor._pointwise` with a bitwise ``op``: the
-    tails as residue masks over the lcm built by summing one bit per
-    residue, the combined tail's residues listed by shifting its mask once
-    per residue, and its period found by `minimal_period_by_scan`."""
+    tails as residue masks over the lcm built by `tail_mask_by_shifts`,
+    the combined tail's residues listed by shifting its mask once per
+    residue, and its period found by `minimal_period_by_scan`."""
     big = math.lcm(a.modulus, b.modulus)
-    tail = op(*(_spread(sum(1 << r for r in d.residues), d.modulus, big) for d in (a, b)))
+    tail = op(tail_mask_by_shifts(a, big), tail_mask_by_shifts(b, big))
     mod, res = minimal_period_by_scan(big, frozenset(r for r in range(big) if tail >> r & 1))
     add, remove = [], []
     for x in sorted({*a.add, *a.remove, *b.add, *b.remove}):
@@ -301,6 +308,50 @@ def closure_by_row_scan(rows, max_elements=None, batch_products=BLOCK_PRODUCTS):
             break
         found.append(np.stack(fresh))
     return unique_rows_by_bytes(np.concatenate(found)), tuple(map(len, found)), products, closed
+
+
+def stratum_counts_by_maps(result, fam: BlockFamily) -> dict[str, int]:
+    """Reference for `cli._stratum_counts`: every element decoded into a
+    `PartialBijection`, its domain and image compared as sets with each
+    block's points below the window."""
+    prefixes = [set(blk.below(result.window)) for blk in fam.blocks]
+    counts: dict[str, int] = {}
+    for f in result.elements:
+        dom = set(f.domain())
+        img = set(f.image())
+        if not dom:
+            key = "empty"
+        else:
+            gi = next((i for i, p in enumerate(prefixes) if dom == p and img == p), None)
+            if gi is not None:
+                key = f"group[{gi}]"
+            else:
+                i = next((i for i, p in enumerate(prefixes) if dom <= p), None)
+                j = next((j for j, p in enumerate(prefixes) if img <= p), None)
+                key = f"rank{len(dom)}[{i},{j}]" if i is not None and j is not None else "other"
+        counts[key] = counts.get(key, 0) + 1
+    return dict(sorted(counts.items()))
+
+
+def minimal_window_by_scan(family: BlockFamily, rank_matrix: list[list[int]]) -> int:
+    """Reference for `closure.minimal_window`: windows 1 to MAX_WINDOW
+    tried in turn against the overlap points and each block's need."""
+    b = len(family.blocks)
+    needs = []
+    for i in range(b):
+        max_rank = max(max(rank_matrix[i][j], rank_matrix[j][i]) for j in range(b))
+        max_off = max((family.intersection_size(i, j) for j in range(b) if j != i), default=0)
+        needs.append(max_rank + max_off + 2)
+    overlap_pts: set[int] = set()
+    for i in range(b):
+        for j in range(i + 1, b):
+            overlap_pts.update(family.meet(i, j).points())
+    for w in range(1, MAX_WINDOW + 1):
+        if all(p < w for p in overlap_pts) and all(
+            len(family.blocks[i].below(w)) >= needs[i] for i in range(b)
+        ):
+            return w
+    raise BudgetExceededError("no window within the int8 limit fits this family")
 
 
 def union_closed_by_search(family: BlockFamily, n: int, window: int) -> tuple[bool, int]:

@@ -14,15 +14,27 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import invsemi
-from invsemi.catalog import named_family
+from invsemi.catalog import named_family, random_uniform_family
 from invsemi import cli
-from invsemi.closure import StructuralDiff, minimal_window
+from invsemi.closure import (
+    ClosureResult,
+    StructuralDiff,
+    closure_of,
+    encode_rows,
+    family_generators,
+    minimal_window,
+    unique_rows,
+)
 from invsemi.families import chain_capacity_by_enumeration, chain_capacity_matrix
 from invsemi.cli import build_parser, main
 from invsemi.errors import InvalidFamilyError, ParseError
+
+from conftest import random_partial_injection, stratum_counts_by_maps
+from test_families import CATALOG
 
 
 def run(capsys, *argv):
@@ -102,6 +114,30 @@ def test_closure_run_matches_structure(capsys):
     assert counts["empty"] == 1
     assert counts["rank1[0,1]"] == 10
     assert sum(counts.values()) == 193
+
+
+def test_stratum_counts_match_the_map_route():
+    # sparse closures of the catalog and of random families, alone, with
+    # random partial injections mixed in (many lie in no stratum) and
+    # stopped before any element
+    rng = random.Random(20261023)
+    fams = [(fam, 16) for fam in CATALOG]
+    fams += [random_uniform_family(rng)[::2] for _ in range(6)]
+    kinds = set()
+    for fam, top in fams:
+        window = max(
+            w for w in range(1, top + 1) if all(len(blk.below(w)) <= 4 for blk in fam.blocks)
+        )
+        gens = family_generators(fam, window, sparse=True)
+        result = closure_of(gens)
+        noise = encode_rows([random_partial_injection(rng, window) for _ in range(20)], window)
+        mixed = ClosureResult(
+            unique_rows(np.concatenate([result.rows, noise])), (), 0, True, window)
+        for res in (result, mixed, closure_of(gens, 0)):
+            got = cli._stratum_counts(res, fam)
+            assert got == stratum_counts_by_maps(res, fam), (fam.name, window)
+            kinds |= {key.partition("[")[0] for key in got}
+    assert kinds == {"empty", "group", "other", "rank1", "rank2", "rank3"}
 
 
 def test_closure_run_budget_flag(capsys):

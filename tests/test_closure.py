@@ -60,8 +60,10 @@ from invsemi.catalog import (
     common_point_family,
     dyadic_disjoint_family,
     marker_family,
+    named_family,
     random_uniform_family,
 )
+from invsemi.errors import BudgetExceededError
 from invsemi.families import chain_capacity_matrix
 from conftest import (
     closure_by_row_scan,
@@ -69,6 +71,7 @@ from conftest import (
     compose_dicts,
     group_rows_by_loop,
     invert_dict,
+    minimal_window_by_scan,
     random_partial_injection,
     rows_by_bytes,
     structural_rows_by_loop,
@@ -258,7 +261,7 @@ def test_common_point_closure_matches_structure():
 def test_structural_rows_are_closed():
     fam = common_point_family(3)
     rows = structural_rows(fam, 8)
-    closed, checked = rows_closed_under_ops(rows, 8)
+    closed, checked = rows_closed_under_ops(rows)
     assert closed and checked >= len(rows) ** 2
 
 
@@ -266,7 +269,7 @@ def test_union_with_too_small_bound_is_not_closed():
     fam = bound_example()
     w = minimal_window(fam, [[1, 1], [1, 1]])
     rows = structural_rows(fam, w, [[1, 1], [1, 1]])
-    closed, _ = rows_closed_under_ops(rows, w)
+    closed, _ = rows_closed_under_ops(rows)
     assert not closed  # identity composite has rank 2
     assert union_closed(fam, 1, w)[0] is False
 
@@ -332,7 +335,7 @@ def test_union_closed_matches_all_pairs_oracle(seed):
     b = len(fam.blocks)
     for n in range(max(bound - 1, 0), bound + 1):
         rows = structural_rows(fam, window, [[n] * b for _ in range(b)])
-        assert union_closed(fam, n, window)[0] == rows_closed_under_ops(rows, window)[0]
+        assert union_closed(fam, n, window)[0] == rows_closed_under_ops(rows)[0]
 
 
 def _escape_by_plain_scan(rows, step):
@@ -379,7 +382,7 @@ def test_union_closed_above_every_overlap():
     for fam, n in ((dyadic_disjoint_family(2), 1), (common_point_family(3), 2)):
         b = len(fam.blocks)
         rows = structural_rows(fam, 8, [[n] * b for _ in range(b)])
-        assert rows_closed_under_ops(rows, 8)[0]
+        assert rows_closed_under_ops(rows)[0]
         closed, products = union_closed(fam, n, 8)
         assert closed and products < len(rows) ** 2
 
@@ -459,16 +462,23 @@ def test_hub_is_the_first_largest_block():
         assert set(row[row >= 0].tolist()) == set(hub[: int((row >= 0).sum())])
 
 
-def test_union_closed_verdicts_on_fixed_families():
+def test_union_closed_verdicts_on_fixed_families(monkeypatch):
     assert union_closed(bound_example(), 1, 22)[0] is False
     assert union_closed(bound_example(), 2, 22)[0] is True
     fam = _wide_core_family()
     assert len(union_index(fam, 1, 100).groups) == 3
     assert [union_closed(fam, n, 100)[0] for n in (0, 1)] == [False, True]
+    # an unclosed union counts the products up to and including the batch
+    # that escapes, in one batch per round and in batches of 64 products
+    unclosed = ((bound_example(), 1, 22), (_hub_not_first_family(), 1, 10), (fam, 0, 100))
+    for block_products, counts in ((BLOCK_PRODUCTS, (100, 169, 100)), (64, (60, 52, 60))):
+        monkeypatch.setattr("invsemi.closure.BLOCK_PRODUCTS", block_products)
+        assert [union_closed(*case) for case in unclosed] == [(False, c) for c in counts]
+    monkeypatch.undo()
     fam = _hub_not_first_family()
     for n, want in ((1, False), (2, True)):
         rows = structural_rows(fam, 10, [[n] * 3] * 3)
-        assert union_closed(fam, n, 10)[0] is rows_closed_under_ops(rows, 10)[0] is want
+        assert union_closed(fam, n, 10)[0] is rows_closed_under_ops(rows)[0] is want
 
 
 # -- one-word row keys ----------------------------------------------------
@@ -750,6 +760,45 @@ def test_minimal_window_covers_the_data():
         assert len(block.below(w)) >= 2
 
 
+def test_minimal_window_matches_the_window_scan():
+    rng = random.Random(20261024)
+    cases = []
+    for spec, want in (("bound2", 22), ("five-ring", 41), ("unequal", 22),
+                       ("common-point:5", 81), ("disjoint:5", 49)):
+        fam = named_family(spec)
+        cases.append((fam, chain_capacity_matrix(fam)))
+        assert minimal_window(*cases[-1]) == want
+    for fam in CATALOG:
+        cases.append((fam, chain_capacity_matrix(fam)))
+    for _ in range(30):
+        fam, _, _ = random_uniform_family(rng)
+        b = len(fam.blocks)
+        cases.append((fam, [[rng.randint(0, 3) for _ in range(b)] for _ in range(b)]))
+    outcomes = []
+    for fam, ranks in cases:
+        got, want = (_window_or_refusal(find, fam, ranks)
+                     for find in (minimal_window, minimal_window_by_scan))
+        assert got == want, fam.name
+        outcomes.append(type(got))
+    assert set(outcomes) == {int, str}
+    # past the int8 limit: a block with too few members below it, and an
+    # overlap point above it
+    sparse = BlockFamily((SetDescriptor.residue_class(0, 60), SetDescriptor.residue_class(1, 2)))
+    far = BlockFamily((SetDescriptor.build(add=[131], modulus=2, residues=[0]),
+                       SetDescriptor.residue_class(1, 2)))
+    for fam in (sparse, far):
+        for find in (minimal_window, minimal_window_by_scan):
+            with pytest.raises(BudgetExceededError, match="int8 limit"):
+                find(fam, [[1, 1], [1, 1]])
+
+
+def _window_or_refusal(find, family, ranks):
+    try:
+        return find(family, ranks)
+    except BudgetExceededError as err:
+        return str(err)
+
+
 # -- row builders against the object route ----------------------------------------------------
 
 
@@ -889,12 +938,19 @@ def test_batch_dedup_matches_a_row_scan(fam, window, monkeypatch):
     # decides where a budget stops the search
     monkeypatch.setattr("invsemi.closure.BLOCK_PRODUCTS", 64)
     gens = family_generators(fam, window, sparse=True)
-    size = closure_of(gens).size()
-    for cap in (None, size // 2, size - 1):
+    whole = closure_of(gens)
+    size = whole.size()
+    kept = False  # whether a stopped round kept the batches before the stop
+    for cap in (None, size // 3, size // 2, size - 1):
         got = closure_of(gens, cap)
         rows, frontier_sizes, products, closed = closure_by_row_scan(gens, cap, 64)
         assert np.array_equal(got.rows, rows)
         assert (got.frontier_sizes, got.products, got.closed) == (frontier_sizes, products, closed)
+        if not got.closed and got.frontier_sizes:
+            last = len(got.frontier_sizes) - 1
+            kept |= got.frontier_sizes[last] < whole.frontier_sizes[last]
+    if fam.name == "unequal-overlaps":  # windows 14-16, both key routes
+        assert kept
 
 
 _DIGEST = """

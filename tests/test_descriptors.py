@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invsemi import SetDescriptor
-from invsemi.descriptors import EMPTY, MAX_MODULUS, NATURALS, _and_not, _minimal_period
+from invsemi.descriptors import (
+    EMPTY,
+    MAX_MODULUS,
+    NATURALS,
+    _and_not,
+    _minimal_period,
+    _tail_mask,
+)
 from invsemi.errors import BudgetExceededError, ParseError
 
 from conftest import (
@@ -19,6 +26,7 @@ from conftest import (
     pointwise_by_shifts,
     random_descriptor,
     set_descriptor_check_by_rebuild,
+    tail_mask_by_shifts,
 )
 
 
@@ -342,6 +350,24 @@ def test_period_search_and_residue_listing_match_the_scans():
         a, b = random_descriptor(rng), random_descriptor(rng)
         name = rng.choice(sorted(ops))
         assert getattr(a, name)(b) == pointwise_by_shifts(a, b, ops[name]), (name, a, b)
+
+
+def test_tail_mask_matches_the_sum_of_shifts():
+    # the memoized digit-string mask, spread to a multiple of the modulus,
+    # against one shifted bit per residue; twice each, so the second call
+    # reads the memo
+    rng = random.Random(20261022)
+    tails = [random_descriptor(rng) for _ in range(500)]
+    for _ in range(100):
+        modulus = rng.randint(1, 4096)
+        tails.append(SetDescriptor.build(
+            modulus=modulus, residues=rng.sample(range(modulus), rng.randint(0, modulus))))
+    tails += [SetDescriptor.residue_class(0, MAX_MODULUS).complement(),
+              SetDescriptor.residue_class(1, 2)]
+    for d in tails:
+        length = d.modulus * rng.randint(1, 4)
+        for _ in range(2):
+            assert _tail_mask(d, length) == tail_mask_by_shifts(d, length), (d, length)
 
 
 def test_below_matches_membership():

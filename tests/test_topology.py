@@ -6,6 +6,7 @@ windowed enumeration throughout; certificates must survive both routes.
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,6 +59,7 @@ from invsemi.topology import (
     low_rank_open_members,
     open_members,
 )
+from invsemi import topology
 from conftest import (
     OVERLAP_BOUND,
     basic_open_check_by_rebuild,
@@ -339,7 +341,8 @@ def windowed_group(block, window):
 def test_open_member_logic_against_brute_force(seed):
     for rule in (COMMON_POINT_RULE, DISJOINT_RULE):
         rng = random.Random(seed)
-        v = random_basic_open(rng, max_pairs=2, max_forbid=3, bound=10)
+        with mock.patch.multiple(topology, MAX_PAIRS=2, MAX_FORBID=3):
+            v = random_basic_open(rng, bound=10)
         rep = rule_open_members(v, rule)
         window = 12
         brute = brute_members(v, rule, window)
@@ -662,7 +665,8 @@ def test_family_accounting_against_windowed_rows():
             for _ in range(16):
                 row = [p for p in rng.choice(maps).pairs if not set(p) & spare]
                 anchor = fin_map(row) if rng.random() < 0.7 else None
-                v = off_spare(random_basic_open(rng, anchor, 2, 4, bound=w), spare)
+                with mock.patch.object(topology, "MAX_PAIRS", 2):
+                    v = off_spare(random_basic_open(rng, anchor, bound=w), spare)
                 rep = open_members(v, enumerate(family.blocks), bound)
                 hits = [f for f in maps if open_contains_map(v, f)]
                 where = (family.name, bound, v.describe())
