@@ -9,12 +9,10 @@ enumerate the structural candidate sets (windowed block groups plus
 finite strata) straight into rows, so the two routes are compared row
 by row.
 
-Both searches key rows by exact one-word integers in one entry format
-(`word_keys`).  `RowIndex` keys a column group's entries under the
-group's tag; `unique_rows` and `closure_of` key whole rows up to
-KEY_WINDOW = 15 columns and fall back to the rows' bytes for wider
-rows.  Rows become ``PartialBijection``s only when a caller asks to see
-the maps.
+Rows are deduplicated and looked up by sortable keys in one format
+(`row_keys`); `RowIndex` keys a column group's entries under the
+group's tag in the same entry format.  Rows become
+``PartialBijection``s only when a caller asks to see the maps.
 """
 
 from __future__ import annotations
@@ -48,8 +46,8 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
 
 
 def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
-    """np.unique of int64 keys by sort and mask: numpy 2.4's np.unique
-    is several times slower on them."""
+    """np.unique of int64 keys, or of the void keys of `row_keys`, by sort
+    and mask: numpy 2.4's np.unique is several times slower on int64 keys."""
     keys = np.sort(keys)
     return keys[_run_starts(keys)]
 
@@ -72,17 +70,27 @@ def _key_entries(rows: np.ndarray, dtype=np.int64) -> np.ndarray:
     return (rows & np.int8((1 << rows.shape[1].bit_length()) - 1)).astype(dtype)
 
 
-def word_keys(rows: np.ndarray) -> np.ndarray:
-    """One int64 key per row of width w <= KEY_WINDOW, in `RowIndex`'s
-    format: b = w.bit_length() bits per entry, -1 as all ones, first
-    column highest.  Every point is below 2^b - 1, so the keys sort as the
-    rows' bytes do, and the empty map at width 15 has the largest key,
-    2^60 - 1."""
-    return _key_entries(rows) @ (np.int64(1) << _key_shifts(rows.shape[1]))
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One key per int8 row, which sorts and compares as the row's bytes
+    do (-1 after every point); `rows_from_keys` inverts it.
+
+    A row of width w <= KEY_WINDOW keys as one int64 word: b =
+    w.bit_length() bits per entry, -1 as all ones, first column highest,
+    the format `RowIndex` packs under a group.  Every point is below
+    2^b - 1, so the empty map at width 15 has the largest key, 2^60 - 1.
+    A wider row keys as its bytes, one void scalar, which numpy compares
+    bytewise."""
+    window = rows.shape[1]
+    if window <= KEY_WINDOW:
+        return _key_entries(rows) @ (np.int64(1) << _key_shifts(window))
+    flat = np.ascontiguousarray(rows)
+    return flat.view(np.dtype((np.void, window))).ravel()
 
 
 def rows_from_keys(keys: np.ndarray, window: int) -> np.ndarray:
-    """The int8 rows whose `word_keys` these are, in the same order."""
+    """The int8 rows whose `row_keys` these are, in the same order."""
+    if window > KEY_WINDOW:
+        return keys.view(np.int8).reshape(-1, window)
     # the low byte of each shifted key holds the entry in its low b bits;
     # adding one carries an all-ones entry out of them, so it reads -1
     entries = (keys[:, None] >> _key_shifts(window)).astype(np.int8)
@@ -90,23 +98,8 @@ def rows_from_keys(keys: np.ndarray, window: int) -> np.ndarray:
 
 
 def unique_rows(rows: np.ndarray) -> np.ndarray:
-    """Deduplicate int8 rows, sorted bytewise (undefined slots last).
-
-    Rows of width w <= KEY_WINDOW are sorted and deduplicated as one-word
-    integer keys (`word_keys`) and rebuilt from the distinct keys; wider
-    rows by their bytes."""
-    if len(rows) == 0:
-        return rows
-    if rows.shape[1] <= KEY_WINDOW:
-        return rows_from_keys(_sorted_distinct(word_keys(rows)), rows.shape[1])
-    flat = np.ascontiguousarray(rows)
-    keys = flat.view(np.dtype((np.void, flat.shape[1]))).ravel()
-    return np.unique(keys).view(np.int8).reshape(-1, flat.shape[1])
-
-
-def _row_bytes(rows: np.ndarray) -> list[bytes]:
-    """The bytes of each row of a contiguous array, in order."""
-    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
+    """Deduplicate int8 rows, sorted bytewise (undefined slots last)."""
+    return rows_from_keys(_sorted_distinct(row_keys(rows)), rows.shape[1])
 
 
 # -- encoding ----------------------------------------------------
@@ -136,7 +129,7 @@ def _check_rows(rows: np.ndarray) -> None:
     share an image."""
     if not isinstance(rows, np.ndarray) or rows.ndim != 2 or rows.dtype != np.int8:
         raise ValueError("generator rows must be a 2-D int8 array")
-    if rows.min() < -1 or rows.max() >= rows.shape[1]:
+    if rows.size and (rows.min() < -1 or rows.max() >= rows.shape[1]):
         raise ValueError("point outside window")
     ordered = np.sort(rows, axis=1)
     if np.any((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)):
@@ -187,25 +180,39 @@ class ClosureResult:
         return len(self.rows)
 
 
-class _KeySeen:
-    """`closure_of`'s elements so far, for rows of width w <= KEY_WINDOW:
-    the sorted int64 array of their `word_keys`.
+def _pack(gens: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M, c) such that (entries of u) @ M, plus c, holds in column j the
+    key of u o g_j for the k maps g_j, where scale[j, x] is the weight of
+    column x in that key and an entry takes b = window.bit_length() bits.
+    Entry x of u o g_j is entry g_j(x) of u, or all ones where g_j is
+    undefined at x; M has the dtype of `scale`, and c is int64."""
+    k, window = gens.shape
+    js, xs = np.nonzero(gens >= 0)
+    pack = np.zeros((window, k), dtype=scale.dtype)
+    pack[gens[js, xs], js] = scale[js, xs]
+    ones = (1 << window.bit_length()) - 1
+    return pack, (ones * (scale * (gens < 0)).sum(axis=1)).astype(np.int64)
 
-    A batch's product keys come from one int64 matmul of the left
-    factors' entries against a (w x k) matrix packed from the k maps of
-    A u A^-1 as `RowIndex.pack` packs them, so no composite row is
-    built.  Membership is a `searchsorted` of the batch's distinct
-    keys, and the new keys are merged in; the new rows are rebuilt from
-    their keys by shifts and masks, in key order, which is bytewise."""
+
+class _Seen:
+    """`closure_of`'s elements so far, as the sorted array of their
+    `row_keys`.
+
+    Up to KEY_WINDOW, a batch's product keys come from one int64 matmul
+    of the left factors' entries against the maps of A u A^-1 packed by
+    `_pack`, so no composite row is built; wider batches are composed by
+    `compose_rows` and keyed by `row_keys`.  Membership is a
+    `searchsorted` of the batch's distinct keys, and the new keys are
+    merged in; the new rows are rebuilt from their keys, in key order,
+    which is bytewise."""
 
     def __init__(self, gens: np.ndarray):
-        self.window = gens.shape[1]
-        self.keys = word_keys(gens)  # sorted: gens come from unique_rows
-        weights = np.int64(1) << _key_shifts(self.window)
-        js, xs = np.nonzero(gens >= 0)
-        self.pack = np.zeros((self.window, len(gens)), dtype=np.int64)
-        self.pack[gens[js, xs], js] = weights[xs]
-        self.unset = ((1 << self.window.bit_length()) - 1) * (gens < 0) @ weights
+        self.gens = gens
+        self.keys = row_keys(gens)  # sorted: gens come from unique_rows
+        window = gens.shape[1]
+        if window <= KEY_WINDOW:
+            weights = np.int64(1) << _key_shifts(window)
+            self.packed = _pack(gens, np.broadcast_to(weights, gens.shape))
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -213,8 +220,13 @@ class _KeySeen:
     def grow(self, left: np.ndarray, room: int | None) -> np.ndarray | None:
         """The rows of left o A u A^-1 not seen yet, in bytewise order, now
         seen; None, with nothing added, when they are more than `room`."""
-        keys = _key_entries(left) @ self.pack
-        keys += self.unset
+        window = self.gens.shape[1]
+        if window <= KEY_WINDOW:
+            pack, unset = self.packed
+            keys = _key_entries(left) @ pack
+            keys += unset
+        else:
+            keys = row_keys(compose_rows(left, self.gens).reshape(-1, window))
         distinct = _sorted_distinct(keys.ravel())
         at = np.searchsorted(self.keys, distinct)
         new = self.keys.take(at, mode="clip") != distinct
@@ -224,32 +236,7 @@ class _KeySeen:
         # a stable sort merges the two sorted runs in linear time
         self.keys = np.concatenate([self.keys, added])
         self.keys.sort(kind="stable")
-        return rows_from_keys(added, self.window)
-
-
-class _ByteSeen:
-    """`closure_of`'s elements so far, for rows wider than KEY_WINDOW: the
-    bytes of each row in a set.  Each batch's composites are built by
-    `compose_rows` and deduplicated by `unique_rows`."""
-
-    def __init__(self, gens: np.ndarray):
-        self.gens = gens
-        self.keys = set(_row_bytes(gens))
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def grow(self, left: np.ndarray, room: int | None) -> np.ndarray | None:
-        """As `_KeySeen.grow`."""
-        window = self.gens.shape[1]
-        # no name holds the composites, so they are freed before the
-        # next batch is composed
-        distinct = _row_bytes(unique_rows(compose_rows(left, self.gens).reshape(-1, window)))
-        new = [key for key in distinct if key not in self.keys]
-        if room is not None and len(new) > room:
-            return None
-        self.keys.update(new)
-        return np.frombuffer(b"".join(new), dtype=np.int8).reshape(-1, window)
+        return rows_from_keys(added, window)
 
 
 def _search(frontier: np.ndarray, k: int, grow) -> tuple[list[np.ndarray], int, bool]:
@@ -290,10 +277,8 @@ def closure_of(rows: np.ndarray, max_elements: int | None = None) -> ClosureResu
     """Inverse semigroup generated by A, given as an (n, window) int8 row
     array (`encode_rows` turns maps into one), by `_search` over A u A^-1,
     each batch's new rows in the bytewise order of its distinct products.
-    Windows up to KEY_WINDOW keep the elements seen as one-word keys
-    (`_KeySeen`), wider ones as row bytes (`_ByteSeen`), with the same
-    results.  A batch whose new rows would pass max_elements stops the
-    search; when A u A^-1 alone does, the result is empty."""
+    A batch whose new rows would pass max_elements stops the search; when
+    A u A^-1 alone does, the result is empty."""
     if len(rows) == 0:
         raise ValueError("need at least one generator")
     _check_rows(rows)
@@ -301,14 +286,14 @@ def closure_of(rows: np.ndarray, max_elements: int | None = None) -> ClosureResu
     gens = unique_rows(np.concatenate([rows, invert_rows(rows)]))
     if max_elements is not None and len(gens) > max_elements:
         return ClosureResult(gens[:0], (), 0, False, window)
-    seen = (_KeySeen if window <= KEY_WINDOW else _ByteSeen)(gens)
+    seen = _Seen(gens)
     rounds, products, closed = _search(
         gens, len(gens),
         lambda left: seen.grow(left, None if max_elements is None else max_elements - len(seen)),
     )
-    found = [gens, *rounds]
-    order = unique_rows(np.concatenate(found))
-    return ClosureResult(order, tuple(map(len, found)), products, closed, window)
+    # seen holds exactly the generators and every round, sorted
+    sizes = (len(gens), *map(len, rounds))
+    return ClosureResult(rows_from_keys(seen.keys, window), sizes, products, closed, window)
 
 
 # -- structural candidate sets ----------------------------------------------------
@@ -413,9 +398,9 @@ def compare_with_structural(
     got = result.rows
     if np.array_equal(got, target):  # both sorted and distinct
         return StructuralDiff(True, (), (), len(got), len(target))
-    got_keys, target_keys = set(_row_bytes(got)), set(_row_bytes(target))
-    missing = tuple(decode_row(r, result.window) for r in target if r.tobytes() not in got_keys)
-    extra = tuple(decode_row(r, result.window) for r in got if r.tobytes() not in target_keys)
+    got_keys, target_keys = row_keys(got), row_keys(target)
+    missing = tuple(decode_row(r, result.window) for r in target[~np.isin(target_keys, got_keys)])
+    extra = tuple(decode_row(r, result.window) for r in got[~np.isin(got_keys, target_keys)])
     return StructuralDiff(not missing and not extra, missing, extra, len(got), len(target))
 
 
@@ -430,7 +415,8 @@ def composition_escape(rows: np.ndarray) -> tuple[int, np.ndarray | None]:
     for start in range(0, len(rows), step):
         prods = compose_rows(rows[start : start + step], rows).reshape(-1, rows.shape[1])
         checked += len(prods)
-        escape = next((k for k in _row_bytes(prods) if k not in keys), None)
+        prod_keys = prods.view(np.dtype((np.void, prods.shape[1]))).ravel().tolist()
+        escape = next((k for k in prod_keys if k not in keys), None)
         if escape is not None:
             return checked, np.frombuffer(escape, dtype=np.int8)
     return checked, None
@@ -556,21 +542,14 @@ class RowIndex:
     def pack(self, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(M, c) such that, for k maps g_j that each lie in a group,
         (encode(u) @ M) as int64, plus c, holds the one-word key of u o g_j
-        in column j, under the first group that holds g_j.  Entry x of u o g_j
-        is entry g_j(x) of u, or -1 where g_j is undefined at x, so u o g_j
-        lies in that group too.  A map that no group holds raises
-        ValueError: its products could leave U on a column no key reads."""
-        k, window = gens.shape
+        in column j, under the first group that holds g_j (`_pack`), which
+        holds u o g_j too.  A map that no group holds raises ValueError:
+        its products could leave U on a column no key reads."""
         inside, _ = self._group_keys(self.encode(gens))
         if not inside.any(axis=1).all():
             raise ValueError("cannot pack a map that no key group holds")
         home = inside.argmax(axis=1)
-        scale = self.weights[:, home].T
-        js, xs = np.nonzero(gens >= 0)
-        pack = np.zeros((window, k))
-        pack[gens[js, xs], js] = scale[js, xs]
-        # the all-ones entries where g_j is undefined, and g_j's group tag
-        unset = (self.ones * (scale * (gens < 0)).sum(axis=1)).astype(np.int64)
+        pack, unset = _pack(gens, self.weights[:, home].T)
         return pack, unset + self.tags[home]
 
     def products_in(

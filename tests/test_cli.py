@@ -388,6 +388,29 @@ def test_readme_witness_reports_are_pinned(command, capsys):
     assert script.report_digest(capsys.readouterr().out) == README_WITNESS_DIGESTS[command]
 
 
+# bound2's closures at its minimal window 22, past KEY_WINDOW, which no
+# README command reaches: (report SHA-256 without `meta`, elements, closed)
+WIDE_CLOSURE_REPORTS = {
+    "closure run --family bound2 --sparse --compare":
+        ("8e87690865d5ab11c381173311d16082a65be1d5613d0c203bb7ffad4496cf46", 3223, True),
+    "closure run --family bound2 --sparse --max 1000":
+        ("5ad5b68b61ab6e6118b8f68644c888e88c1d6e366b9f34fc59c773a2b1239699", 726, False),
+    "closure run --family bound2 --max 2000":
+        ("8f2209ba1eaac3213cc6e5a45f91b3efc82975f8c32de6145ad38f81823ca8f4", 1890, False),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WIDE_CLOSURE_REPORTS))
+def test_wide_window_closure_reports_are_pinned(command, capsys):
+    digest, elements, closed = WIDE_CLOSURE_REPORTS[command]
+    code = main(command.split())
+    out = capsys.readouterr().out
+    rep = report_of(json.loads(out[out.index("\n{") + 1:]))
+    assert code == 0
+    assert (rep["window"], rep["elements"], rep["closed"]) == (22, elements, closed)
+    assert _report_digests_script().report_digest(out) == digest
+
+
 def _readme_commands():
     script = _report_digests_script()
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

@@ -44,6 +44,7 @@ from invsemi.closure import (
     family_generators,
     group_rows,
     invert_rows,
+    row_keys,
     rows_closed_under_ops,
     sparse_group_generators,
     structural_parts,
@@ -52,7 +53,6 @@ from invsemi.closure import (
     union_generators,
     union_index,
     unique_rows,
-    word_keys,
 )
 from invsemi.catalog import (
     bound_example,
@@ -100,7 +100,7 @@ def test_unique_rows_deduplicates(rng):
 
 @pytest.mark.parametrize("width", [1, KEY_WINDOW, KEY_WINDOW + 1])
 def test_unique_rows_sort_as_the_row_bytes(rng, width):
-    # integer keys up to KEY_WINDOW, row bytes past it: one order
+    # one-word keys up to KEY_WINDOW, the rows' bytes past it: one order
     maps = [random_partial_injection(rng, width) for _ in range(50)]
     maps.append(PartialBijection.identity_on(range(width), width))
     rows = np.concatenate([encode_rows(maps + maps[::3], width), blank_rows(2, width)])
@@ -111,7 +111,7 @@ def test_unique_rows_sort_as_the_row_bytes(rng, width):
     assert uniq.tobytes() == want.tobytes()
     assert uniq[-1].tolist() == [-1] * width  # the empty map sorts last
     if width == KEY_WINDOW:
-        keys = word_keys(uniq)
+        keys = row_keys(uniq)
         assert np.all(keys[1:] > keys[:-1]) and keys[-1] == 2**60 - 1
 
 
@@ -909,8 +909,8 @@ def _generator_cases():
             w for w in range(1, top + 1) if all(len(blk.below(w)) <= 4 for blk in fam.blocks)
         )
         yield pytest.param(fam, window, id=f"{fam.name}-w{window}")
-    # one family on both sides of KEY_WINDOW: integer keys at 15, row bytes
-    # at 16 (682 and 1,069 elements in 10 rounds)
+    # one family on both sides of KEY_WINDOW: one-word keys at 15, the rows'
+    # bytes at 16 (682 and 1,069 elements in 10 rounds)
     fam = next(f for f in CATALOG if f.name == "unequal-overlaps")
     for window in (KEY_WINDOW, KEY_WINDOW + 1):
         yield pytest.param(fam, window, id=f"{fam.name}-w{window}")
@@ -958,7 +958,7 @@ import hashlib
 from invsemi import closure
 from invsemi.catalog import common_point_family, named_family
 closure.BLOCK_PRODUCTS = 64
-# window 9 takes the integer keys, window 16 the sets of row bytes; the
+# window 9 takes the one-word keys, window 16 the rows' bytes; the
 # budgets stop each search inside a round
 for fam, window, caps in ((common_point_family(3), 9, (None, 60, 150)),
                           (named_family("unequal"), 16, (None, 300, 700))):
@@ -971,8 +971,8 @@ for fam, window, caps in ((common_point_family(3), 9, (None, 60, 150)),
 
 
 def test_closure_does_not_depend_on_the_hash_seed():
-    # past KEY_WINDOW the dedup keeps sets of row bytes, whose iteration
-    # order follows PYTHONHASHSEED; no frontier may depend on it
+    # a dedup through Python sets, whose iteration order follows
+    # PYTHONHASHSEED, would show here: no frontier may depend on it
     src = str(Path(invsemi.__file__).resolve().parents[1])
     digests = set()
     for seed in ("0", "1"):
@@ -1001,17 +1001,32 @@ def test_closure_refuses_rows_that_are_no_partial_injections():
             closure_of(rows)
 
 
+def test_closure_of_the_empty_map_at_window_0():
+    # a (1, 0) row array has no entry for the range check to read
+    empty = PartialBijection.empty(0)
+    result = closure_of(encode_rows([empty], 0))
+    assert (result.size(), result.frontier_sizes, result.products, result.closed) == (
+        1, (1,), 1, True)
+    assert result.rows.shape == (1, 0) and result.elements == (empty,)
+
+
 def test_structural_diff_names_the_missing_and_extra_maps():
-    fam, window = common_point_family(3), 8
-    target = structural_rows(fam, window)
-    # rank 2 from block 0 to block 1, past their chain capacity of 1
-    foreign = PartialBijection.of([(1, 2), (3, 6)], window)
-    assert foreign not in {decode_row(r, window) for r in target}
-    rows = unique_rows(np.concatenate([np.delete(target, 5, axis=0),
-                                       encode_rows([foreign], window)]))
-    result = ClosureResult(rows, (len(rows),), 0, True, window)
-    diff = compare_with_structural(result, fam)
-    assert not diff.matches
-    assert diff.missing == (decode_row(target[5], window),)
-    assert diff.extra == (foreign,)
-    assert (diff.closure_size, diff.structural_size) == (len(target), len(target))
+    cases = [
+        # rank 2 from block 0 to block 1, past their chain capacity of 1
+        (common_point_family(3), 8, [(1, 2), (3, 6)]),
+        # rank 3 from block 0 to block 1, past their capacity of 2, at a
+        # window past KEY_WINDOW
+        (bound_example(), 22, [(0, 3), (6, 9), (12, 15)]),
+    ]
+    for fam, window, pairs in cases:
+        target = structural_rows(fam, window)
+        foreign = PartialBijection.of(pairs, window)
+        assert foreign not in {decode_row(r, window) for r in target}
+        rows = unique_rows(np.concatenate([np.delete(target, 5, axis=0),
+                                           encode_rows([foreign], window)]))
+        result = ClosureResult(rows, (len(rows),), 0, True, window)
+        diff = compare_with_structural(result, fam)
+        assert not diff.matches
+        assert diff.missing == (decode_row(target[5], window),)
+        assert diff.extra == (foreign,)
+        assert (diff.closure_size, diff.structural_size) == (len(target), len(target))
