@@ -6,9 +6,13 @@ timing metadata under "meta".  Reports for the same config and seed are
 byte-identical apart from "meta", which is the only field carrying
 timestamps.
 
-Exit codes: 0 when every verdict passed, 2 when a mathematical verdict
-failed (a counterexample where none should exist, a mismatch between
-independent computations), 1 for usage and IO problems.
+A command `cmd_*(args)` returns `(config, report, summary, ok)` and
+prints no report.  `main` alone times it, prints its summary line
+unless `--quiet`, writes the report through `_emit` and exits 0 when
+every verdict passed, 2 when a mathematical verdict failed (a
+counterexample where none should exist, a mismatch between independent
+computations), and 1 for usage and IO problems, raised as package, OS
+or JSON errors.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -85,10 +89,10 @@ def _load_family(spec: str) -> BlockFamily:
         return BlockFamily.from_config(json.load(fh))
 
 
-def _emit(args, command: str, config: dict, report: dict, started: float) -> None:
+def _emit(args, config: dict, report: dict, started: float) -> None:
     doc = {
         "schema": 1,
-        "command": command,
+        "command": args.report_command,
         "config": config,
         "report": report,
         "meta": {
@@ -180,11 +184,6 @@ def _trace(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _say(args, message: str) -> None:
-    if not args.quiet:
-        print(message)
-
-
 def _write_csv(path: str, matrix, header: list[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join([""] + header) + "\n")
@@ -197,8 +196,7 @@ def _write_csv(path: str, matrix, header: list[str]) -> None:
 # commands
 
 
-def cmd_family_check(args) -> int:
-    started = time.monotonic()
+def cmd_family_check(args) -> tuple[dict, dict, str, bool]:
     fam = _load_family(args.family)
     b = len(fam.blocks)
     matrix = fam.intersection_matrix()
@@ -215,13 +213,11 @@ def cmd_family_check(args) -> int:
     if args.csv:
         _write_csv(args.csv, matrix, [f"B{i}" for i in range(b)])
     shape = f"uniform overlap {uniform}" if uniform is not None else "non-uniform overlaps"
-    _say(args, f"{fam.name or 'family'}: {b} blocks, max overlap {max(off)}, {shape}")
-    _emit(args, "family-check", {"family": args.family}, report, started)
-    return 0
+    summary = f"{fam.name or 'family'}: {b} blocks, max overlap {max(off)}, {shape}"
+    return {"family": args.family}, report, summary, True
 
 
-def cmd_closure_run(args) -> int:
-    started = time.monotonic()
+def cmd_closure_run(args) -> tuple[dict, dict, str, bool]:
     fam = _load_family(args.family)
     capacity = chain_capacity_matrix(fam)
     window = args.window or minimal_window(fam, capacity)
@@ -238,7 +234,7 @@ def cmd_closure_run(args) -> int:
         "frontier_sizes": list(result.frontier_sizes),
         "stratum_counts": strata,
     }
-    code = 0
+    ok = True
     if args.compare:
         diff = compare_with_structural(result, fam, capacity)
         report["diff"] = {
@@ -260,13 +256,12 @@ def cmd_closure_run(args) -> int:
                 raise WindowMismatchError(
                     f"window {window} is below the minimal window {least} of this "
                     "family, so its structural mismatch is no counterexample")
-            code = 2
-    _say(args, f"closure: {result.size()} elements in {len(result.frontier_sizes)} "
-               f"rounds (closed: {result.closed})")
-    _emit(args, "closure run", _family_config(args, window=window, sparse=args.sparse,
-                                              max=args.max, compare=args.compare),
-          report, started)
-    return code
+            ok = False
+    config = _family_config(args, window=window, sparse=args.sparse, max=args.max,
+                            compare=args.compare)
+    summary = (f"closure: {result.size()} elements in {len(result.frontier_sizes)} "
+                f"rounds (closed: {result.closed})")
+    return config, report, summary, ok
 
 
 def _stratum_counts(result, fam: BlockFamily) -> dict[str, int]:
@@ -296,45 +291,34 @@ def _stratum_counts(result, fam: BlockFamily) -> dict[str, int]:
     return dict(sorted(counts.items()))
 
 
-def cmd_chains(args) -> int:
-    started = time.monotonic()
-    if args.max_interior is not None and not args.check:
-        raise ParseError("--max-interior bounds the walk oracle and needs --check")
+def cmd_chains(args) -> tuple[dict, dict, str, bool]:
     fam = _load_family(args.family)
     b = len(fam.blocks)
     dp = chain_capacity_matrix(fam)
     report = {"capacity": dp}
-    code = 0
+    ok = True
     if args.check:
-        oracle = chain_capacity_by_enumeration(fam, args.max_interior)
+        oracle = chain_capacity_by_enumeration(fam)
         report["oracle"] = oracle
-        report["oracle_agrees"] = oracle == dp
-        if oracle != dp:
-            code = 2
+        report["oracle_agrees"] = ok = oracle == dp
     certs = []
     for i in range(b):
         for j in range(b):
             cert = find_chain(fam, i, j, dp[i][j])
-            ok = cert is not None and verify_chain(fam, cert)
+            verified = cert is not None and verify_chain(fam, cert)
             certs.append({
                 "i": i, "j": j, "m": dp[i][j],
                 "interior": list(cert.interior) if cert else None,
-                "verified": bool(ok),
+                "verified": bool(verified),
             })
-            if not ok:
-                code = 2
+            ok = ok and verified
     report["certificates"] = certs
     if args.csv:
         _write_csv(args.csv, dp, [f"B{i}" for i in range(b)])
-    _say(args, f"capacity matrix: {dp}")
-    _emit(args, "chains", _family_config(args, check=args.check,
-                                         max_interior=args.max_interior),
-          report, started)
-    return code
+    return _family_config(args, check=args.check), report, f"capacity matrix: {dp}", ok
 
 
-def cmd_stratify(args) -> int:
-    started = time.monotonic()
+def cmd_stratify(args) -> tuple[dict, dict, str, bool]:
     fam = _load_family(args.family)
     f = parse_sym(args.element, fam.blocks)
     tag = classify(f, fam.blocks)
@@ -347,37 +331,29 @@ def cmd_stratify(args) -> int:
         "stratum_options": [list(o) for o in options],
         "generated": generated,
     }
-    _say(args, f"{format_sym(f, fam.blocks)}: {tag.kind} "
-               f"(i={tag.i}, j={tag.j}, rank={tag.k}), generated: {generated}")
-    _emit(args, "stratify", _family_config(args, element=args.element), report, started)
-    return 0
+    summary = (f"{format_sym(f, fam.blocks)}: {tag.kind} "
+                f"(i={tag.i}, j={tag.j}, rank={tag.k}), generated: {generated}")
+    return _family_config(args, element=args.element), report, summary, True
 
 
-def cmd_factorize(args) -> int:
-    started = time.monotonic()
+def cmd_factorize(args) -> tuple[dict, dict, str, bool]:
     fam = _load_family(args.family)
     f = parse_sym(args.element, fam.blocks)
     config = _family_config(args, element=args.element)
     try:
         factors = factorize(f, fam)
     except NotGeneratedError as e:
-        report = {"generated": False, "reason": str(e)}
-        _say(args, f"not generated: {e}")
-        _emit(args, "factorize", config, report, started)
-        return 2
+        return config, {"generated": False, "reason": str(e)}, f"not generated: {e}", False
     ok = verify_factorization(f, factors, fam)
     report = {
         "generated": True,
         "factors": [format_sym(g, fam.blocks) for g in factors],
         "recomposes": bool(ok),
     }
-    _say(args, f"{len(factors)} factors, recomposes: {ok}")
-    _emit(args, "factorize", config, report, started)
-    return 0 if ok else 2
+    return config, report, f"{len(factors)} factors, recomposes: {ok}", ok
 
 
-def cmd_verify_closure_bound(args) -> int:
-    started = time.monotonic()
+def cmd_verify_closure_bound(args) -> tuple[dict, dict, str, bool]:
     fam = _load_family(args.family)
     rep = check_closure_bound(fam, args.bound, args.window)
     verdict_ok = (rep.satisfied and rep.closed) or (
@@ -395,19 +371,15 @@ def cmd_verify_closure_bound(args) -> int:
         "verdict_ok": verdict_ok,
     }
     if rep.satisfied:
-        _say(args, f"overlaps within {args.bound}: union closed = {rep.closed} "
-                   f"({rep.products_checked} products)")
+        summary = (f"overlaps within {args.bound}: union closed = {rep.closed} "
+                    f"({rep.products_checked} products)")
     else:
-        _say(args, f"overlap {rep.max_overlap} exceeds {args.bound}: escape "
-                   f"witness {rep.witness['composite'] if rep.witness else None}")
-    _emit(args, "verify closure-bound",
-          _family_config(args, bound=args.bound, window=args.window),
-          report, started)
-    return 0 if verdict_ok else 2
+        summary = (f"overlap {rep.max_overlap} exceeds {args.bound}: escape "
+                    f"witness {rep.witness['composite'] if rep.witness else None}")
+    return _family_config(args, bound=args.bound, window=args.window), report, summary, verdict_ok
 
 
-def cmd_verify_ideal_witness(args) -> int:
-    started = time.monotonic()
+def cmd_verify_ideal_witness(args) -> tuple[dict, dict, str, bool]:
     ideal = FIN_IDEAL if args.ideal == "fin" else EMPTY_IDEAL
     pivot = SetDescriptor.from_text(args.pivot)
     try:
@@ -435,16 +407,13 @@ def cmd_verify_ideal_witness(args) -> int:
         "trials": trials,
         "all_hold": all_ok,
     }
-    _say(args, f"{args.trials} opens, witness clauses all hold: {all_ok}")
-    _emit(args, "verify ideal-witness",
-          {"ideal": args.ideal, "pivot": args.pivot, "trials": args.trials,
-           "seed": args.seed},
-          report, started)
-    return 0 if all_ok else 2
+    config = {"ideal": args.ideal, "pivot": args.pivot, "trials": args.trials,
+              "seed": args.seed}
+    summary = f"{args.trials} opens, witness clauses all hold: {all_ok}"
+    return config, report, summary, all_ok
 
 
-def cmd_verify_pettis_witness(args) -> int:
-    started = time.monotonic()
+def cmd_verify_pettis_witness(args) -> tuple[dict, dict, str, bool]:
     rule = _resolve_rule(args.family)
     try:
         windows = tuple(int(w) for w in args.windows.split(","))
@@ -496,14 +465,11 @@ def cmd_verify_pettis_witness(args) -> int:
         },
         "all_ok": all_ok,
     }
-    _say(args, f"product collapses: {probe.product_is_sole}; "
-               f"{probe.trials} opens escaped: {probe.all_escaped}; "
-               f"certificates ok: {certs_ok}")
-    _emit(args, "verify pettis-witness",
-          {"family": args.family, "trials": args.trials, "seed": args.seed,
-           "windows": args.windows},
-          report, started)
-    return 0 if all_ok else 2
+    summary = (f"product collapses: {probe.product_is_sole}; "
+                f"{probe.trials} opens escaped: {probe.all_escaped}; "
+                f"certificates ok: {certs_ok}")
+    config = _family_config(args, trials=args.trials, seed=args.seed, windows=args.windows)
+    return config, report, summary, all_ok
 
 
 def _resolve_rule(spec: str):
@@ -551,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="overlap matrix and family sanity")
     fc.add_argument("--family", required=True, help="catalog name or JSON path")
     fc.add_argument("--csv", help="write the overlap matrix as CSV")
-    fc.set_defaults(func=cmd_family_check)
+    fc.set_defaults(func=cmd_family_check, report_command="family-check")
 
     cl = sub.add_parser("closure", help="closure engine")
     clsub = cl.add_subparsers(dest="closure_cmd", required=True)
@@ -566,30 +532,28 @@ def build_parser() -> argparse.ArgumentParser:
                      help="generate each group from a transposition and a cycle")
     run.add_argument("--compare", action="store_true",
                      help="diff the closure against the structural union")
-    run.set_defaults(func=cmd_closure_run)
+    run.set_defaults(func=cmd_closure_run, report_command="closure run")
 
     ch = sub.add_parser("chains", parents=[common], help="chain capacity matrix and certificates")
     ch.add_argument("--family", required=True)
     ch.add_argument("--check", action="store_true",
                     help="cross-check the dynamic program against literal "
                          "walk enumeration")
-    ch.add_argument("--max-interior", type=_at_least("max-interior", 1), default=None,
-                    help="longest chain interior the --check oracle walks")
     ch.add_argument("--csv", help="write the capacity matrix as CSV")
-    ch.set_defaults(func=cmd_chains)
+    ch.set_defaults(func=cmd_chains, report_command="chains")
 
     st = sub.add_parser("stratify", parents=[common], help="classify an element against a family")
     st.add_argument("--family", required=True)
     st.add_argument("--element", required=True,
                     help="element literal, e.g. \"fin(1->7)\" or \"id(B0)\"")
-    st.set_defaults(func=cmd_stratify)
+    st.set_defaults(func=cmd_stratify, report_command="stratify")
 
     fz = sub.add_parser("factorize", parents=[common],
                         help="write an element as a product of block "
                              "permutations and block identities")
     fz.add_argument("--family", required=True)
     fz.add_argument("--element", required=True)
-    fz.set_defaults(func=cmd_factorize)
+    fz.set_defaults(func=cmd_factorize, report_command="factorize")
 
     ve = sub.add_parser("verify", help="theorem-shaped checks")
     vesub = ve.add_subparsers(dest="verify_cmd", required=True)
@@ -600,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     cb.add_argument("--family", required=True)
     cb.add_argument("--bound", type=_at_least("bound", 0), required=True)
     cb.add_argument("--window", type=_at_least("window", 1), default=None)
-    cb.set_defaults(func=cmd_verify_closure_bound)
+    cb.set_defaults(func=cmd_verify_closure_bound, report_command="verify closure-bound")
 
     iw = vesub.add_parser("ideal-witness", parents=[common],
                           help="escape a prescribed ideal inside random "
@@ -610,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="set descriptor text for the extending set")
     iw.add_argument("--trials", type=_at_least("trials", 0), default=50)
     iw.add_argument("--seed", type=int, required=True)
-    iw.set_defaults(func=cmd_verify_ideal_witness)
+    iw.set_defaults(func=cmd_verify_ideal_witness, report_command="verify ideal-witness")
 
     pw = vesub.add_parser("pettis-witness", parents=[common],
                           help="the inverse-product set around the shared "
@@ -619,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--trials", type=_at_least("trials", 0), default=100)
     pw.add_argument("--seed", type=int, required=True)
     pw.add_argument("--windows", default="12,20,28")
-    pw.set_defaults(func=cmd_verify_pettis_witness)
+    pw.set_defaults(func=cmd_verify_pettis_witness, report_command="verify pettis-witness")
 
     return p
 
@@ -630,11 +594,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        config, report, summary, ok = args.func(args)
+        if not args.quiet:
+            print(summary)
+        _emit(args, config, report, started)
     except (InvsemiError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    return 0 if ok else 2
 
 
 if __name__ == "__main__":

@@ -305,21 +305,11 @@ def _extend_in_block(block: SetDescriptor, mapping: dict[int, int]) -> SymElemen
     return block_perm(block, full.items())
 
 
-def _two_factor(family: BlockFamily, i: int, j: int, fmap: dict[int, int]) -> list[SymElement]:
-    # Exact when the map rank equals the overlap size: the first factor
-    # pushes the domain onto the whole overlap, so nothing else sneaks in.
-    meet = family.meet(i, j).points()
-    dom = sorted(fmap)
-    assert len(dom) == len(meet)
-    lower = _extend_in_block(family.blocks[i], dict(zip(dom, meet)))
-    upper = _extend_in_block(family.blocks[j], {v: fmap[x] for x, v in zip(dom, meet)})
-    return [upper, lower]
-
-
 def _descent_factors(family: BlockFamily, i: int, j: int, fmap: dict[int, int]) -> list[SymElement]:
-    # Rank below the overlap size: pad the map one point per round, with
-    # the pad sent outside block i so the identity factor kills it, until
-    # the padded rank fills the overlap and the two-factor base applies.
+    # Rank at most the overlap size, i != j: pad the map one point per
+    # round, with the pad sent outside block i so the identity factor
+    # kills it, until the padded rank fills the overlap and the direct
+    # route (i, j) carries it.
     bi, bj = family.blocks[i], family.blocks[j]
     meet = family.meet(i, j)
     n = len(meet.points())
@@ -334,20 +324,21 @@ def _descent_factors(family: BlockFamily, i: int, j: int, fmap: dict[int, int]) 
         pad_tgt = bj.difference(bi).least_outside(current.values())
         current = dict(zip(dom, way))
         current[pad_src] = pad_tgt
-    return factors + _two_factor(family, i, j, current)
+    return factors + _chain_factors(family, (i, j), current)
 
 
 def _chain_factors(
     family: BlockFamily, route: tuple[int, ...], fmap: dict[int, int]
 ) -> list[SymElement]:
-    # route lists the blocks visited, len >= 3; every inner stage remaps
+    # route lists the blocks visited, len >= 2; every inner stage remaps
     # its whole incoming overlap, parking non-carried points outside the
-    # next block, so only the tracked waypoints survive to the end.
+    # next block, so only the tracked waypoints survive to the end.  A
+    # direct route (i, j) has no inner stage, so it is exact only when
+    # the rank fills the overlap: then the first factor pushes the domain
+    # onto the whole overlap and nothing else gets through.
     k = len(fmap)
     dom = sorted(fmap)
-    ways = []
-    for a, c in zip(route, route[1:]):
-        ways.append(family.meet(a, c).first_members(k))
+    ways = [family.meet(a, c).first_members(k) for a, c in zip(route, route[1:])]
     factors = [_extend_in_block(family.blocks[route[0]], dict(zip(dom, ways[0])))]
     for t in range(1, len(route) - 1):
         block = family.blocks[route[t]]
@@ -402,16 +393,9 @@ def factorize(
     for i, j in stratum_options(f, family):
         if k > capacity[i][j]:
             continue
-        if i != j:
-            size = family.intersection_size(i, j)
-            if k == size:
-                return _two_factor(family, i, j, fmap)
-            if k < size:
-                return _descent_factors(family, i, j, fmap)
-            cert = find_chain(family, i, j, k)
-            assert cert is not None
-            return _chain_factors(family, (i,) + cert.interior + (j,), fmap)
-        cert = find_chain(family, i, i, k)
+        if i != j and k <= family.intersection_size(i, j):
+            return _descent_factors(family, i, j, fmap)
+        cert = find_chain(family, i, j, k)
         assert cert is not None
         return _chain_factors(family, (i,) + cert.interior + (j,), fmap)
     raise NotGeneratedError(f"rank {k} exceeds every chain capacity for this element")

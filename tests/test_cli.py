@@ -1,6 +1,7 @@
 """Command line driver: report shape, exit codes, determinism."""
 
 import contextlib
+import dataclasses
 import gc
 import importlib.util
 import io
@@ -175,25 +176,14 @@ def test_chains_with_oracle_check(capsys):
     assert all(c["verified"] for c in rep["certificates"])
 
 
-def test_chains_max_interior_is_validated_and_recorded(capsys):
-    for bad in ("0", "-3"):
-        code, out = run(capsys, "chains", "--family", "five-ring", "--check",
-                        "--max-interior", bad)
-        assert code == 1 and out == "", bad
-    code, doc = run(capsys, "chains", "--family", "five-ring", "--check",
-                    "--max-interior", "3")
-    assert code == 0 and report_of(doc)["oracle_agrees"] is True
-    assert doc["config"]["max_interior"] == 3
-    _, doc = run(capsys, "chains", "--family", "five-ring", "--check")
-    assert "max_interior" not in doc["config"]
-
-
-def test_chains_max_interior_needs_check(capsys):
-    # only the walk oracle reads the bound, so without --check it is a usage error
-    code = main(["chains", "--family", "five-ring", "--max-interior", "3"])
+def test_chains_max_interior_is_a_usage_error(capsys):
+    # the walk oracle always walks up to one more interior block than the
+    # family has; a shorter bound reported a false disagreement, so the
+    # flag is gone
+    code = main(["chains", "--family", "five-ring", "--check", "--max-interior", "3"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert "--check" in captured.err
+    assert "unrecognized arguments: --max-interior 3" in captured.err
 
 
 def test_chains_csv_export(tmp_path, capsys):
@@ -566,6 +556,83 @@ def test_out_flag_writes_the_report(tmp_path, capsys):
     doc = json.loads(path.read_text())
     assert doc["schema"] == 1
     assert doc["report"]["max_overlap"] == 2
+
+
+def _replace_result(monkeypatch, name, **changes):
+    """Stub the CLI's `name` with one whose result has `changes`."""
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name,
+                        lambda *a, **k: dataclasses.replace(real(*a, **k), **changes))
+
+
+# a failed verdict of each command that can exit 2: (argv, stub, the
+# report field that fails, read as a key path)
+FAILED_VERDICTS = {
+    "chains": (
+        ["chains", "--family", "five-ring", "--check"],
+        lambda mp: mp.setattr(cli, "chain_capacity_by_enumeration",
+                              lambda fam: [[0] * len(fam)] * len(fam)),
+        ("oracle_agrees",)),
+    "factorize": (
+        ["factorize", "--family", "disjoint:3", "--element", "fin(1->2)"], None,
+        ("generated",)),
+    "closure run": (
+        ["closure", "run", "--family", "disjoint:2", "--sparse", "--compare"],
+        lambda mp: mp.setattr(cli, "compare_with_structural",
+                              lambda result, fam, capacity: StructuralDiff(
+                                  False, (), (), result.size(), result.size() + 1)),
+        ("diff", "matches")),
+    "verify closure-bound": (
+        ["verify", "closure-bound", "--family", "bound2", "--bound", "2"],
+        lambda mp: _replace_result(mp, "check_closure_bound", closed=False),
+        ("verdict_ok",)),
+    "verify ideal-witness": (
+        ["verify", "ideal-witness", "--trials", "3", "--seed", "1"],
+        lambda mp: _replace_result(mp, "ideal_escape_witness", holds=False),
+        ("all_hold",)),
+    "verify pettis-witness": (
+        ["verify", "pettis-witness", "--trials", "3", "--seed", "7"],
+        lambda mp: _replace_result(mp, "verify_rank_one_certificate", ok=False),
+        ("all_ok",)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FAILED_VERDICTS))
+def test_failed_verdicts_exit_two_through_out(command, tmp_path, monkeypatch, capsys):
+    argv, stub, field = FAILED_VERDICTS[command]
+    if stub:
+        stub(monkeypatch)
+
+    def failing(doc):
+        value = doc["report"]
+        for key in field:
+            value = value[key]
+        return value
+
+    path = tmp_path / "report.json"
+    assert main(argv + ["--out", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().out == ""
+    doc = json.loads(path.read_text())
+    assert doc["command"] == command and failing(doc) is False
+    # the summary line comes first, then the report or where it went
+    assert main(argv + ["--out", str(path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[1] == f"report written to {path}"
+    assert main(argv) == 2
+    summary, report = capsys.readouterr().out.split("\n", 1)
+    assert summary and not summary.startswith("{") and report.startswith("{")
+    printed = json.loads(report)
+    assert failing(printed) is False
+    assert printed["report"] == doc["report"] and printed["config"] == doc["config"]
+
+
+def test_commands_return_their_outcome_and_print_nothing(capsys):
+    # main alone prints the summary and the report
+    args = build_parser().parse_args(["family-check", "--family", "bound2"])
+    config, report, summary, ok = args.func(args)
+    assert capsys.readouterr().out == ""
+    assert config == {"family": "bound2"} and report["max_overlap"] == 2 and ok is True
+    assert summary == "two-point-overlap: 2 blocks, max overlap 2, uniform overlap 2"
 
 
 def test_usage_errors_exit_one(capsys):

@@ -37,12 +37,13 @@ from invsemi.catalog import (
     dyadic_disjoint_family,
     five_block_example,
     marker_family,
+    named_family,
     random_uniform_family,
     unequal_example,
     violating_family,
 )
 from invsemi.errors import ParseError
-from invsemi.symbolic import compose_chain
+from invsemi.symbolic import compose_chain, format_sym, parse_sym
 
 from conftest import chain_capacity_by_literal_walk, project_to_window
 
@@ -341,6 +342,42 @@ def test_empty_map_routes():
         factors = factorize(fin_map([]), fam)
         assert len(factors) in (2, 3)
         assert_good_factors(fin_map([]), factors, fam)
+
+
+# The factor lists of every route, rightmost acting first, pinned byte
+# for byte as format_sym writes them.
+FACTOR_PINS = [
+    # rank 2 fills bound2's overlap: the direct route (0, 1)
+    ("bound2", "fin(0->3, 16->17)",
+     ["perm(B1; 3->16, 16->3)", "perm(B0; 0->16, 16->17, 17->0)"]),
+    # rank 1 below the overlap, one stratum (0, 1): one descent round,
+    # then the direct route
+    ("bound2", "fin(0->3)",
+     ["perm(B1; 3->16, 16->3)", "id(B0)", "perm(B1; 9->17, 17->9)",
+      "perm(B0; 0->16, 6->17, 16->0, 17->6)"]),
+    # inside the overlap, so stratum (0, 0) comes first: the chain (0, 1, 0)
+    ("bound2", "fin(16->16)", ["id(B0)", "perm(B1; 3->17, 17->3)", "id(B0)"]),
+    ("bound2", "fin(16->17, 17->16)", ["perm(B0; 16->17, 17->16)", "id(B1)", "id(B0)"]),
+    # the ring detour of test_chain_route_uses_interior_blocks
+    ("five-ring", "fin(1->2, 8->9)",
+     ["perm(B2; 2->26, 9->27, 26->2, 27->9)", "perm(B3; 26->34, 27->40, 34->26, 40->27)",
+      "perm(B4; 13->34, 19->40, 34->13, 40->19)",
+      "perm(B0; 0->5, 5->13, 6->19, 12->0, 13->6, 19->12)",
+      "perm(B1; 1->5, 5->1, 6->8, 8->6)"]),
+    # a single block: the chain (0, 1, 0)
+    ("common-point:3", "fin(1->3)", ["perm(B0; 0->3, 3->0)", "id(B1)", "perm(B0; 0->1, 1->0)"]),
+    ("disjoint:3", "empty", ["id(B0)", "id(B1)"]),
+    ("common-point:3", "empty", ["id(B1)", "perm(B0; 0->1, 1->0)", "id(B1)"]),
+]
+
+
+@pytest.mark.parametrize("spec, element, pinned", FACTOR_PINS)
+def test_factor_routes_are_pinned(spec, element, pinned):
+    fam = named_family(spec)
+    f = parse_sym(element, fam.blocks)
+    factors = factorize(f, fam)
+    assert [format_sym(g, fam.blocks) for g in factors] == pinned
+    assert_good_factors(f, factors, fam)
 
 
 def test_group_elements_factor_trivially():
