@@ -176,14 +176,30 @@ def test_chains_with_oracle_check(capsys):
     assert all(c["verified"] for c in rep["certificates"])
 
 
-def test_chains_max_interior_is_a_usage_error(capsys):
-    # the walk oracle always walks up to one more interior block than the
-    # family has; a shorter bound reported a false disagreement, so the
-    # flag is gone
-    code = main(["chains", "--family", "five-ring", "--check", "--max-interior", "3"])
+def test_chains_max_interior_is_validated_and_recorded(capsys):
+    # --max-interior is gone: the walk oracle always walks up to one more
+    # interior block than the family has, and a shorter bound reported a
+    # false disagreement. Every value is now a usage error, and the
+    # --check report records no bound.
+    for value in ("0", "-3", "1", "3"):
+        code = main(["chains", "--family", "five-ring", "--check",
+                     "--max-interior", value])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "", value
+        assert f"unrecognized arguments: --max-interior {value}" in captured.err
+    code, doc = run(capsys, "chains", "--family", "five-ring", "--check")
+    assert code == 0 and report_of(doc)["oracle_agrees"] is True
+    assert "max_interior" not in doc["config"]
+
+
+def test_chains_max_interior_needs_check(capsys):
+    # without --check the removed flag is the same usage error; there is no
+    # longer a separate --check guard
+    code = main(["chains", "--family", "five-ring", "--max-interior", "3"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert "unrecognized arguments: --max-interior 3" in captured.err
+    assert "--check" not in captured.err
 
 
 def test_chains_csv_export(tmp_path, capsys):
