@@ -220,7 +220,7 @@ def _core_family(rng: random.Random, blocks: int, bound: int) -> BlockFamily:
     return BlockFamily(parts, name=f"core{bound}-mod{modulus}")
 
 
-def _marker_uniform_family(rng: random.Random, blocks: int, bound: int) -> BlockFamily:
+def _marker_uniform_family(blocks: int, bound: int) -> BlockFamily:
     weights = {(i, j): bound for i in range(blocks) for j in range(i + 1, blocks)}
     fam = marker_family(blocks, weights)
     return BlockFamily(fam.blocks, name=f"markers{bound}-b{blocks}")
@@ -233,9 +233,10 @@ def _disjoint_family(rng: random.Random, blocks: int) -> BlockFamily:
     return BlockFamily(parts, name=f"disjoint-mod{modulus}")
 
 
-def random_uniform_family(
-    rng: random.Random, max_window: int = 24, max_group_points: int = 6
-) -> tuple[BlockFamily, int, int]:
+MAX_DRAW_WINDOW, MAX_GROUP_POINTS = 24, 6  # a drawn family's window, block points below it
+
+
+def random_uniform_family(rng: random.Random) -> tuple[BlockFamily, int, int]:
     """A random family whose pairwise overlaps all have the same size.
 
     Returns (family, bound, window) with the window sized for the
@@ -260,16 +261,16 @@ def random_uniform_family(
         elif rng.random() < 0.5:
             fam = _core_family(rng, blocks, bound)
         else:
-            fam = _marker_uniform_family(rng, blocks, bound)
+            fam = _marker_uniform_family(blocks, bound)
         ranks = [[bound] * blocks for _ in range(blocks)]
         try:
             window = minimal_window(fam, ranks)
         except BudgetExceededError:
             continue
-        if window > max_window:
+        if window > MAX_DRAW_WINDOW:
             continue
         sizes = [len(b.below(window)) for b in fam.blocks]
-        if any(s > max_group_points or s < 2 * bound + 2 for s in sizes):
+        if any(s > MAX_GROUP_POINTS or s < 2 * bound + 2 for s in sizes):
             continue
         budget = sum(math.factorial(s) for s in sizes)
         for i in range(blocks):

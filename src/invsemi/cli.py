@@ -236,7 +236,7 @@ def cmd_closure_run(args) -> tuple[dict, dict, str, bool]:
     }
     ok = True
     if args.compare:
-        diff = compare_with_structural(result, fam, capacity)
+        diff = compare_with_structural(result, fam)
         report["diff"] = {
             "matches": diff.matches,
             "closure_size": diff.closure_size,
@@ -323,7 +323,7 @@ def cmd_stratify(args) -> tuple[dict, dict, str, bool]:
     f = parse_sym(args.element, fam.blocks)
     tag = classify(f, fam.blocks)
     options = stratum_options(f, fam) if tag.kind == "finite" else []
-    generated = is_generated(f, fam, chain_capacity_matrix(fam))
+    generated = is_generated(f, fam)
     report = {
         "element": format_sym(f, fam.blocks),
         "kind": tag.kind,
@@ -414,7 +414,7 @@ def cmd_verify_ideal_witness(args) -> tuple[dict, dict, str, bool]:
 
 
 def cmd_verify_pettis_witness(args) -> tuple[dict, dict, str, bool]:
-    rule = _resolve_rule(args.family)
+    _require_common_point(args.family)
     try:
         windows = tuple(int(w) for w in args.windows.split(","))
     except ValueError:
@@ -426,11 +426,11 @@ def cmd_verify_pettis_witness(args) -> tuple[dict, dict, str, bool]:
         raise ParseError(f"--windows must each exceed {top}, the largest "
                          f"point of the certified pairs {canonical}")
 
-    probe = shared_identity_interior_probe(args.trials, args.seed, rule)
+    probe = shared_identity_interior_probe(args.trials, args.seed)
     certs = []
     certs_ok = True
     for pair in canonical:
-        chk = verify_rank_one_certificate(fin_map([pair]), rule, windows)
+        chk = verify_rank_one_certificate(fin_map([pair]), windows)
         certs.append({
             "pair": list(pair),
             "certificate": chk.certificate.describe(),
@@ -440,7 +440,7 @@ def cmd_verify_pettis_witness(args) -> tuple[dict, dict, str, bool]:
         })
         certs_ok = certs_ok and chk.ok
 
-    contrast = isolated_inverse_check([fin_map([(0, 1)])], rule)[0]
+    contrast = isolated_inverse_check([fin_map([(0, 1)])])[0]
     contrast_ok = (contrast.element_isolated and contrast.inverse_isolated
                    and not contrast.product_isolated)
 
@@ -472,16 +472,16 @@ def cmd_verify_pettis_witness(args) -> tuple[dict, dict, str, bool]:
     return config, report, summary, all_ok
 
 
-def _resolve_rule(spec: str):
-    if spec in ("common-point", "common-point-dyadic", COMMON_POINT_RULE.name):
-        return COMMON_POINT_RULE
+def _require_common_point(spec: str) -> None:
+    """Raise unless `spec` names the common-point rule or its first blocks."""
+    if spec in ("common-point", COMMON_POINT_RULE.name):
+        return
     fam = _load_family(spec)
     for k, blk in enumerate(fam.blocks):
         if blk != common_point_block(k):
             raise InvalidFamilyError(
                 "the witness probe needs the common-point family; block "
                 f"{k} is {blk.to_text()}")
-    return COMMON_POINT_RULE
 
 
 def _family_config(args, **extra) -> dict:
@@ -507,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--trace", action="store_true",
                         help="progress notes on stderr")
 
-    p = _Parser(prog="invsemi", parents=[common],
+    p = _Parser(prog="invsemi",
                 description="exact workbench for partial bijections of the "
                             "naturals: block families, closures, chain "
                             "capacities, factorization, convergence witnesses")

@@ -391,10 +391,8 @@ class StructuralDiff:
     structural_size: int
 
 
-def compare_with_structural(
-    result: ClosureResult, family: BlockFamily, capacity: list[list[int]] | None = None
-) -> StructuralDiff:
-    target = structural_rows(family, result.window, capacity)
+def compare_with_structural(result: ClosureResult, family: BlockFamily) -> StructuralDiff:
+    target = structural_rows(family, result.window)
     got = result.rows
     if np.array_equal(got, target):  # both sorted and distinct
         return StructuralDiff(True, (), (), len(got), len(target))

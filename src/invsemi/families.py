@@ -265,18 +265,18 @@ def stratum_options(f: SymElement, family: BlockFamily) -> list[tuple[int, int]]
     return outs
 
 
-def is_generated(f: SymElement, family: BlockFamily, capacity: list[list[int]] | None = None) -> bool:
-    """Membership in the subsemigroup generated by the block groups."""
+def is_generated(f: SymElement, family: BlockFamily) -> bool:
+    """Membership in the subsemigroup generated by the block groups: a
+    rank-k map needs a chain of capacity k from its domain's block to
+    its image's."""
     tag = classify(f, family.blocks)
     if tag.kind in ("group", "empty"):
         return True
     if tag.kind == "outside":
         return False
-    if capacity is None:
-        capacity = chain_capacity_matrix(family)
     k = tag.k
     assert k is not None
-    return any(k <= capacity[i][j] for i, j in stratum_options(f, family))
+    return any(find_chain(family, i, j, k) is not None for i, j in stratum_options(f, family))
 
 
 # -- factorization ----------------------------------------------------
@@ -368,9 +368,7 @@ def _empty_factors(family: BlockFamily) -> list[SymElement]:
     return [partial_identity(b1), block_perm(b0, swap.items()), partial_identity(b1)]
 
 
-def factorize(
-    f: SymElement, family: BlockFamily, capacity: list[list[int]] | None = None
-) -> list[SymElement]:
+def factorize(f: SymElement, family: BlockFamily) -> list[SymElement]:
     """Write f as a composition of block permutations and block identities.
 
     Returns factors ordered so that the rightmost acts first, each one a
@@ -385,19 +383,15 @@ def factorize(
         return _empty_factors(family)
     if tag.kind == "outside":
         raise NotGeneratedError("element does not fit the block structure")
-    if capacity is None:
-        capacity = chain_capacity_matrix(family)
     k = tag.k
     assert k is not None and k >= 1
     fmap = dict(sym_graph(f))
     for i, j in stratum_options(f, family):
-        if k > capacity[i][j]:
-            continue
         if i != j and k <= family.intersection_size(i, j):
             return _descent_factors(family, i, j, fmap)
         cert = find_chain(family, i, j, k)
-        assert cert is not None
-        return _chain_factors(family, (i,) + cert.interior + (j,), fmap)
+        if cert is not None:
+            return _chain_factors(family, (i,) + cert.interior + (j,), fmap)
     raise NotGeneratedError(f"rank {k} exceeds every chain capacity for this element")
 
 

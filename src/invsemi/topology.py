@@ -22,6 +22,10 @@ numbered blocks and a rank bound.  A finite family passes all of its
 blocks.  An infinite block rule passes the blocks that own a constraint
 point plus the least block that owns none, which stands in for the
 whole tail, and the rule's rank bound, which is its block overlap.
+
+Only the common-point rule has rank-one members, so it is the home of
+the rank-one certificates, their verification and the shared-identity
+probe; those routines take no rule.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Iterable
 
 from .catalog import COMMON_POINT_RULE, BlockRule
 from .descriptors import NATURALS, SetDescriptor, _is_int
-from .errors import InvalidFamilyError, InvalidOpenError, ParseError
+from .errors import InvalidOpenError, ParseError
 from .families import BlockFamily, _extend_in_block
 from .symbolic import (
     IdFin,
@@ -516,34 +520,25 @@ def low_rank_open_members(v: BasicOpen, rule: BlockRule, window: int) -> list[Sy
     return hits
 
 
-def rank_one_certificate(src: int, tgt: int, rule: BlockRule) -> BasicOpen:
+def rank_one_certificate(src: int, tgt: int) -> BasicOpen:
     """A basic open isolating the single-pair map src -> tgt inside the
-    rule's union semigroup.
+    common-point rule's union semigroup.
 
     The required pair pins every finite member.  Block groups are
     killed by one forbidden domain point: the shared point handles all
     blocks at once when neither endpoint is shared, and otherwise a
     spare point of the single block containing both endpoints does.
     """
-    if rule.rank_bound < 1:
-        raise ValueError("the rule's union semigroup has no rank-one members")
+    rule = COMMON_POINT_RULE
     if not (rule.covers(src) and rule.covers(tgt)):
         raise ValueError("endpoints outside every block")
     if src == 0 and tgt == 0:
         raise ValueError("the shared-point identity is a limit of block "
                          "identities, not an isolated point")
     if src != 0 and tgt != 0:
-        kill = 0 if rule.shared_zero else None
-        if kill is None:
-            # disjoint blocks: only one block can hold both endpoints
-            m = rule.owner(src)
-            if m != rule.owner(tgt):
-                return BasicOpen(((src, tgt),), (), ())
-            kill = rule.block(m).least_outside([src, tgt])
-        return BasicOpen(((src, tgt),), (kill,), ())
+        return BasicOpen(((src, tgt),), (0,), ())
     anchor = src if src != 0 else tgt
-    m = rule.owner(anchor)
-    kill = rule.block(m).least_outside([0, anchor])
+    kill = rule.block(rule.owner(anchor)).least_outside([0, anchor])
     return BasicOpen(((src, tgt),), (kill,), ())
 
 
@@ -569,8 +564,7 @@ def rule_isolation(f: SymElement, rule: BlockRule) -> IsolationVerdict:
                                 "not a member of the union semigroup")
     if is_empty_sym(f):
         if rule.rank_bound >= 1:
-            schema = SingletonIdentitySeq(NATURALS if rule.shared_zero
-                                          else NATURALS.without_points([0]))
+            schema = SingletonIdentitySeq(NATURALS)
             note = "limit of singleton identities, which are rank-one members"
         else:
             schema = BlockIdentitySeq(rule)
@@ -585,7 +579,7 @@ def rule_isolation(f: SymElement, rule: BlockRule) -> IsolationVerdict:
         return IsolationVerdict(
             f, False, None, BlockIdentitySeq(rule),
             "the shared-point identity is the limit of the block identities")
-    cert = rank_one_certificate(src, tgt, rule)
+    cert = rank_one_certificate(src, tgt)
     return IsolationVerdict(f, True, cert, None,
                             "required pair pins the map; one forbidden point "
                             "kills every block group")
@@ -600,7 +594,7 @@ class CertificateCheck:
     ok: bool
 
 
-def verify_rank_one_certificate(f: SymElement, rule: BlockRule,
+def verify_rank_one_certificate(f: SymElement,
                                 windows: Iterable[int] = (12, 20, 28)) -> CertificateCheck:
     """Check a rank-one isolation certificate two ways: the exact
     member accounting must come out a singleton, and the exhaustive
@@ -609,6 +603,7 @@ def verify_rank_one_certificate(f: SymElement, rule: BlockRule,
     One scan at the widest window serves every window: it runs in
     lexicographic (a, b) order, so the hits of a narrower window are the
     widest window's hits with every point below it, in the same order."""
+    rule = COMMON_POINT_RULE
     verdict = rule_isolation(f, rule)
     if not verdict.isolated:
         raise ValueError("element is not isolated; nothing to verify")
@@ -642,15 +637,13 @@ class InteriorProbeReport:
     all_escaped: bool
 
 
-def shared_identity_interior_probe(trials: int = 100, seed: int = 0,
-                                   rule: BlockRule = COMMON_POINT_RULE) -> InteriorProbeReport:
+def shared_identity_interior_probe(trials: int = 100, seed: int = 0) -> InteriorProbeReport:
     """Probe the set {a} with a = (0 -> 1): composing the inverse with a
     gives exactly the identity on the shared point, and that singleton
     set has empty interior because each basic open around it still
     admits a block identity.  The opens are `random_basic_open`'s around
     the product, with points below its default bound."""
-    if not rule.shared_zero:
-        raise InvalidFamilyError("the probe needs the shared-point rule")
+    rule = COMMON_POINT_RULE
     a = fin_map([(0, 1)])
     product = sym_compose(sym_inverse(a), a)
     sole = product == partial_identity([0])
@@ -685,18 +678,17 @@ class InverseProductVerdict:
     product_schema: str | None
 
 
-def isolated_inverse_check(elements: Iterable[SymElement],
-                           rule: BlockRule = COMMON_POINT_RULE) -> list[InverseProductVerdict]:
-    """For each rank-one member, report whether it, its inverse, and
-    the idempotent inverse-times-element product are isolated.  The
-    map 0 -> 1 shows the pattern: both factors isolated, the product a
-    limit point."""
+def isolated_inverse_check(elements: Iterable[SymElement]) -> list[InverseProductVerdict]:
+    """For each rank-one member of the common-point rule's union, report
+    whether it, its inverse, and the idempotent inverse-times-element
+    product are isolated.  The map 0 -> 1 shows the pattern: both
+    factors isolated, the product a limit point."""
     out = []
     for u in elements:
-        vu = rule_isolation(u, rule)
-        vi = rule_isolation(sym_inverse(u), rule)
+        vu = rule_isolation(u, COMMON_POINT_RULE)
+        vi = rule_isolation(sym_inverse(u), COMMON_POINT_RULE)
         prod = sym_compose(sym_inverse(u), u)
-        vp = rule_isolation(prod, rule)
+        vp = rule_isolation(prod, COMMON_POINT_RULE)
         out.append(InverseProductVerdict(
             u, bool(vu.isolated), bool(vi.isolated), prod,
             bool(vp.isolated), vp.schema_name()))

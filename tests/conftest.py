@@ -18,8 +18,11 @@ from invsemi import (
     PartialBijection,
     SetDescriptor,
     block_perm,
+    chain_capacity_matrix,
+    classify,
     fin_map,
     partial_identity,
+    stratum_options,
     sym_element,
 )
 from invsemi.catalog import COMMON_POINT_RULE, common_point_block
@@ -267,6 +270,19 @@ def chain_capacity_by_literal_walk(family: BlockFamily, max_interior: int | None
                 continue
             walk(i, k1, k1, 1, e)
     return best
+
+
+def is_generated_by_capacity(f: SymElement, family: BlockFamily) -> bool:
+    """Reference for `families.is_generated`: a finite map of rank k is
+    generated when some stratum option (i, j) has chain capacity at
+    least k in the whole capacity matrix."""
+    tag = classify(f, family.blocks)
+    if tag.kind in ("group", "empty"):
+        return True
+    if tag.kind == "outside":
+        return False
+    capacity = chain_capacity_matrix(family)
+    return any(tag.k <= capacity[i][j] for i, j in stratum_options(f, family))
 
 
 def unique_rows_by_bytes(rows: np.ndarray) -> np.ndarray:

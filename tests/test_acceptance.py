@@ -150,7 +150,7 @@ def test_criterion_4_factorization_recomposes_across_benchmarks():
         if window is None:
             window = minimal_window(fam, capacity)
         for f in windowed_strata(fam, bound, window):
-            factors = factorize(f, fam, capacity=capacity)
+            factors = factorize(f, fam)
             assert compose_chain(factors) == f, str(f)
             assert verify_factorization(f, factors, fam)
             for g in factors:
@@ -160,7 +160,6 @@ def test_criterion_4_factorization_recomposes_across_benchmarks():
 
 
 def test_criterion_5_shared_point_suite():
-    rule = COMMON_POINT_RULE
     # the one-map set: its inverse-product collapses symbolically
     a = fin_map([(0, 1)])
     product = sym_compose(sym_inverse(a), a)
@@ -169,14 +168,14 @@ def test_criterion_5_shared_point_suite():
     # isolation certificates, exhaustively confirmed at three windows
     for pair in ((0, 1), (1, 0), (1, 2)):
         check = verify_rank_one_certificate(
-            fin_map([pair]), rule, windows=(12, 20, 28)
+            fin_map([pair]), windows=(12, 20, 28)
         )
         assert check.logic_singleton
         assert [w for w, ok in check.windowed_ok if ok] == [12, 20, 28]
         assert check.ok
 
     # every sampled open around the product contains someone else
-    probe = shared_identity_interior_probe(trials=100, seed=MASTER_SEED, rule=rule)
+    probe = shared_identity_interior_probe(trials=100, seed=MASTER_SEED)
     assert probe.product_is_sole
     assert probe.trials == 100 and probe.all_escaped
     assert len(probe.escapes) == 100

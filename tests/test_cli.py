@@ -574,6 +574,34 @@ def test_out_flag_writes_the_report(tmp_path, capsys):
     assert doc["report"]["max_overlap"] == 2
 
 
+def test_shared_options_before_the_subcommand_are_usage_errors(tmp_path, monkeypatch, capsys):
+    # --out, --quiet and --trace belong to each subcommand; before it they
+    # once parsed and were then overwritten, so no file was written
+    monkeypatch.chdir(tmp_path)
+    for option in (["--out", "r.json"], ["--quiet"], ["--trace"]):
+        assert main(option + ["family-check", "--family", "bound2"]) == 1, option
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage: invsemi" in captured.err, option
+    assert list(tmp_path.iterdir()) == []
+    assert main(["family-check", "--family", "bound2", "--out", "F", "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads((tmp_path / "F").read_text())["report"]["max_overlap"] == 2
+
+
+def test_pettis_witness_accepts_the_common_point_rule_only(capsys):
+    argv = ["verify", "pettis-witness", "--trials", "5", "--seed", "7", "--family"]
+    reports = []
+    for spec in ("common-point", "common-point-dyadic", "common-point:4"):
+        code, doc = run(capsys, *argv, spec)
+        assert code == 0, spec
+        reports.append(report_of(doc))
+    assert reports[0] == reports[1] == reports[2]
+    for spec in ("disjoint", "five-ring"):
+        assert main(argv + [spec]) == 1, spec
+        captured = capsys.readouterr()
+        assert captured.out == "" and "needs the common-point family" in captured.err, spec
+
+
 def _replace_result(monkeypatch, name, **changes):
     """Stub the CLI's `name` with one whose result has `changes`."""
     real = getattr(cli, name)
@@ -595,7 +623,7 @@ FAILED_VERDICTS = {
     "closure run": (
         ["closure", "run", "--family", "disjoint:2", "--sparse", "--compare"],
         lambda mp: mp.setattr(cli, "compare_with_structural",
-                              lambda result, fam, capacity: StructuralDiff(
+                              lambda result, fam: StructuralDiff(
                                   False, (), (), result.size(), result.size() + 1)),
         ("diff", "matches")),
     "verify closure-bound": (
@@ -778,7 +806,7 @@ def test_closure_run_mismatch_below_the_minimal_window_exits_one(capsys):
 def test_closure_run_mismatch_at_the_minimal_window_exits_two(monkeypatch, capsys):
     # from the minimal window up, a mismatch is a structural failure
     monkeypatch.setattr(cli, "compare_with_structural",
-                        lambda result, fam, capacity: StructuralDiff(
+                        lambda result, fam: StructuralDiff(
                             False, (), (), result.size(), result.size() + 1))
     code, doc = run(capsys, "closure", "run", "--family", "disjoint:2", "--sparse",
                     "--compare")

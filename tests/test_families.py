@@ -45,7 +45,7 @@ from invsemi.catalog import (
 from invsemi.errors import ParseError
 from invsemi.symbolic import compose_chain, format_sym, parse_sym
 
-from conftest import chain_capacity_by_literal_walk, project_to_window
+from conftest import chain_capacity_by_literal_walk, is_generated_by_capacity, project_to_window
 
 
 def test_family_validation():
@@ -263,6 +263,39 @@ def test_stratum_options_and_generation():
     assert is_generated(partial_identity(fam.blocks[2]), fam)
     assert is_generated(fin_map([]), fam)
     assert not is_generated(partial_identity(SetDescriptor.residue_class(0, 2)), fam)
+
+
+def test_generation_by_chain_search_matches_the_capacity_matrix():
+    # catalog, random-uniform, violating and marker families with 1- to
+    # 4-point maps drawn from block points, a fifth of them with one image
+    # moved to 41; factorize refuses exactly the maps the oracle says are
+    # not generated
+    rng = random.Random(20261020)
+    fams = CATALOG + [random_uniform_family(rng)[0] for _ in range(8)]
+    fams += [violating_family(rng, rng.randint(0, 2)) for _ in range(8)]
+    for _ in range(8):
+        b = rng.randint(2, 5)
+        fams.append(marker_family(b, {(i, j): rng.randint(0, 4)
+                                      for i in range(b) for j in range(i + 1, b)}))
+    verdicts = set()
+    for fam in fams:
+        pts = [blk.first_members(10) for blk in fam.blocks]
+        for _ in range(30):
+            k = rng.randint(1, 4)
+            dom = rng.sample(rng.choice(pts), k)
+            img = rng.sample(rng.choice(pts), k)
+            if rng.random() < 0.2 and 41 not in img:
+                img[0] = 41
+            f = fin_map(zip(dom, img))
+            want = is_generated_by_capacity(f, fam)
+            assert is_generated(f, fam) is want, (fam.name, format_sym(f))
+            if want:
+                assert verify_factorization(f, factorize(f, fam), fam), (fam.name, format_sym(f))
+            else:
+                with pytest.raises(NotGeneratedError):
+                    factorize(f, fam)
+            verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 # -- factorization -------------------------------------------------------

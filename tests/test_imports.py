@@ -1,13 +1,17 @@
 """Every name a module of the package imports is read somewhere in it,
-and every private helper is read somewhere in the package.
+every private helper is read somewhere in the package, and every
+parameter is read in its function.
 
-A stdlib-only stand-in for a linter's unused-import and unused-code
-checks: each module under src/invsemi except the package's re-exporting
-``__init__.py`` is parsed with ``ast``, and every name bound by an
-import must be read as a name (an attribute base counts) or inside a
-quoted annotation.  Every module-level function or class whose name
-starts with ``_`` must be read, the same way or as an attribute, in
-some module of the package, so a refactor cannot leave one orphaned.
+A stdlib-only stand-in for a linter's unused-import, unused-code and
+unused-argument checks: each module under src/invsemi except the
+package's re-exporting ``__init__.py`` is parsed with ``ast``, and every
+name bound by an import must be read as a name (an attribute base
+counts) or inside a quoted annotation.  Every module-level function or
+class whose name starts with ``_`` must be read, the same way or as an
+attribute, in some module of the package, so a refactor cannot leave
+one orphaned.  Every parameter of a function or lambda, apart from
+``self`` and ``cls``, must be read as a name in its body, so no caller
+passes a value nothing uses.
 """
 
 import ast
@@ -81,3 +85,30 @@ def package_reads() -> set[str]:
 def test_every_private_helper_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert sorted(private_definitions(tree) - package_reads()) == []
+
+
+def unread_parameters(tree: ast.Module) -> list[str]:
+    """`function(parameter)` for each parameter its body never reads."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        reads = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", f"<lambda at line {node.lineno}>")
+        out += [f"{name}({p})" for p in params if p not in reads and p not in ("self", "cls")]
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert unread_parameters(tree) == []

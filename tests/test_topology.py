@@ -373,7 +373,7 @@ def test_open_member_logic_against_brute_force(seed):
 def test_rank_one_certificates_are_singletons():
     for a, b in ((1, 0), (0, 1), (1, 2), (3, 5), (2, 4)):
         f = fin_map([(a, b)])
-        check = verify_rank_one_certificate(f, COMMON_POINT_RULE, windows=(12, 20))
+        check = verify_rank_one_certificate(f, windows=(12, 20))
         assert check.logic_singleton
         assert all(ok for _, ok in check.windowed_ok)
         assert check.ok
@@ -388,7 +388,7 @@ def test_widest_window_scan_serves_every_window():
     windows = (3, 5, 12, 20)
     for a, b in ((1, 0), (0, 1), (1, 2), (3, 5), (2, 4)):
         f = fin_map([(a, b)])
-        check = verify_rank_one_certificate(f, COMMON_POINT_RULE, windows)
+        check = verify_rank_one_certificate(f, windows)
         widest = low_rank_open_members(check.certificate, COMMON_POINT_RULE, 20)
         for w, ok in check.windowed_ok:
             hits = low_rank_open_members(check.certificate, COMMON_POINT_RULE, w)
@@ -411,7 +411,7 @@ def test_low_rank_scan_matches_the_slow_scan():
     # opens drawn around rank-one maps and without a member, and opens
     # with 0 to 3 required pairs, where two or more pairs conflict for a
     # rank-one map
-    cases = [(COMMON_POINT_RULE, rank_one_certificate(a, b, COMMON_POINT_RULE))
+    cases = [(COMMON_POINT_RULE, rank_one_certificate(a, b))
              for a, b in ((1, 0), (0, 1), (1, 2))]
     rng = random.Random(20261019)
     for _ in range(12):
@@ -503,15 +503,17 @@ def test_interior_probe_matches_the_rebuilding_probe():
 
 def test_certificate_shape_for_anchored_pairs():
     # when neither endpoint is the shared point, forbidding it suffices
-    v = rank_one_certificate(1, 2, COMMON_POINT_RULE)
+    v = rank_one_certificate(1, 2)
     assert v.positive == ((1, 2),)
     assert v.forbid_dom == (0,)
     # a pair touching the shared point needs a point of the other block
-    v2 = rank_one_certificate(1, 0, COMMON_POINT_RULE)
+    v2 = rank_one_certificate(1, 0)
     assert v2.positive == ((1, 0),)
     assert len(v2.forbid_dom) == 1 and v2.forbid_dom[0] in common_point_block(0)
     with pytest.raises(ValueError):
-        rank_one_certificate(0, 0, COMMON_POINT_RULE)
+        rank_one_certificate(0, 0)
+    with pytest.raises(ValueError, match="outside every block"):
+        rank_one_certificate(-1, 2)
 
 
 def test_rule_isolation_verdicts():
