@@ -181,9 +181,9 @@ def bound_example() -> BlockFamily:
 FAMILY_BUILDERS = {
     "disjoint": dyadic_disjoint_family,
     "common-point": common_point_family,
-    "five-ring": lambda: five_block_example(),
-    "unequal": lambda: unequal_example(),
-    "bound2": lambda: bound_example(),
+    "five-ring": five_block_example,
+    "unequal": unequal_example,
+    "bound2": bound_example,
 }
 
 
@@ -222,8 +222,7 @@ def _core_family(rng: random.Random, blocks: int, bound: int) -> BlockFamily:
 
 def _marker_uniform_family(blocks: int, bound: int) -> BlockFamily:
     weights = {(i, j): bound for i in range(blocks) for j in range(i + 1, blocks)}
-    fam = marker_family(blocks, weights)
-    return BlockFamily(fam.blocks, name=f"markers{bound}-b{blocks}")
+    return marker_family(blocks, weights, name=f"markers{bound}-b{blocks}")
 
 
 def _disjoint_family(rng: random.Random, blocks: int) -> BlockFamily:

@@ -28,7 +28,7 @@ from random import Random
 
 import numpy as np
 
-from .catalog import COMMON_POINT_RULE, FAMILY_BUILDERS, common_point_block, named_family
+from .catalog import FAMILY_BUILDERS, named_family
 from .closure import (
     check_closure_bound,
     closure_of,
@@ -38,8 +38,8 @@ from .closure import (
 )
 from .constrained import EMPTY_IDEAL, FIN_IDEAL, ideal_escape_witness, pivot_extension
 from .descriptors import SetDescriptor
-from .errors import (BudgetExceededError, InvalidFamilyError, InvsemiError,
-                     NotGeneratedError, ParseError, WindowMismatchError)
+from .errors import (BudgetExceededError, InvsemiError, NotGeneratedError, ParseError,
+                     WindowMismatchError)
 from .families import (
     BlockFamily,
     chain_capacity_by_enumeration,
@@ -414,7 +414,6 @@ def cmd_verify_ideal_witness(args) -> tuple[dict, dict, str, bool]:
 
 
 def cmd_verify_pettis_witness(args) -> tuple[dict, dict, str, bool]:
-    _require_common_point(args.family)
     try:
         windows = tuple(int(w) for w in args.windows.split(","))
     except ValueError:
@@ -468,20 +467,10 @@ def cmd_verify_pettis_witness(args) -> tuple[dict, dict, str, bool]:
     summary = (f"product collapses: {probe.product_is_sole}; "
                 f"{probe.trials} opens escaped: {probe.all_escaped}; "
                 f"certificates ok: {certs_ok}")
-    config = _family_config(args, trials=args.trials, seed=args.seed, windows=args.windows)
+    # the witness lives in the common-point rule's semigroup (topology.py)
+    config = {"family": "common-point", "trials": args.trials, "seed": args.seed,
+              "windows": args.windows}
     return config, report, summary, all_ok
-
-
-def _require_common_point(spec: str) -> None:
-    """Raise unless `spec` names the common-point rule or its first blocks."""
-    if spec in ("common-point", COMMON_POINT_RULE.name):
-        return
-    fam = _load_family(spec)
-    for k, blk in enumerate(fam.blocks):
-        if blk != common_point_block(k):
-            raise InvalidFamilyError(
-                "the witness probe needs the common-point family; block "
-                f"{k} is {blk.to_text()}")
 
 
 def _family_config(args, **extra) -> dict:
@@ -579,7 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     pw = vesub.add_parser("pettis-witness", parents=[common],
                           help="the inverse-product set around the shared "
                                "identity has empty interior")
-    pw.add_argument("--family", default="common-point")
     pw.add_argument("--trials", type=_at_least("trials", 0), default=100)
     pw.add_argument("--seed", type=int, required=True)
     pw.add_argument("--windows", default="12,20,28")

@@ -605,8 +605,8 @@ def union_closed(family: BlockFamily, n: int, window: int) -> tuple[bool, int]:
     gens = union_generators(family, n, window)
     gens = unique_rows(np.concatenate([gens, invert_rows(gens)]))
     frontier = index.find(gens)  # so each map packed below lies in a key group
-    if frontier is None:
-        return False, 0
+    if frontier is None:  # A lies in U by construction; "not closed" would be false
+        raise ValueError("a generator of the rank-n union lies outside it")
     packed = index.pack(gens)
     reached = np.zeros(len(index.entries), dtype=bool)
     reached[frontier] = True

@@ -194,15 +194,6 @@ class CollectionModel:
             return self.ideal.contains_all_finite
         return False
 
-    def describe(self) -> str:
-        if self.kind == "at-most-n":
-            return f"finite sets of size <= {self.n}"
-        if self.kind == "ideal-members":
-            return f"members of {self.ideal.describe()}"
-        if self.kind == "co-ideal":
-            return f"complements of {self.ideal.describe()}"
-        return self.kind
-
 
 def in_constrained(f: SymElement, model: CollectionModel) -> bool:
     """Membership in S(C): domain and image both belong to the collection."""

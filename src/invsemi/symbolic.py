@@ -64,9 +64,6 @@ class BlockPerm:
         if any(not self.block.member(s) for s in srcs):
             raise ValueError("moved point outside the block")
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(s for s, _ in self.pairs))
-
 
 @dataclass(frozen=True)
 class IdFin:

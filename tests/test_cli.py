@@ -202,6 +202,20 @@ def test_chains_max_interior_needs_check(capsys):
     assert "--check" not in captured.err
 
 
+def test_chains_at_capacity_zero(capsys):
+    # disjoint blocks share no point: every chain has m = 0 and needs one
+    # interior block, j itself off the diagonal and another block on it
+    code, doc = run(capsys, "chains", "--family", "disjoint:3", "--check")
+    rep = report_of(doc)
+    assert code == 0
+    assert rep["capacity"] == [[0] * 3] * 3 and rep["oracle_agrees"] is True
+    certs = rep["certificates"]
+    assert len(certs) == 9 and all(c["m"] == 0 and c["verified"] for c in certs)
+    interiors = {(c["i"], c["j"]): c["interior"] for c in certs}
+    assert [interiors[k, k] for k in range(3)] == [[1], [0], [0]]
+    assert all(interiors[i, j] == [j] for i in range(3) for j in range(3) if i != j)
+
+
 def test_chains_csv_export(tmp_path, capsys):
     out = tmp_path / "p.csv"
     code, _ = run(
@@ -589,17 +603,21 @@ def test_shared_options_before_the_subcommand_are_usage_errors(tmp_path, monkeyp
 
 
 def test_pettis_witness_accepts_the_common_point_rule_only(capsys):
-    argv = ["verify", "pettis-witness", "--trials", "5", "--seed", "7", "--family"]
-    reports = []
-    for spec in ("common-point", "common-point-dyadic", "common-point:4"):
-        code, doc = run(capsys, *argv, spec)
-        assert code == 0, spec
-        reports.append(report_of(doc))
-    assert reports[0] == reports[1] == reports[2]
-    for spec in ("disjoint", "five-ring"):
-        assert main(argv + [spec]) == 1, spec
+    # --family is gone: the witness lives in the common-point rule's
+    # semigroup, which topology.py fixes, and every accepted spelling gave
+    # the same report. Every value is now a usage error, and the config
+    # still names the rule.
+    argv = ["verify", "pettis-witness", "--trials", "5", "--seed", "7"]
+    for spec in ("common-point", "common-point-dyadic", "common-point:4", "disjoint",
+                 "five-ring"):
+        assert main(argv + ["--family", spec]) == 1, spec
         captured = capsys.readouterr()
-        assert captured.out == "" and "needs the common-point family" in captured.err, spec
+        assert captured.out == "", spec
+        assert f"unrecognized arguments: --family {spec}" in captured.err
+    code, doc = run(capsys, *argv)
+    assert code == 0 and report_of(doc)["all_ok"] is True
+    assert doc["config"] == {"family": "common-point", "seed": 7, "trials": 5,
+                             "windows": "12,20,28"}
 
 
 def _replace_result(monkeypatch, name, **changes):
@@ -871,6 +889,23 @@ def test_quiet_suppresses_the_summary_line(capsys):
     assert code2 == 0
     noisy = capsys.readouterr().out
     assert not noisy.lstrip().startswith("{")
+
+
+@pytest.mark.parametrize("argv, notes", [
+    (["closure", "run", "--family", "disjoint:2", "--window", "6"], ["window 6"]),
+    (["verify", "ideal-witness", "--trials", "2", "--seed", "7"],
+     ["trial 0: True", "trial 1: True"]),
+], ids=["closure-run", "ideal-witness"])
+def test_trace_writes_progress_to_stderr_only(argv, notes, capsys):
+    reports = []
+    for trace in (["--trace"], []):
+        assert main(argv + trace + ["--quiet"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == (notes if trace else [])
+        doc = json.loads(captured.out)  # the report and nothing else
+        del doc["meta"]
+        reports.append(doc)
+    assert reports[0] == reports[1]
 
 
 def test_one_parser_serves_successive_calls(tmp_path, monkeypatch, capsys):

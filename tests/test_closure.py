@@ -387,6 +387,23 @@ def test_union_closed_above_every_overlap():
         assert closed and products < len(rows) ** 2
 
 
+def test_union_closed_refuses_a_generator_outside_the_union(monkeypatch):
+    # a generator outside U proves nothing about U's closedness, so it is
+    # an error, not a "not closed" verdict
+    fam = bound_example()
+    window = minimal_window(fam, chain_capacity_matrix(fam))
+    real = union_generators
+
+    def with_rank_two(family, n, window):
+        extra = blank_rows(1, window)
+        extra[0, [0, 6]] = [3, 9]  # B0's first two points onto B1's, rank 2 > n = 1
+        return np.concatenate([real(family, n, window), extra])
+
+    monkeypatch.setattr(invsemi.closure, "union_generators", with_rank_two)
+    with pytest.raises(ValueError, match="outside"):
+        union_closed(fam, 1, window)
+
+
 def _wide_core_family():
     """Three blocks on residues mod 20 sharing the point 99: at window 100
     the union's 16 defined columns of 7 bits need one key group per block."""

@@ -23,7 +23,13 @@ from invsemi import (
 )
 from invsemi.symbolic import dom_set, format_sym, im_set
 from invsemi.closure import BLOCK_PRODUCTS, compose_rows, encode_rows
-from invsemi.constrained import _composition_escape, _windowed_members, pivot_extension
+from invsemi import constrained
+from invsemi.constrained import (
+    _as_descriptor,
+    _composition_escape,
+    _windowed_members,
+    pivot_extension,
+)
 from invsemi.topology import BasicOpen, open_contains, random_basic_open
 from conftest import (
     almost_subset_by_difference,
@@ -171,6 +177,39 @@ def test_initial_segments_really_escape():
     composite = sym_compose(swap, point)
     assert composite == fin_map([(0, 1)])
     assert not in_constrained(composite, seg)
+
+
+# each law's failure branch, reached by a fault injected into the model
+
+
+def test_law_one_reports_an_escape_from_a_hereditary_collection(monkeypatch):
+    monkeypatch.setattr(CollectionModel, "hereditary", property(lambda self: True))
+    law1 = check_collection_laws(CollectionModel("initial-segments"), window=4)[0]
+    assert law1.applicable and not law1.holds
+    assert law1.detail == "hereditary but composite {1->0}@4 escaped: law violated"
+
+
+def test_law_two_reports_a_meet_outside_the_collection(monkeypatch):
+    real = CollectionModel.contains
+    empty = SetDescriptor.from_points([])
+    monkeypatch.setattr(CollectionModel, "contains",
+                        lambda self, x: real(self, x) and _as_descriptor(x) != empty)
+    law2 = check_collection_laws(CollectionModel("at-most-n", n=2), window=4)[1]
+    assert law2.applicable and law2.holds  # the identity composite escapes too
+    assert law2.detail == ("meet of finite {0} and finite {1} leaves the collection, "
+                           "and the matching identity composite empty indeed escapes")
+
+
+def test_law_three_reports_an_open_without_a_member(monkeypatch):
+    first = random_basic_open(random.Random(0))  # law 3's first open at seed 0
+    refused = fin_map(first.positive)  # the member law 3 tries in it
+    real = constrained.in_constrained
+    monkeypatch.setattr(constrained, "in_constrained",
+                        lambda f, model: f != refused and real(f, model))
+    law3 = check_collection_laws(CollectionModel("ideal-members", ideal=FIN_IDEAL),
+                                 window=4)[2]
+    assert law3.applicable and not law3.holds
+    assert law3.detail == f"no member found in {first.describe()}"
 
 
 def test_hereditary_collections_have_no_escape():

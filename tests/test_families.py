@@ -240,11 +240,35 @@ def test_chain_certificates_exist_at_capacity():
 
 
 def test_verify_chain_rejects_bad_certificates():
-    fam = five_block_example()
-    assert not verify_chain(fam, ChainCertificate(1, 2, (1, 2), 2))
-    assert not verify_chain(fam, ChainCertificate(0, 0, (0,), 1))  # no detour
+    fam = five_block_example()  # b = 5 blocks; B0 and B1 share 3 points
+    for cert in (
+        ChainCertificate(1, 2, (1, 2), 2),
+        ChainCertificate(0, 0, (0,), 1),  # no detour
+        ChainCertificate(2, 2, (2, 3), 1),  # diagonal chain that starts at i
+        ChainCertificate(0, 5, (5,), 1),  # block index past b
+        ChainCertificate(0, 1, (), 1),  # empty interior
+        ChainCertificate(0, 1, (7, 1), 1),  # interior block past b
+        ChainCertificate(0, 1, (1,), 4),  # m above the overlap
+        ChainCertificate(0, 1, (1,), -1),  # negative m
+    ):
+        assert not verify_chain(fam, cert), cert
+    assert verify_chain(fam, ChainCertificate(0, 1, (1,), 3))
     good = find_chain(fam, 1, 2, 2)
     assert good.interior and verify_chain(fam, good)
+
+
+def test_verify_factorization_rejects_broken_factor_lists():
+    fam = bound_example()
+    f = parse_sym("fin(0->3, 16->17)")
+    factors = factorize(f, fam)
+    assert verify_factorization(f, factors, fam)
+    for k in range(len(factors)):  # a lost factor no longer recomposes to f
+        assert not verify_factorization(f, factors[:k] + factors[k + 1:], fam), k
+    # the identity on f's points keeps the product but lies in no block group
+    outside = partial_identity([0, 3, 16, 17])
+    assert compose_chain(factors + [outside]) == f
+    assert classify(outside, fam.blocks).kind != "group"
+    assert not verify_factorization(f, factors + [outside], fam)
 
 
 # -- strata and generation ----------------------------------------------

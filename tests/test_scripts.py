@@ -1,4 +1,5 @@
-"""The two research scripts, run end to end as subprocesses."""
+"""The research scripts and the README report digests, run end to end as
+subprocesses."""
 
 import os
 import subprocess
@@ -13,10 +14,15 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("argv, line", [
     (["closure_sweep.py", "--count", "3", "--seed", "1"], "3/3 families agree"),
     (["chain_report.py", "five-ring"], "[oracle agrees]"),
-], ids=["closure_sweep", "chain_report"])
+    (["report_digests.py"], " invsemi verify pettis-witness "),
+], ids=["closure_sweep", "chain_report", "report_digests"])
 def test_research_script_runs(argv, line):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
                          env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert line in out.stdout
+    if argv[0] == "report_digests.py":
+        # one line per README command, and its two passes agree
+        assert len(out.stdout.splitlines()) == 13
+        assert "second pass differs" not in out.stderr

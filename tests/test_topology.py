@@ -38,6 +38,7 @@ from invsemi.catalog import (
     random_uniform_family,
 )
 from invsemi.closure import GROUP_ENUM_CAP, decode_row, group_rows, structural_rows
+from invsemi.descriptors import NATURALS
 from invsemi.errors import ParseError, WindowMismatchError
 from invsemi.symbolic import (
     block_perm,
@@ -304,6 +305,46 @@ def test_convergence_catches_wrong_limits():
     rep = check_convergence(SingletonIdentitySeq(), partial_identity([0]))
     assert not rep.converges
     assert rep.counterexample[1] in ("i", "schema")
+
+
+class _ConstantSeq:
+    """A schema whose every element is `element` and whose stated
+    eventual behaviour is `claim(x)`."""
+
+    def __init__(self, element, claim):
+        self._element, self._claim = element, claim
+
+    def element(self, n):
+        return self._element
+
+    def eventual(self, x):
+        return self._claim(x)
+
+
+@pytest.mark.parametrize("schema, limit, clause, detail", [
+    (BlockIdentitySeq(COMMON_POINT_RULE), empty_map(), "ii",
+     "0 is outside the limit's domain but the sequence settles on mapping it "
+     "to 0 from index 0 on"),
+    (SingletonIdentitySeq(), fin_map([(0, 0)]), "i",
+     "limit maps 0 to 0 but the sequence settles on leaving it undefined "
+     "from index 1 on"),
+    (_ConstantSeq(empty_map(), lambda x: ("in", 0, x)), empty_map(), "schema",
+     "stated value at 0 from index 0 is not met by element 0"),
+    (_ConstantSeq(partial_identity(NATURALS), lambda x: ("out", 0)), empty_map(), "schema",
+     "element 0 still defines 0, against the stated exit at index 0"),
+], ids=["clause-ii", "clause-i", "stated-value-unmet", "stated-exit-unmet"])
+def test_convergence_reports_each_failure_at_point_zero(schema, limit, clause, detail):
+    rep = check_convergence(schema, limit)
+    assert not rep.converges
+    assert rep.counterexample == (0, clause, detail)
+    assert rep.witnesses == () and rep.points_checked == 1
+    assert rep.describe() == f"fails clause ({clause}) at point 0: {detail}"
+
+
+def test_convergence_report_describes_success():
+    rep = check_convergence(SingletonIdentitySeq(), empty_map(), horizon=20)
+    assert rep.converges and rep.counterexample is None
+    assert rep.describe() == "converges on all 20 probe points below 20"
 
 
 # -- isolation in the infinite union --------------------------------------
