@@ -8,32 +8,23 @@ Usage: python3 scripts/chain_report.py [families...]
 import sys
 
 from invsemi.catalog import FAMILY_BUILDERS, named_family
-from invsemi.families import (
-    chain_capacity_by_enumeration,
-    chain_capacity_matrix,
-    find_chain,
-    verify_chain,
-)
+from invsemi.families import chain_capacity_by_enumeration, chain_certificates, verify_chain
 
 
 def report(name: str) -> bool:
     fam = named_family(name)
-    p = chain_capacity_matrix(fam)
+    certs = chain_certificates(fam)
+    p = [[cert.m for cert in row] for row in certs]
     oracle = chain_capacity_by_enumeration(fam)
     agrees = p == oracle
     print(f"== {fam.name} ({len(fam.blocks)} blocks) "
           f"{'[oracle agrees]' if agrees else '[ORACLE DISAGREES]'}")
     for row in p:
         print("   " + " ".join(f"{v:>2}" for v in row))
-    for i in range(len(p)):
-        for j in range(len(p)):
-            if p[i][j] == 0:
-                continue
-            cert = find_chain(fam, i, j, p[i][j])
-            ok = cert is not None and verify_chain(fam, cert)
-            route = "-".join(str(v) for v in (i, *cert.interior, j)) if cert else "?"
-            flag = "" if ok else "  UNVERIFIED"
-            print(f"   {i}->{j} at {p[i][j]}: chain {route}{flag}")
+    for cert in (c for row in certs for c in row if c.m > 0):
+        route = "-".join(str(v) for v in (cert.i, *cert.interior, cert.j))
+        flag = "" if verify_chain(fam, cert) else "  UNVERIFIED"
+        print(f"   {cert.i}->{cert.j} at {cert.m}: chain {route}{flag}")
     print()
     return agrees
 

@@ -48,6 +48,7 @@ from .families import (
     ChainCertificate,
     chain_capacity_by_enumeration,
     chain_capacity_matrix,
+    chain_certificates,
     factorize,
     find_chain,
     is_generated,

@@ -95,11 +95,8 @@ class BlockRule:
         """The n with block(n) == d, if there is one."""
         if not d.is_infinite():
             return None
-        for x in d.first_members(3):
-            if x >= 1:
-                n = dyadic_owner(x)
-                return n if d == self.block(n) else None
-        return None
+        n = dyadic_owner(d.first_members(2)[1])  # the second-least member is at least 1
+        return n if d == self.block(n) else None
 
     def member(self, f: SymElement) -> bool:
         """Membership in the union of the block permutation groups, the

@@ -12,7 +12,8 @@ unless `--quiet`, writes the report through `_emit` and exits 0 when
 every verdict passed, 2 when a mathematical verdict failed (a
 counterexample where none should exist, a mismatch between independent
 computations), and 1 for usage and IO problems, raised as package, OS
-or JSON errors.  Any other exception is a bug and propagates.
+or JSON errors.  A stdout closed by its reader changes no exit code.
+Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from .families import (
     BlockFamily,
     chain_capacity_by_enumeration,
     chain_capacity_matrix,
+    chain_certificates,
     factorize,
-    find_chain,
     is_generated,
     stratum_options,
     verify_chain,
@@ -293,28 +294,22 @@ def _stratum_counts(result, fam: BlockFamily) -> dict[str, int]:
 
 def cmd_chains(args) -> tuple[dict, dict, str, bool]:
     fam = _load_family(args.family)
-    b = len(fam.blocks)
-    dp = chain_capacity_matrix(fam)
+    rows = chain_certificates(fam)
+    dp = [[cert.m for cert in row] for row in rows]
     report = {"capacity": dp}
     ok = True
     if args.check:
         oracle = chain_capacity_by_enumeration(fam)
         report["oracle"] = oracle
         report["oracle_agrees"] = ok = oracle == dp
-    certs = []
-    for i in range(b):
-        for j in range(b):
-            cert = find_chain(fam, i, j, dp[i][j])
-            verified = cert is not None and verify_chain(fam, cert)
-            certs.append({
-                "i": i, "j": j, "m": dp[i][j],
-                "interior": list(cert.interior) if cert else None,
-                "verified": bool(verified),
-            })
-            ok = ok and verified
-    report["certificates"] = certs
+    report["certificates"] = certs = [
+        {"i": c.i, "j": c.j, "m": c.m, "interior": list(c.interior),
+         "verified": verify_chain(fam, c)}
+        for row in rows for c in row
+    ]
+    ok = ok and all(c["verified"] for c in certs)
     if args.csv:
-        _write_csv(args.csv, dp, [f"B{i}" for i in range(b)])
+        _write_csv(args.csv, dp, [f"B{i}" for i in range(len(dp))])
     return _family_config(args, check=args.check), report, f"capacity matrix: {dp}", ok
 
 
@@ -526,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     ch = sub.add_parser("chains", parents=[common], help="chain capacity matrix and certificates")
     ch.add_argument("--family", required=True)
     ch.add_argument("--check", action="store_true",
-                    help="cross-check the dynamic program against literal "
+                    help="cross-check the chain search against literal "
                          "walk enumeration")
     ch.add_argument("--csv", help="write the capacity matrix as CSV")
     ch.set_defaults(func=cmd_chains, report_command="chains")
@@ -585,9 +580,15 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         config, report, summary, ok = args.func(args)
-        if not args.quiet:
-            print(summary)
-        _emit(args, config, report, started)
+        try:
+            if not args.quiet:
+                print(summary)
+            _emit(args, config, report, started)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout early, which is no usage error;
+            # devnull takes the interpreter's last flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (InvsemiError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

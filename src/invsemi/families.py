@@ -4,10 +4,12 @@ A block family is a finite list of infinite subsets of the naturals
 with pairwise finite overlaps.  Each block carries its group of
 finitely supported permutations; composing across blocks squeezes
 through the finite overlaps, and what survives is measured by chains of
-blocks whose consecutive overlaps stay large.  This module computes
-those chain capacities, produces checkable chain certificates, decides
-membership in the subsemigroup the block groups generate, and factors
-its finite elements back into block permutations.
+blocks whose consecutive overlaps stay large.  One chain search,
+`find_chain`, gives the chain capacities and their checkable
+certificates, decides membership in the subsemigroup the block groups
+generate, and routes the factoring of its finite elements back into
+block permutations; a walk over chains, `chain_capacity_by_enumeration`,
+checks the capacities independently.
 """
 
 from __future__ import annotations
@@ -98,39 +100,9 @@ class BlockFamily:
 # -- chain capacities ----------------------------------------------------
 
 
-def chain_capacity_matrix(family: BlockFamily) -> list[list[int]]:
-    """Largest m admitting a block chain between each pair of blocks.
-
-    A chain from block i to block j is a nonempty tuple of blocks whose
-    consecutive overlaps (including the hop from i in and the hop to j
-    out) all have at least m points; same-block hops never constrain.
-    For i = j the first chain entry must differ from i, so the value is
-    the best direct overlap at i.  Off the diagonal this is the classic
-    widest path, computed by the max-min Floyd-Warshall recurrence.
-    """
-    b = len(family.blocks)
-    w = [[0] * b for _ in range(b)]
-    for i in range(b):
-        for j in range(b):
-            if i != j:
-                w[i][j] = family.intersection_size(i, j)
-    cap = [row[:] for row in w]
-    for k in range(b):
-        for i in range(b):
-            for j in range(b):
-                if i == k or j == k or i == j:
-                    continue
-                through = min(cap[i][k], cap[k][j])
-                if through > cap[i][j]:
-                    cap[i][j] = through
-    for i in range(b):
-        cap[i][i] = max((w[i][k] for k in range(b) if k != i), default=0)
-    return cap
-
-
 def chain_capacity_by_enumeration(family: BlockFamily, max_interior: int | None = None) -> list[list[int]]:
     """Reference for the capacity matrix by walking chains, independent
-    of the dynamic program.
+    of the chain search.
 
     Chains follow the literal definition (repeated blocks allowed, the
     first-entry rule on the diagonal enforced as stated) up to
@@ -247,6 +219,32 @@ def find_chain(family: BlockFamily, i: int, j: int, m: int) -> ChainCertificate 
                     return ChainCertificate(i, j, tuple(path[1:-1]), m)
                 queue.append(c)
     return None
+
+
+def chain_certificates(family: BlockFamily) -> list[list[ChainCertificate]]:
+    """The widest chain between each ordered pair of blocks.
+
+    A chain from block i to block j is a nonempty tuple of blocks whose
+    consecutive overlaps (including the hop from i in and the hop to j
+    out) all have at least m points; same-block hops never constrain,
+    and for i = j the first entry must differ from i.  Entry [i][j] is
+    `find_chain`'s certificate at the largest m admitting a chain; m = 0
+    always does.  A chain's bottleneck is an overlap size, so only those
+    are tried, largest first.
+    """
+    b = len(family.blocks)
+    sizes = sorted({0} | {family.intersection_size(i, j) for i in range(b) for j in range(i)},
+                   reverse=True)
+
+    def widest(i: int, j: int) -> ChainCertificate:
+        return next(c for m in sizes if (c := find_chain(family, i, j, m)) is not None)
+
+    return [[widest(i, j) for j in range(b)] for i in range(b)]
+
+
+def chain_capacity_matrix(family: BlockFamily) -> list[list[int]]:
+    """Largest m admitting a block chain between each pair of blocks."""
+    return [[cert.m for cert in row] for row in chain_certificates(family)]
 
 
 # -- membership ----------------------------------------------------

@@ -325,12 +325,7 @@ class GroupNeighborSeq:
 
 def _rank_of(d: SetDescriptor, x: int) -> int | None:
     """Position of x in the ascending enumeration of d, or None."""
-    for i, m in enumerate(d.iter_members()):
-        if m == x:
-            return i
-        if m > x:
-            return None
-    return None
+    return len(d.below(x)) if x in d else None
 
 
 # ---------------------------------------------------------------------------

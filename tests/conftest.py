@@ -18,7 +18,7 @@ from invsemi import (
     PartialBijection,
     SetDescriptor,
     block_perm,
-    chain_capacity_matrix,
+    chain_capacity_by_enumeration,
     classify,
     fin_map,
     partial_identity,
@@ -275,13 +275,13 @@ def chain_capacity_by_literal_walk(family: BlockFamily, max_interior: int | None
 def is_generated_by_capacity(f: SymElement, family: BlockFamily) -> bool:
     """Reference for `families.is_generated`: a finite map of rank k is
     generated when some stratum option (i, j) has chain capacity at
-    least k in the whole capacity matrix."""
+    least k in the walk oracle's capacity matrix."""
     tag = classify(f, family.blocks)
     if tag.kind in ("group", "empty"):
         return True
     if tag.kind == "outside":
         return False
-    capacity = chain_capacity_matrix(family)
+    capacity = chain_capacity_by_enumeration(family)
     return any(tag.k <= capacity[i][j] for i, j in stratum_options(f, family))
 
 

@@ -76,6 +76,7 @@ def test_rule_membership():
 def test_rule_block_lookup():
     assert COMMON_POINT_RULE.block_index_of(common_point_block(2)) == 2
     assert COMMON_POINT_RULE.block_index_of(evens()) is None
+    assert COMMON_POINT_RULE.block_index_of(SetDescriptor.from_points([1, 2])) is None
     assert DISJOINT_RULE.block_index_of(dyadic_block(0)) == 0
     assert COMMON_POINT_RULE.covers(0) and not DISJOINT_RULE.covers(0)
     assert COMMON_POINT_RULE.first_free_block([0, 1, 2, 5]) == 2

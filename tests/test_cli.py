@@ -261,6 +261,33 @@ def test_factorize_refuses_ungenerated(capsys):
     assert report_of(doc)["generated"] is False
 
 
+@pytest.mark.parametrize("element, message", [
+    ("fin(1->2, 1->3)", "repeated source in pair list"),
+    ("fin(1->2, 3->2)", "repeated target in pair list"),
+    ("perm(B0; 1->2)", "pair list does not permute its support"),
+    ("perm(B0; 1->2, 2->1)", "permutation point outside the block"),
+    ("perm(B0 1->2)", "perm literal needs ';' between carrier and pairs"),
+    ("id(B9)", "family has no block B9"),
+    ("idplus(tail mod 2 residues [0]; 2->5)", "source 2 already in the identity base"),
+    ("idplus(tail mod 2 residues [0]; 1->4)", "target 4 lands in the identity base"),
+], ids=["repeated-source", "repeated-target", "not-a-permutation", "outside-the-block",
+        "no-semicolon", "no-such-block", "source-in-base", "target-in-base"])
+@pytest.mark.parametrize("command", ["stratify", "factorize"])
+def test_bad_element_literals_exit_one(command, element, message, capsys):
+    assert main([command, "--family", "common-point:3", "--element", element]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_permutation_of_a_block_outside_the_family(capsys):
+    element = "perm(tail mod 2 residues [0]; 0->2, 2->0)"
+    code, doc = run(capsys, "stratify", "--family", "five-ring", "--element", element)
+    rep = report_of(doc)
+    assert code == 0 and rep["kind"] == "outside" and rep["generated"] is False
+    code, doc = run(capsys, "factorize", "--family", "five-ring", "--element", element)
+    assert code == 2 and report_of(doc)["generated"] is False
+
+
 def test_verify_closure_bound_within(capsys):
     code, doc = run(
         capsys, "verify", "closure-bound", "--family", "bound2", "--bound", "2"
@@ -864,6 +891,24 @@ def test_python_dash_m_invsemi_runs_the_command_line():
     bad = subprocess.run([sys.executable, "-m", "invsemi", "family-check", "--family", "no-such"],
                          capture_output=True, text=True, env=env, timeout=120)
     assert bad.returncode == 1 and "unknown family" in bad.stderr
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (["closure", "run", "--family", "disjoint:2", "--window", "6"], 0),
+    (["factorize", "--family", "disjoint:2", "--element", "fin(1->2)"], 2),
+], ids=["closure_run", "factorize"])
+def test_closed_stdout_keeps_the_verdict_exit_code(argv, verdict):
+    # the read end closes before the child starts, so every write to its
+    # stdout fails with a broken pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(invsemi.__file__).resolve().parent.parent))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run([sys.executable, "-m", "invsemi", *argv], stdout=write_end,
+                             stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (verdict, "")
 
 
 def test_internal_value_errors_are_not_usage_errors(monkeypatch, capsys):

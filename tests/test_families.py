@@ -1,7 +1,7 @@
 """Block families: overlap bookkeeping, chain capacity, factorization.
 
-Capacity values have two independent routes: the maximin dynamic
-program and a literal walk enumeration.  Tests pin hand-checked
+Capacity values have two independent routes: the chain search and a
+literal walk enumeration.  Tests pin hand-checked
 matrices for the catalog examples and then require the two routes to
 agree on randomized families.
 """
@@ -20,6 +20,7 @@ from invsemi import (
     SetDescriptor,
     chain_capacity_by_enumeration,
     chain_capacity_matrix,
+    chain_certificates,
     classify,
     factorize,
     find_chain,
@@ -237,6 +238,30 @@ def test_chain_certificates_exist_at_capacity():
                 assert verify_chain(fam, cert)
                 # no slack: one more point is unreachable
                 assert find_chain(fam, i, j, p[i][j] + 1) is None
+
+
+def test_chain_certificates_are_the_widest_chains():
+    # each entry's m is the walk oracle's capacity, its chain checks out,
+    # and no larger overlap size admits a chain
+    rng = random.Random(20261020)
+    fams = CATALOG + [random_uniform_family(rng)[0] for _ in range(20)]
+    fams += [violating_family(rng, rng.randint(0, 2)) for _ in range(20)]
+    for _ in range(120):
+        b = rng.randint(2, 6)
+        fams.append(marker_family(b, {(i, j): rng.randint(0, 4)
+                                      for i in range(b) for j in range(i + 1, b)}))
+    for fam in fams:
+        b = len(fam.blocks)
+        sizes = {fam.intersection_size(i, j) for i in range(b) for j in range(i)}
+        certs = chain_certificates(fam)
+        capacity = [[cert.m for cert in row] for row in certs]
+        assert chain_capacity_matrix(fam) == capacity
+        assert capacity == chain_capacity_by_enumeration(fam), fam.name
+        for i, row in enumerate(certs):
+            for j, cert in enumerate(row):
+                assert (cert.i, cert.j) == (i, j) and verify_chain(fam, cert), (fam.name, cert)
+                assert all(find_chain(fam, cert.i, cert.j, m) is None
+                           for m in sizes if m > cert.m), (fam.name, cert)
 
 
 def test_verify_chain_rejects_bad_certificates():

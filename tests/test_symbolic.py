@@ -34,6 +34,7 @@ from invsemi import (
     im_set,
 )
 from invsemi.catalog import common_point_family
+from invsemi.errors import ParseError
 
 from conftest import (
     SYM_POOL_POINT_BOUND,
@@ -104,6 +105,17 @@ def test_block_perm_accepts_fixed_points():
     assert f == BlockPerm(EVENS, ((0, 2), (2, 0)))
     with pytest.raises(ValueError):
         block_perm(EVENS, [(0, 2)])
+
+
+def test_constructor_refusals_name_their_fault():
+    with pytest.raises(ParseError, match="block reference 'B0' needs a family"):
+        parse_sym("id(B0)")
+    with pytest.raises(ValueError, match="map points must be naturals"):
+        fin_map([(-1, 2)])
+    with pytest.raises(ValueError, match="pairs must be sorted by source"):
+        IdFin(EMPTY_SET, ((2, 3), (1, 4)))
+    with pytest.raises(ValueError, match="block must be infinite"):
+        block_perm(SetDescriptor.from_points([1, 2]), [(1, 2), (2, 1)])
 
 
 def test_apply_and_membership():

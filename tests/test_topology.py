@@ -251,6 +251,10 @@ def test_singleton_identities_converge_to_the_empty_map():
     assert rep.converges
     rep2 = check_convergence(SingletonIdentitySeq(common_point_block(0)), empty_map())
     assert rep2.converges
+    # a point of the set leaves the domain after its own turn; any other
+    # point never enters it
+    seq = SingletonIdentitySeq(EVENS)
+    assert [seq.eventual(x) for x in (3, 4, 5)] == [("out", 0), ("out", 3), ("out", 0)]
 
 
 def test_block_identities_do_not_converge_to_the_empty_map():
@@ -290,6 +294,13 @@ def test_growing_extension_rejects_bad_pools():
         GrowingExtensionSeq(fin_map([(1, 2)]), SetDescriptor.from_points([1]), ODDS)
     with pytest.raises(ValueError):
         GrowingExtensionSeq(partial_identity(ODDS), ODDS, ODDS)
+
+
+def test_group_neighbors_reject_bases_off_a_block_group():
+    with pytest.raises(ValueError, match="base must be a block permutation or a block identity"):
+        GroupNeighborSeq(fin_map([(1, 2)]))
+    with pytest.raises(ValueError, match="base must live on an infinite block"):
+        GroupNeighborSeq(partial_identity([1, 2]))
 
 
 def test_group_neighbors_converge_to_their_base():
@@ -629,6 +640,19 @@ def test_family_isolation_at_the_bound():
     assert verdict.isolated
     ok, rep = verify_family_certificate(f, fam, 2)
     assert ok and rep.is_singleton() and rep.sole_member() == f
+
+
+def test_family_isolation_refuses_non_members_and_limit_points():
+    fam = bound_example()
+    for f in (fin_map([(0, 3), (6, 9), (12, 15)]),  # rank 3 is past the bound
+              block_perm(SetDescriptor.residue_class(0, 2), [(0, 2), (2, 0)])):  # no block
+        assert family_isolation(f, fam, 2).isolated is None
+    with pytest.raises(ValueError, match="element is not isolated; nothing to verify"):
+        verify_family_certificate(partial_identity(fam.blocks[0]), fam, 2)
+    with pytest.raises(ValueError, match="element is not isolated; nothing to verify"):
+        verify_rank_one_certificate(partial_identity([0]))
+    # the open without constraints admits every member, so none is its sole one
+    assert open_members(BasicOpen(), enumerate(fam.blocks), 2).sole_member() is None
 
 
 def test_family_isolation_below_the_bound():
