@@ -220,8 +220,7 @@ def cmd_family_check(args) -> tuple[dict, dict, str, bool]:
 
 def cmd_closure_run(args) -> tuple[dict, dict, str, bool]:
     fam = _load_family(args.family)
-    capacity = chain_capacity_matrix(fam)
-    window = args.window or minimal_window(fam, capacity)
+    window = args.window or minimal_window(fam, chain_capacity_matrix(fam))
     _trace(args, f"window {window}")
     gens = family_generators(fam, window, sparse=args.sparse)
     result = closure_of(gens, max_elements=args.max)
@@ -251,7 +250,7 @@ def cmd_closure_run(args) -> tuple[dict, dict, str, bool]:
                 raise BudgetExceededError(
                     f"the closure stopped at --max {args.max} before it closed, "
                     "so its structural mismatch is no counterexample")
-            least = minimal_window(fam, capacity)
+            least = minimal_window(fam, chain_capacity_matrix(fam))
             if window < least:
                 # the prediction routes through waypoints the window lacks
                 raise WindowMismatchError(

@@ -393,8 +393,8 @@ def check_collection_laws(model: CollectionModel, window: int = 5,
 @dataclass(frozen=True)
 class EscapeWitness:
     """An escape element with the verdict of each clause.  `verdicts`
-    holds the (name, verdict) pairs; `clauses` adds each clause's detail
-    text, formatted when it is read."""
+    holds the (name, verdict) pairs in the order `ideal_escape_witness`
+    checks them."""
 
     element: SymElement
     small_ideal: IdealModel
@@ -403,31 +403,6 @@ class EscapeWitness:
     holds: bool
     element_text: str  # format_sym(element)
     open_text: str  # describe() of the open the element lies in
-    domain_complement: SetDescriptor
-    image_complement: SetDescriptor
-
-    @property
-    def clauses(self) -> tuple[tuple[str, bool, str], ...]:
-        """(name, verdict, detail) per clause."""
-        big_text = self.big_ideal.describe()
-        small_text = self.small_ideal.describe()
-        trivial = " (trivial: empty ideal)" if self.small_ideal.kind == "empty" else ""
-        details = (
-            f"{self.element_text} satisfies {self.open_text}",
-            f"domain complement {self.domain_complement.to_text()} lies in {big_text}",
-            f"domain complement avoids {small_text}{trivial}",
-            f"image complement {self.image_complement.to_text()} lies in {big_text}",
-            f"image complement avoids {small_text}{trivial}",
-            "domain complement matches pivot + touched points - sources",
-            "image complement matches pivot + touched points - targets",
-        )
-        return tuple((name, ok, text) for (name, ok), text in zip(self.verdicts, details))
-
-    def clause(self, name: str) -> bool:
-        for n, ok in self.verdicts:
-            if n == name:
-                return ok
-        raise KeyError(name)
 
 
 @functools.lru_cache(maxsize=16)
@@ -482,4 +457,4 @@ def ideal_escape_witness(v, ideal: IdealModel, pivot: SetDescriptor) -> EscapeWi
         ("image-complement-formula", im_c == want_im),
     )
     return EscapeWitness(f, ideal, big, verdicts, all(ok for _, ok in verdicts),
-                         format_sym(f), v.describe(), dom_c, im_c)
+                         format_sym(f), v.describe())

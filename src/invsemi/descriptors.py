@@ -300,12 +300,6 @@ class SetDescriptor:
         remove = {*self.remove, *(x for x in drop if x % self.modulus in res)}
         return SetDescriptor(add, tuple(sorted(remove)), self.modulus, res)
 
-    def subset_of(self, other: "SetDescriptor") -> bool:
-        return self.difference(other).is_empty()
-
-    def disjoint_from(self, other: "SetDescriptor") -> bool:
-        return self.intersect(other).is_empty()
-
     def almost_subset_of(self, other: "SetDescriptor") -> bool:
         """True when ``self \\ other`` is finite.  The patches are finite,
         so only the tails decide it: no residue over the lcm of the moduli

@@ -4,6 +4,11 @@ A ``PartialBijection`` is a finite injective partial map on the points
 ``0 .. window-1``.  The window is carried explicitly: two maps compare
 equal only when both pairs and window agree, and mixing windows in an
 operation is an error rather than a silent reinterpretation.
+
+The class gives construction, composition and inversion (windowed
+references for symbolic composition and inversion), and the
+``{a->b, ...}@window`` literal that reports print.
+``all_partial_bijections`` enumerates every map on a window of at most 6.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import NotInjectiveError, OutOfDomainError, ParseError, WindowMismatchError
+from .errors import NotInjectiveError, ParseError, WindowMismatchError
 
 Pair = tuple[int, int]
 
@@ -45,10 +50,6 @@ class PartialBijection:
         return cls(tuple(sorted((int(s), int(t)) for s, t in pairs)), window)
 
     @classmethod
-    def identity_on(cls, points: Iterable[int], window: int) -> "PartialBijection":
-        return cls(tuple(sorted((p, p) for p in set(points))), window)
-
-    @classmethod
     def empty(cls, window: int) -> "PartialBijection":
         return cls((), window)
 
@@ -62,24 +63,6 @@ class PartialBijection:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.pairs)
-
-    def apply(self, x: int) -> int:
-        for s, t in self.pairs:
-            if s == x:
-                return t
-        raise OutOfDomainError(f"{x} not in domain of {self}")
-
-    def defined_at(self, x: int) -> bool:
-        return any(s == x for s, _ in self.pairs)
-
-    def hits(self, y: int) -> bool:
-        return any(t == y for _, t in self.pairs)
-
-    def is_partial_identity(self) -> bool:
-        return all(s == t for s, t in self.pairs)
-
-    def is_idempotent(self) -> bool:
-        return self.compose(self) == self
 
     # -- algebra ----------------------------------------------------
 
@@ -97,26 +80,11 @@ class PartialBijection:
     def inverse(self) -> "PartialBijection":
         return PartialBijection(tuple(sorted((t, s) for s, t in self.pairs)), self.window)
 
-    def restrict(self, points: Iterable[int]) -> "PartialBijection":
-        keep = set(points)
-        return PartialBijection(tuple(p for p in self.pairs if p[0] in keep), self.window)
-
     # -- literals ----------------------------------------------------
 
     def format_literal(self) -> str:
         inner = ", ".join(f"{s}->{t}" for s, t in self.pairs)
         return "{%s}@%d" % (inner, self.window)
-
-    @classmethod
-    def parse_literal(cls, text: str) -> "PartialBijection":
-        m = re.match(r"^\s*\{(?P<body>[^}]*)\}@(?P<window>\d+)\s*$", text)
-        if not m:
-            raise ParseError(f"bad partial bijection literal: {text!r}")
-        pairs = parse_pairs(m.group("body"))
-        try:
-            return cls.of(pairs, int(m.group("window")))
-        except (NotInjectiveError, ValueError) as exc:
-            raise ParseError(f"invalid literal {text!r}: {exc}") from exc
 
     def __str__(self) -> str:
         return self.format_literal()

@@ -42,7 +42,6 @@ from invsemi.closure import (
     unique_rows,
 )
 from invsemi.descriptors import EMPTY, _spread
-from invsemi.constrained import pivot_extension
 from invsemi.errors import BudgetExceededError, InvalidOpenError, WindowMismatchError
 from invsemi.symbolic import (
     BlockPerm,
@@ -553,39 +552,6 @@ def basic_open_check_by_rebuild(positive=(), forbid_dom=(), forbid_im=()):
     if set(fi) & set(tgts):
         raise InvalidOpenError("a required target is also image-forbidden")
     return pos, fd, fi
-
-
-def escape_clauses_by_eager_format(v, ideal, pivot: SetDescriptor) -> tuple:
-    """Reference for `EscapeWitness.clauses`: the seven clauses of
-    `ideal_escape_witness` with every detail text formatted as the
-    witness is built."""
-    pivot_c, big = pivot_extension(ideal, pivot)
-    srcs = [x for x, _ in v.positive]
-    tgts = [y for _, y in v.positive]
-    touched = v.constraint_points()
-    f = sym_element(pivot_c.without_points(touched), v.positive)
-    dom_c = dom_set(f).complement()
-    im_c = im_set(f).complement()
-    spread = pivot.with_points(touched)
-    want_dom = spread.without_points(srcs)
-    want_im = spread.without_points(tgts)
-    f_text, v_text, big_text = format_sym(f), v.describe(), big.describe()
-    trivial = " (trivial: empty ideal)" if ideal.kind == "empty" else ""
-    return (
-        ("member-of-open", open_contains(v, f), f"{f_text} satisfies {v_text}"),
-        ("domain-complement-in-extended", big.contains(dom_c),
-         f"domain complement {dom_c.to_text()} lies in {big_text}"),
-        ("domain-complement-outside-original", not ideal.contains(dom_c),
-         f"domain complement avoids {ideal.describe()}{trivial}"),
-        ("image-complement-in-extended", big.contains(im_c),
-         f"image complement {im_c.to_text()} lies in {big_text}"),
-        ("image-complement-outside-original", not ideal.contains(im_c),
-         f"image complement avoids {ideal.describe()}{trivial}"),
-        ("domain-complement-formula", dom_c == want_dom,
-         "domain complement matches pivot + touched points - sources"),
-        ("image-complement-formula", im_c == want_im,
-         "image complement matches pivot + touched points - targets"),
-    )
 
 
 def shared_identity_interior_probe_by_rebuild(trials: int = 100, seed: int = 0,

@@ -190,11 +190,12 @@ def test_criterion_6_ideal_escape_witnesses():
             v = random_basic_open(rng)
             w = ideal_escape_witness(v, ideal, evens())
             assert w.holds, (ideal.kind, v.describe())
-            assert w.clause("member-of-open")
-            assert w.clause("domain-complement-in-extended")
-            assert w.clause("domain-complement-outside-original")
-            assert w.clause("image-complement-in-extended")
-            assert w.clause("image-complement-outside-original")
+            verdicts = dict(w.verdicts)
+            assert verdicts["member-of-open"]
+            assert verdicts["domain-complement-in-extended"]
+            assert verdicts["domain-complement-outside-original"]
+            assert verdicts["image-complement-in-extended"]
+            assert verdicts["image-complement-outside-original"]
 
 
 def test_criterion_7_convergence_catalog():

@@ -46,7 +46,7 @@ def test_dyadic_blocks_partition_the_positives():
             seen[x] = n
             assert dyadic_owner(x) == n
     assert sorted(seen) == list(range(1, 64))
-    assert evens().disjoint_from(odds())
+    assert evens().intersect(odds()).is_empty()
 
 
 def test_common_point_blocks_share_only_zero():

@@ -548,21 +548,6 @@ def test_chain_walk_oracle_leaves_no_cyclic_garbage():
         gc.enable()
 
 
-def test_witness_commands_format_no_clause_text(monkeypatch, capsys):
-    # the report keeps clause names and verdicts only, so the CLI never
-    # reads the formatted clause details
-    from invsemi.constrained import EscapeWitness
-
-    reads = []
-    clauses = EscapeWitness.clauses
-    monkeypatch.setattr(EscapeWitness, "clauses",
-                        property(lambda w: reads.append(w) or clauses.fget(w)))
-    for command in sorted(README_WITNESS_DIGESTS):
-        assert main(command.split()) == 0
-    capsys.readouterr()
-    assert reads == []
-
-
 def test_verify_pettis_witness(capsys):
     code, doc = run(
         capsys,
@@ -877,6 +862,33 @@ def test_closure_run_mismatch_of_a_stopped_closure_exits_one(capsys):
     assert main(command.split()) == 0
     digest = _report_digests_script().report_digest(capsys.readouterr().out)
     assert digest == README_REPORT_DIGESTS[command]
+
+
+def test_closure_run_builds_the_capacity_matrix_only_for_the_minimal_window(
+        monkeypatch, capsys):
+    # only `minimal_window` reads the matrix: closure run builds it when
+    # --window is absent, or to check a --compare mismatch against the
+    # least window; the pinned digests show that no report changes
+    calls = []
+    real = cli.chain_capacity_matrix
+    monkeypatch.setattr(cli, "chain_capacity_matrix",
+                        lambda fam: calls.append(fam) or real(fam))
+    digest = _report_digests_script().report_digest
+    reports = {
+        "closure run --family five-ring --window 12":
+            "d103e939f014e14096da1641541dfe224989f10c86e43d296734e328204b715f",
+        "closure run --family common-point:3 --window 8 --compare":
+            README_REPORT_DIGESTS["closure run --family common-point:3 --window 8 --compare"],
+        "closure run --family disjoint:2 --sparse":
+            "17833681f812dfd88bc9f8c118273944a5a81689186f9a792187b73e08030765",
+    }
+    for command, want in reports.items():
+        assert main(command.split()) == 0
+        assert digest(capsys.readouterr().out) == want, command
+    assert len(calls) == 1  # the run without --window
+    assert main(["closure", "run", "--family", "bound2", "--window", "5", "--compare"]) == 1
+    assert "window 22" in capsys.readouterr().err
+    assert len(calls) == 2
 
 
 def test_python_dash_m_invsemi_runs_the_command_line():

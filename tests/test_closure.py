@@ -102,7 +102,7 @@ def test_unique_rows_deduplicates(rng):
 def test_unique_rows_sort_as_the_row_bytes(rng, width):
     # one-word keys up to KEY_WINDOW, the rows' bytes past it: one order
     maps = [random_partial_injection(rng, width) for _ in range(50)]
-    maps.append(PartialBijection.identity_on(range(width), width))
+    maps.append(PartialBijection.of([(x, x) for x in range(width)], width))
     rows = np.concatenate([encode_rows(maps + maps[::3], width), blank_rows(2, width)])
     rows = rows[rng.sample(range(len(rows)), len(rows))]
     uniq = unique_rows(rows)
@@ -217,7 +217,7 @@ def _sparse_maps(block, window):
     """The transposition of the first two points and the full cycle, as maps."""
     pts = block.below(window)
     if len(pts) < 2:
-        return [PartialBijection.identity_on(pts, window)]
+        return [PartialBijection.of([(p, p) for p in pts], window)]
     swap = {pts[0]: pts[1], pts[1]: pts[0]}
     maps = [PartialBijection.of({p: swap.get(p, p) for p in pts}, window)]
     if len(pts) > 2:

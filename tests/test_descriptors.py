@@ -177,10 +177,10 @@ def test_subset_and_disjoint_agree_with_points(a, b):
     # the horizon decides membership for both sets, so it decides
     # inclusion and overlap in both directions
     h = horizon(a, b)
-    assert a.subset_of(b) == (points_below(a, h) <= points_below(b, h))
-    assert a.disjoint_from(b) == (points_below(a, h) & points_below(b, h) == set())
-    assert a.subset_of(a)
-    assert a.intersect(b).subset_of(a)
+    assert a.difference(b).is_empty() == (points_below(a, h) <= points_below(b, h))
+    assert a.intersect(b).is_empty() == (points_below(a, h) & points_below(b, h) == set())
+    assert a.difference(a).is_empty()
+    assert a.intersect(b).difference(a).is_empty()
 
 
 @given(descriptors)

@@ -1,6 +1,6 @@
 """Every name a module of the package imports is read somewhere in it,
-every private helper is read somewhere in the package, and every
-parameter is read in its function.
+every private helper is read somewhere in the package, every parameter
+is read in its function, and every public name is read by the program.
 
 A stdlib-only stand-in for a linter's unused-import, unused-code and
 unused-argument checks: each module under src/invsemi except the
@@ -11,7 +11,10 @@ class whose name starts with ``_`` must be read, the same way or as an
 attribute, in some module of the package, so a refactor cannot leave
 one orphaned.  Every parameter of a function or lambda, apart from
 ``self`` and ``cls``, must be read as a name in its body, so no caller
-passes a value nothing uses.
+passes a value nothing uses.  Every public module-level function or
+class, and every public method or property of a public class, must be
+read by the program (src, scripts or perfbench) and not only by its own
+tests, apart from a short list of names kept for a stated reason.
 """
 
 import ast
@@ -112,3 +115,68 @@ def unread_parameters(tree: ast.Module) -> list[str]:
 def test_every_parameter_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert unread_parameters(tree) == []
+
+
+ROOT = PACKAGE.parent.parent
+PROGRAM = [ROOT / "src", ROOT / "scripts", ROOT / "perfbench"]
+
+# Public names that no program code reads, each kept for a reason.
+UNREAD_BY_THE_PROGRAM = {
+    # the list of maps behind `closure_of`'s rows, which the tests
+    # compare with the dict-based references
+    "ClosureResult.elements",
+    # windowed references for `sym_compose` and `sym_inverse`
+    "PartialBijection.compose",
+    "PartialBijection.inverse",
+    # perfbench's tracer names it in a string; it goes with the
+    # closedness check's rework (ROADMAP item 1)
+    "rows_closed_under_ops",
+}
+
+
+def program_reads() -> tuple[set[str], set[str]]:
+    """(names read or `from`-imported, attributes taken) anywhere in the
+    program; the package's re-exports count as reads."""
+    names, attributes = set(), set()
+    for path in (p for tree in PROGRAM for p in tree.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names |= read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(a.name for a in node.names)
+    return names, attributes
+
+
+def public_definitions(tree: ast.Module) -> list[str]:
+    """Each public module-level function and class, and each public
+    method or property of a public class, as `name` or `Class.name`."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_"):
+            continue
+        out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out += [
+                f"{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not item.name.startswith("_")
+            ]
+    return out
+
+
+def test_every_public_definition_has_a_program_reader():
+    # a module-level name is read as a name, an attribute or an import;
+    # a method or property only as an attribute
+    names, attributes = program_reads()
+    unread = set()
+    for path in MODULES:
+        for name in public_definitions(ast.parse(path.read_text(encoding="utf-8"))):
+            owner, _, member = name.rpartition(".")
+            if member not in (attributes if owner else names | attributes):
+                unread.add(name)
+    assert sorted(unread) == sorted(UNREAD_BY_THE_PROGRAM)
