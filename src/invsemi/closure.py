@@ -347,15 +347,11 @@ def family_generators(family: BlockFamily, window: int, sparse: bool = False) ->
     return np.concatenate([build(b, window) for b in family.blocks])
 
 
-def structural_rows(
-    family: BlockFamily, window: int, capacity: list[list[int]] | None = None
-) -> np.ndarray:
+def structural_rows(family: BlockFamily, window: int) -> np.ndarray:
     """Windowed picture of the subsemigroup the block groups generate:
     whole block groups, finite strata up to each chain capacity, and the
     empty map.  Returned as deduplicated sorted rows."""
-    if capacity is None:
-        capacity = chain_capacity_matrix(family)
-    return unique_rows(structural_parts(family, window, capacity))
+    return unique_rows(structural_parts(family, window, chain_capacity_matrix(family)))
 
 
 def structural_parts(family: BlockFamily, window: int, capacity: list[list[int]]) -> np.ndarray:

@@ -204,10 +204,6 @@ class SetDescriptor:
     def is_empty(self) -> bool:
         return not self.residues and not self.add
 
-    def size(self) -> int | None:
-        """Number of members, or None when the set is infinite."""
-        return None if self.residues else len(self.add)
-
     def points(self) -> tuple[int, ...]:
         """All members of a finite set."""
         if self.residues:

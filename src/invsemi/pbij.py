@@ -49,10 +49,6 @@ class PartialBijection:
             pairs = pairs.items()
         return cls(tuple(sorted((int(s), int(t)) for s, t in pairs)), window)
 
-    @classmethod
-    def empty(cls, window: int) -> "PartialBijection":
-        return cls((), window)
-
     # -- structure ----------------------------------------------------
 
     def domain(self) -> tuple[int, ...]:

@@ -37,8 +37,8 @@ from random import Random
 from typing import Iterable
 
 from .catalog import COMMON_POINT_RULE, BlockRule
-from .descriptors import NATURALS, SetDescriptor, _is_int
-from .errors import InvalidOpenError, ParseError
+from .descriptors import NATURALS, SetDescriptor
+from .errors import InvalidOpenError
 from .families import BlockFamily, _extend_in_block
 from .symbolic import (
     IdFin,
@@ -117,37 +117,6 @@ class BasicOpen:
         parts += [f"w1({p})" for p in self.forbid_dom]
         parts += [f"w2({p})" for p in self.forbid_im]
         return " & ".join(parts) if parts else "full"
-
-    def to_config(self) -> dict:
-        return {
-            "pairs": [list(p) for p in self.positive],
-            "forbid_dom": list(self.forbid_dom),
-            "forbid_im": list(self.forbid_im),
-        }
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "BasicOpen":
-        """Read `to_config` output.  Points must be integers: a JSON
-        boolean or a numeric string is a `ParseError`, not a point.  An
-        unknown key is a `ParseError` too, so a misspelt key is not
-        dropped."""
-        if not isinstance(cfg, dict):
-            raise ParseError(f"open config must be an object, got {type(cfg).__name__}")
-        extra = set(cfg) - {"pairs", "forbid_dom", "forbid_im"}
-        if extra:
-            raise ParseError(f"unknown open config keys: {sorted(extra)}")
-        pairs = cfg.get("pairs", [])
-        if not isinstance(pairs, (list, tuple)) or not all(
-                isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_int, p))
-                for p in pairs):
-            raise ParseError("open config pairs must be [source, target] integer pairs")
-        forbid = []
-        for key in ("forbid_dom", "forbid_im"):
-            pts = cfg.get(key, [])
-            if not isinstance(pts, (list, tuple)) or not all(map(_is_int, pts)):
-                raise ParseError(f"open config {key} must be a list of integers")
-            forbid.append(tuple(pts))
-        return cls(tuple(map(tuple, pairs)), *forbid)
 
 
 def open_contains(v: BasicOpen, f: SymElement) -> bool:
@@ -339,13 +308,6 @@ class ConvergenceReport:
     counterexample: tuple[int, str, str] | None  # (point, clause, detail)
     witnesses: tuple[tuple[int, int], ...]  # (point, index from which settled)
     points_checked: int
-
-    def describe(self) -> str:
-        if self.converges:
-            return (f"converges on all {self.points_checked} probe points "
-                    f"below {self.horizon}")
-        x, clause, detail = self.counterexample
-        return f"fails clause ({clause}) at point {x}: {detail}"
 
 
 _SPOT_OFFSETS = (0, 1, 2, 7)

@@ -37,7 +37,7 @@ from invsemi.closure import (
     family_generators,
     group_rows,
     invert_rows,
-    structural_rows,
+    structural_parts,
     union_generators,
     unique_rows,
 )
@@ -369,12 +369,19 @@ def minimal_window_by_scan(family: BlockFamily, rank_matrix: list[list[int]]) ->
     raise BudgetExceededError("no window within the int8 limit fits this family")
 
 
+def capped_rows(family: BlockFamily, window: int, capacity) -> np.ndarray:
+    """`structural_rows` under a given capacity matrix in place of the
+    family's chain capacities: with every entry n, the rank-n union U
+    that `union_closed` tests."""
+    return unique_rows(structural_parts(family, window, capacity))
+
+
 def union_closed_by_search(family: BlockFamily, n: int, window: int) -> tuple[bool, int]:
     """Reference for `union_closed`: the closure engine grows <A> from the
     same generators, stopped past |U| elements, and its rows are compared
     with U's.  Returns (closed, products)."""
     b = len(family.blocks)
-    target = structural_rows(family, window, [[n] * b for _ in range(b)])
+    target = capped_rows(family, window, [[n] * b for _ in range(b)])
     result = closure_of(union_generators(family, n, window), max_elements=len(target))
     return result.closed and np.array_equal(result.rows, target), result.products
 
@@ -415,7 +422,7 @@ def group_rows_by_loop(block: SetDescriptor, window: int) -> np.ndarray:
 
 
 def structural_rows_by_loop(family: BlockFamily, window: int, capacity) -> np.ndarray:
-    """Reference for `structural_rows`: one assignment per domain tuple."""
+    """Reference for `capped_rows`: one assignment per domain tuple."""
     parts = [group_rows_by_loop(b, window) for b in family.blocks] + [blank_rows(1, window)]
     pts = [b.below(window) for b in family.blocks]
     for i, src in enumerate(pts):

@@ -11,12 +11,9 @@ import json
 import random
 import time
 
-import pytest
-
 from invsemi import (
     EMPTY_IDEAL,
     FIN_IDEAL,
-    SetDescriptor,
     chain_capacity_by_enumeration,
     chain_capacity_matrix,
     check_closure_bound,
@@ -46,7 +43,6 @@ from invsemi.catalog import (
     dyadic_disjoint_family,
     five_block_example,
     marker_family,
-    named_family,
     random_uniform_family,
     unequal_example,
     violating_family,
@@ -89,7 +85,7 @@ def test_criterion_2_closure_bound_both_directions():
         assert not report.satisfied
         i, j = report.bad_pair
         overlap = fam.blocks[i].intersect(fam.blocks[j])
-        assert overlap.size() == report.witness["rank"] > bound
+        assert len(overlap.points()) == report.witness["rank"] > bound
         # recompute the escape composite from scratch
         composite = sym_compose(
             partial_identity(fam.blocks[j]), partial_identity(fam.blocks[i])

@@ -9,7 +9,6 @@ from invsemi.catalog import (
     DISJOINT_RULE,
     BlockRule,
     common_point_block,
-    common_point_family,
     dyadic_block,
     dyadic_owner,
     named_family,

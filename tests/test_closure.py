@@ -1,7 +1,6 @@
 """Windowed closure engine against the naive dict oracle and the
 structural description of the generated union."""
 
-import hashlib
 import itertools
 import os
 import random
@@ -66,6 +65,7 @@ from invsemi.catalog import (
 from invsemi.errors import BudgetExceededError
 from invsemi.families import chain_capacity_matrix
 from conftest import (
+    capped_rows,
     closure_by_row_scan,
     closure_dicts,
     compose_dicts,
@@ -268,7 +268,7 @@ def test_structural_rows_are_closed():
 def test_union_with_too_small_bound_is_not_closed():
     fam = bound_example()
     w = minimal_window(fam, [[1, 1], [1, 1]])
-    rows = structural_rows(fam, w, [[1, 1], [1, 1]])
+    rows = capped_rows(fam, w, [[1, 1], [1, 1]])
     closed, _ = rows_closed_under_ops(rows)
     assert not closed  # identity composite has rank 2
     assert union_closed(fam, 1, w)[0] is False
@@ -281,7 +281,7 @@ def test_closure_bound_satisfied_branch():
     assert report.max_overlap == 2
     assert report.bad_pair is None and report.witness is None
     # each element of U is composed once with every map of A u A^-1
-    rows = structural_rows(fam, report.window, [[2, 2], [2, 2]])
+    rows = capped_rows(fam, report.window, [[2, 2], [2, 2]])
     gens = union_generators(fam, 2, report.window)
     both = unique_rows(np.concatenate([gens, invert_rows(gens)]))
     assert (len(rows), len(both)) == (3223, 13)
@@ -334,7 +334,7 @@ def test_union_closed_matches_all_pairs_oracle(seed):
     fam, bound, window = random_uniform_family(random.Random(seed))
     b = len(fam.blocks)
     for n in range(max(bound - 1, 0), bound + 1):
-        rows = structural_rows(fam, window, [[n] * b for _ in range(b)])
+        rows = capped_rows(fam, window, [[n] * b for _ in range(b)])
         assert union_closed(fam, n, window)[0] == rows_closed_under_ops(rows)[0]
 
 
@@ -381,7 +381,7 @@ def test_union_closed_above_every_overlap():
     # maps, so only the per-stratum generators reach them
     for fam, n in ((dyadic_disjoint_family(2), 1), (common_point_family(3), 2)):
         b = len(fam.blocks)
-        rows = structural_rows(fam, 8, [[n] * b for _ in range(b)])
+        rows = capped_rows(fam, 8, [[n] * b for _ in range(b)])
         assert rows_closed_under_ops(rows)[0]
         closed, products = union_closed(fam, n, 8)
         assert closed and products < len(rows) ** 2
@@ -461,7 +461,7 @@ def test_hub_generators_match_all_pairs(fam, n, window, monkeypatch):
     if closed:
         # |U| x |A u A^-1| under either generator set
         b = len(fam.blocks)
-        size = len(structural_rows(fam, window, [[n] * b for _ in range(b)]))
+        size = len(capped_rows(fam, window, [[n] * b for _ in range(b)]))
         for gens, count in ((hub, products), (all_pairs, products_all)):
             both = unique_rows(np.concatenate([gens, invert_rows(gens)]))
             assert count == size * len(both)
@@ -494,7 +494,7 @@ def test_union_closed_verdicts_on_fixed_families(monkeypatch):
     monkeypatch.undo()
     fam = _hub_not_first_family()
     for n, want in ((1, False), (2, True)):
-        rows = structural_rows(fam, 10, [[n] * 3] * 3)
+        rows = capped_rows(fam, 10, [[n] * 3] * 3)
         assert union_closed(fam, n, 10)[0] is rows_closed_under_ops(rows)[0] is want
 
 
@@ -680,9 +680,7 @@ def test_union_index_from_parts_matches_the_sorted_union():
              (dyadic_disjoint_family(3), 1, 12), (_markers1_b4(), 1, 18)]
     for fam, n, window in cases:
         b = len(fam.blocks)
-        parts = structural_parts(fam, window, [[n] * b] * b)
-        rows = structural_rows(fam, window, [[n] * b] * b)
-        assert np.array_equal(unique_rows(parts), rows)
+        rows = capped_rows(fam, window, [[n] * b] * b)
         raw = union_index(fam, n, window)
         distinct = RowIndex(rows, raw.groups)
         assert np.array_equal(raw.keys, distinct.keys)
@@ -691,7 +689,7 @@ def test_union_index_from_parts_matches_the_sorted_union():
     # bound2's U at bound 2: the strata repeat 162 maps of the groups and each other
     fam = bound_example()
     assert (len(structural_parts(fam, 22, [[2] * 2] * 2)),
-            len(structural_rows(fam, 22, [[2] * 2] * 2))) == (3385, 3223)
+            len(capped_rows(fam, 22, [[2] * 2] * 2))) == (3385, 3223)
 
 
 def test_union_index_keys_wide_unions_by_block():
@@ -823,7 +821,7 @@ def _structural_oracle(family, window, capacity):
     """Every block-group and stratum map built as a PartialBijection, then
     encoded and deduplicated."""
     pts = [blk.below(window) for blk in family.blocks]
-    maps = [PartialBijection.empty(window)]
+    maps = [PartialBijection.of([], window)]
     for p in pts:
         maps += [PartialBijection.of(zip(p, img), window) for img in itertools.permutations(p)]
     for i, src in enumerate(pts):
@@ -854,8 +852,9 @@ def _row_builder_cases():
 def test_structural_rows_match_the_object_route(fam, window, bound):
     b = len(fam.blocks)
     uniform = [[[n] * b for _ in range(b)] for n in range(bound + 2)]
-    for capacity in [chain_capacity_matrix(fam)] + uniform:
-        rows = structural_rows(fam, window, capacity)
+    built = [(structural_rows(fam, window), chain_capacity_matrix(fam))]
+    built += [(capped_rows(fam, window, capacity), capacity) for capacity in uniform]
+    for rows, capacity in built:
         want = _structural_oracle(fam, window, capacity)
         assert rows.dtype == np.int8
         assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
@@ -867,7 +866,7 @@ def test_row_builders_match_the_per_tuple_construction(fam, window, bound):
     for blk in fam.blocks:
         assert group_rows(blk, window).tobytes() == group_rows_by_loop(blk, window).tobytes()
     for capacity in [chain_capacity_matrix(fam)] + [[[n] * b] * b for n in range(bound + 2)]:
-        rows = structural_rows(fam, window, capacity)
+        rows = capped_rows(fam, window, capacity)
         want = structural_rows_by_loop(fam, window, capacity)
         assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
 
@@ -1020,7 +1019,7 @@ def test_closure_refuses_rows_that_are_no_partial_injections():
 
 def test_closure_of_the_empty_map_at_window_0():
     # a (1, 0) row array has no entry for the range check to read
-    empty = PartialBijection.empty(0)
+    empty = PartialBijection.of([], 0)
     result = closure_of(encode_rows([empty], 0))
     assert (result.size(), result.frontier_sizes, result.products, result.closed) == (
         1, (1,), 1, True)

@@ -28,7 +28,6 @@ from invsemi import (
     is_generated,
     partial_identity,
     stratum_options,
-    sym_compose,
     verify_chain,
     verify_factorization,
 )

@@ -1,7 +1,5 @@
 """Windowed partial bijections against a naive dict oracle."""
 
-import random
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -30,7 +28,7 @@ def test_construction_and_lookup():
     assert f.image() == (1, 3)
     assert f.as_dict() == {0: 3, 2: 1}
     assert PartialBijection.of({2: 1, 0: 3}, 5) == f
-    assert PartialBijection.empty(5) == PartialBijection.of([], 5)
+    assert PartialBijection.of([], 5).pairs == ()
 
 
 def test_construction_rejects_bad_data():
@@ -98,7 +96,7 @@ def test_literal_round_trip(f):
 
 def test_literal_forms():
     # `closure run --compare` prints missing and extra maps in this form
-    assert PartialBijection.empty(3).format_literal() == "{}@3"
+    assert PartialBijection.of([], 3).format_literal() == "{}@3"
     f = PartialBijection.of({3: 4, 1: 2}, 6)
     assert f.format_literal() == str(f) == "{1->2, 3->4}@6"
 

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from invsemi import (
     BlockPerm,
     IdFin,
-    PartialBijection,
     SetDescriptor,
     StratumTag,
     block_perm,

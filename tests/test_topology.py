@@ -31,24 +31,21 @@ from invsemi.catalog import (
     COMMON_POINT_RULE,
     DISJOINT_RULE,
     common_point_block,
-    common_point_family,
     dyadic_disjoint_family,
     bound_example,
     named_family,
     random_uniform_family,
 )
-from invsemi.closure import GROUP_ENUM_CAP, decode_row, group_rows, structural_rows
+from invsemi.closure import GROUP_ENUM_CAP, decode_row, group_rows
 from invsemi.descriptors import NATURALS
-from invsemi.errors import ParseError, WindowMismatchError
+from invsemi.errors import WindowMismatchError
 from invsemi.symbolic import (
     block_perm,
     empty_map,
     fin_map,
     partial_identity,
-    sym_compose,
     sym_element,
     sym_graph,
-    sym_inverse,
 )
 from invsemi.topology import (
     BlockIdentitySeq,
@@ -64,6 +61,7 @@ from invsemi import topology
 from conftest import (
     OVERLAP_BOUND,
     basic_open_check_by_rebuild,
+    capped_rows,
     group_open_members,
     low_rank_open_members_by_scan,
     open_contains_by_descriptors,
@@ -127,38 +125,10 @@ def test_open_constructor_matches_the_rebuild_oracle():
     assert len(verdicts) == 7  # accepted, and each of the six messages
 
 
-@pytest.mark.parametrize("cfg", [
-    {"pairs": [[True, 2]]},
-    {"pairs": [["3", 2]]},
-    {"pairs": [[1, 2, 3]]},
-    {"pairs": [3]},
-    {"pairs": "1,2"},
-    {"forbid_dom": [False]},
-    {"forbid_im": ["3"]},
-    {"forbid_im": 3},
-    [[1, 2]],
-])
-def test_open_config_points_must_be_integers(cfg):
-    with pytest.raises(ParseError):
-        BasicOpen.from_config(cfg)
-
-
-@pytest.mark.parametrize("cfg, key", [
-    ({"pairs": [[1, 2]], "forbid-dom": [3]}, "forbid-dom"),
-    ({"pair": [[1, 2]]}, "pair"),
-    ({"pairs": [], "forbid_dom": [], "forbid_im": [], "bound": 4}, "bound"),
-])
-def test_open_config_rejects_unknown_keys(cfg, key):
-    # a misspelt key once dropped its content: v(1,2) without w1(3)
-    with pytest.raises(ParseError, match=f"unknown open config keys: \\['{key}'\\]"):
-        BasicOpen.from_config(cfg)
-
-
 def test_open_describe_and_config():
     v = BasicOpen(((1, 2),), (3,), (4,))
     assert v.describe() == "v(1,2) & w1(3) & w2(4)"
     assert BasicOpen((), (), ()).describe() == "full"
-    assert BasicOpen.from_config(v.to_config()) == v
     assert set(v.constraint_points()) == {1, 2, 3, 4}
 
 
@@ -234,7 +204,7 @@ def test_member_anchored_opens_stay_below_the_bound():
 def test_windowed_membership_needs_the_constraints_visible():
     v = BasicOpen(((9, 9),), (), ())
     with pytest.raises(WindowMismatchError):
-        open_contains_map(v, PartialBijection.empty(4))
+        open_contains_map(v, PartialBijection.of([], 4))
 
 
 # -- convergence -----------------------------------------------------------
@@ -242,7 +212,7 @@ def test_windowed_membership_needs_the_constraints_visible():
 
 def test_block_identities_converge_to_the_shared_point_identity():
     rep = check_convergence(BlockIdentitySeq(COMMON_POINT_RULE), partial_identity([0]))
-    assert rep.converges, rep.describe()
+    assert rep.converges, rep.counterexample
     assert rep.points_checked >= 64
 
 
@@ -349,13 +319,12 @@ def test_convergence_reports_each_failure_at_point_zero(schema, limit, clause, d
     assert not rep.converges
     assert rep.counterexample == (0, clause, detail)
     assert rep.witnesses == () and rep.points_checked == 1
-    assert rep.describe() == f"fails clause ({clause}) at point 0: {detail}"
 
 
 def test_convergence_report_describes_success():
     rep = check_convergence(SingletonIdentitySeq(), empty_map(), horizon=20)
     assert rep.converges and rep.counterexample is None
-    assert rep.describe() == "converges on all 20 probe points below 20"
+    assert rep.points_checked == 20
 
 
 # -- isolation in the infinite union --------------------------------------
@@ -364,7 +333,7 @@ def test_convergence_report_describes_success():
 def brute_members(v, rule, window):
     """Literal windowed scan: the empty map and every rank-one member."""
     out = []
-    if all_ok(v, PartialBijection.empty(window)):
+    if all_ok(v, PartialBijection.of([], window)):
         out.append(("empty", None))
     for a in range(window):
         for b in range(window):
@@ -725,7 +694,7 @@ def test_family_accounting_against_windowed_rows():
         assert all(len(b.below(w)) <= GROUP_ENUM_CAP for b in family.blocks)
         b = len(family.blocks)
         for bound in range(3):
-            maps = [decode_row(r, w) for r in structural_rows(family, w, [[bound] * b] * b)]
+            maps = [decode_row(r, w) for r in capped_rows(family, w, [[bound] * b] * b)]
             groups = [
                 {decode_row(r, w) for r in group_rows(blk, w)} for blk in family.blocks
             ]
@@ -737,7 +706,7 @@ def test_family_accounting_against_windowed_rows():
                 rep = open_members(v, enumerate(family.blocks), bound)
                 hits = [f for f in maps if open_contains_map(v, f)]
                 where = (family.name, bound, v.describe())
-                assert rep.empty_member == (PartialBijection.empty(w) in hits), where
+                assert rep.empty_member == (PartialBijection.of([], w) in hits), where
                 pos = PartialBijection.of(v.positive, w)
                 finite = [f for f in hits if 0 < len(f.pairs) <= bound]
                 if rep.finite_member is None:
