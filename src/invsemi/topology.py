@@ -551,8 +551,7 @@ class CertificateCheck:
     ok: bool
 
 
-def verify_rank_one_certificate(f: SymElement,
-                                windows: Iterable[int] = (12, 20, 28)) -> CertificateCheck:
+def verify_rank_one_certificate(f: SymElement, windows: Iterable[int]) -> CertificateCheck:
     """Check a rank-one isolation certificate two ways: the exact
     member accounting must come out a singleton, and the exhaustive
     windowed scans of low-rank members must find the element alone.
@@ -594,7 +593,7 @@ class InteriorProbeReport:
     all_escaped: bool
 
 
-def shared_identity_interior_probe(trials: int = 100, seed: int = 0) -> InteriorProbeReport:
+def shared_identity_interior_probe(trials: int, seed: int) -> InteriorProbeReport:
     """Probe the set {a} with a = (0 -> 1): composing the inverse with a
     gives exactly the identity on the shared point, and that singleton
     set has empty interior because each basic open around it still

@@ -12,19 +12,6 @@ import random
 import numpy as np
 import pytest
 
-from invsemi import (
-    NATURALS,
-    BlockFamily,
-    PartialBijection,
-    SetDescriptor,
-    block_perm,
-    chain_capacity_by_enumeration,
-    classify,
-    fin_map,
-    partial_identity,
-    stratum_options,
-    sym_element,
-)
 from invsemi.catalog import COMMON_POINT_RULE, common_point_block
 from invsemi.closure import (
     BLOCK_PRODUCTS,
@@ -41,18 +28,25 @@ from invsemi.closure import (
     union_generators,
     unique_rows,
 )
-from invsemi.descriptors import EMPTY, _spread
+from invsemi.descriptors import EMPTY, NATURALS, SetDescriptor, _spread
 from invsemi.errors import BudgetExceededError, InvalidOpenError, WindowMismatchError
+from invsemi.families import BlockFamily, chain_capacity_by_enumeration, stratum_options
+from invsemi.pbij import PartialBijection
 from invsemi.symbolic import (
     BlockPerm,
     SymElement,
+    block_perm,
+    classify,
     dom_set,
     empty_map,
+    fin_map,
     format_sym,
     im_set,
+    partial_identity,
     sym_apply,
     sym_compose,
     sym_defined_at,
+    sym_element,
     sym_inverse,
 )
 from invsemi.topology import (
@@ -561,11 +555,10 @@ def basic_open_check_by_rebuild(positive=(), forbid_dom=(), forbid_im=()):
     return pos, fd, fi
 
 
-def shared_identity_interior_probe_by_rebuild(trials: int = 100, seed: int = 0,
-                                              rule=COMMON_POINT_RULE,
-                                              bound: int = 64) -> InteriorProbeReport:
+def shared_identity_interior_probe_by_rebuild(trials: int, seed: int) -> InteriorProbeReport:
     """Reference for `topology.shared_identity_interior_probe`: every
     trial builds its witness, checks it and formats it anew."""
+    rule = COMMON_POINT_RULE
     a = fin_map([(0, 1)])
     product = sym_compose(sym_inverse(a), a)
     sole = product == partial_identity([0])
@@ -573,7 +566,7 @@ def shared_identity_interior_probe_by_rebuild(trials: int = 100, seed: int = 0,
     escapes = []
     ok = sole
     for _ in range(trials):
-        v = random_basic_open(rng, member=product, bound=bound)
+        v = random_basic_open(rng, member=product)
         n = rule.first_free_block(v.forbid_dom + v.forbid_im)
         witness = partial_identity(rule.block(n))
         good = (open_contains(v, witness) and rule.member(witness)

@@ -11,30 +11,6 @@ import json
 import random
 import time
 
-from invsemi import (
-    EMPTY_IDEAL,
-    FIN_IDEAL,
-    chain_capacity_by_enumeration,
-    chain_capacity_matrix,
-    check_closure_bound,
-    check_convergence,
-    classify,
-    closure_of,
-    compare_with_structural,
-    compose_chain,
-    empty_map,
-    factorize,
-    fin_map,
-    ideal_escape_witness,
-    minimal_window,
-    partial_identity,
-    random_basic_open,
-    shared_identity_interior_probe,
-    sym_compose,
-    sym_inverse,
-    verify_factorization,
-    verify_rank_one_certificate,
-)
 from invsemi.catalog import (
     COMMON_POINT_RULE,
     bound_example,
@@ -47,9 +23,39 @@ from invsemi.catalog import (
     unequal_example,
     violating_family,
 )
-from invsemi.closure import family_generators
+from invsemi.closure import (
+    check_closure_bound,
+    closure_of,
+    compare_with_structural,
+    family_generators,
+    minimal_window,
+)
 from invsemi.cli import main
-from invsemi.topology import GrowingExtensionSeq, BlockIdentitySeq, SingletonIdentitySeq
+from invsemi.constrained import EMPTY_IDEAL, FIN_IDEAL, ideal_escape_witness
+from invsemi.families import (
+    chain_capacity_by_enumeration,
+    chain_capacity_matrix,
+    factorize,
+    verify_factorization,
+)
+from invsemi.symbolic import (
+    classify,
+    compose_chain,
+    empty_map,
+    fin_map,
+    partial_identity,
+    sym_compose,
+    sym_inverse,
+)
+from invsemi.topology import (
+    GrowingExtensionSeq,
+    BlockIdentitySeq,
+    SingletonIdentitySeq,
+    check_convergence,
+    random_basic_open,
+    shared_identity_interior_probe,
+    verify_rank_one_certificate,
+)
 from conftest import evens, project_to_window, random_sym_element
 
 MASTER_SEED = 20260817

@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invsemi import SetDescriptor, UnsupportedFamilyError, fin_map, partial_identity
 from invsemi.catalog import (
     COMMON_POINT_RULE,
     DISJOINT_RULE,
@@ -15,14 +14,18 @@ from invsemi.catalog import (
     random_uniform_family,
     violating_family,
 )
+from invsemi.descriptors import SetDescriptor
+from invsemi.errors import UnsupportedFamilyError
 from invsemi.symbolic import (
     BlockPerm,
     block_perm,
     dom_set,
     empty_map,
+    fin_map,
     format_sym,
     im_set,
     is_empty_sym,
+    partial_identity,
     sym_compose,
 )
 

@@ -12,30 +12,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import invsemi
-from invsemi import (
-    BlockFamily,
-    BudgetExceededError,
-    ClosureResult,
-    InvalidBoundError,
-    NotInjectiveError,
-    PartialBijection,
-    SetDescriptor,
-    check_closure_bound,
-    WindowMismatchError,
-    closure_of,
-    compare_with_structural,
-    minimal_window,
-)
+import invsemi.closure
+from invsemi.pbij import PartialBijection
 from invsemi.closure import (
     BLOCK_PRODUCTS,
     MAX_WINDOW,
     KEY_BITS,
     KEY_WINDOW,
     NO_KEY,
+    ClosureResult,
     RowIndex,
     _sorted_distinct,
     blank_rows,
+    check_closure_bound,
+    closure_of,
+    compare_with_structural,
     compose_rows,
     composition_escape,
     decode_row,
@@ -43,6 +34,7 @@ from invsemi.closure import (
     family_generators,
     group_rows,
     invert_rows,
+    minimal_window,
     row_keys,
     rows_closed_under_ops,
     sparse_group_generators,
@@ -62,8 +54,14 @@ from invsemi.catalog import (
     named_family,
     random_uniform_family,
 )
-from invsemi.errors import BudgetExceededError
-from invsemi.families import chain_capacity_matrix
+from invsemi.descriptors import SetDescriptor
+from invsemi.errors import (
+    BudgetExceededError,
+    InvalidBoundError,
+    NotInjectiveError,
+    WindowMismatchError,
+)
+from invsemi.families import BlockFamily, chain_capacity_matrix
 from conftest import (
     capped_rows,
     closure_by_row_scan,

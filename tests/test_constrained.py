@@ -5,30 +5,32 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invsemi import (
-    CollectionModel,
-    EMPTY_IDEAL,
-    FIN_IDEAL,
-    IdealModel,
-    PartialBijection,
-    SetDescriptor,
-    check_collection_laws,
+from invsemi.descriptors import SetDescriptor
+from invsemi.pbij import PartialBijection
+from invsemi.symbolic import (
+    dom_set,
     fin_map,
-    ideal_escape_witness,
-    in_constrained,
-    in_co_constrained,
+    format_sym,
+    im_set,
     partial_identity,
-    principal_plus_fin,
     sym_compose,
 )
-from invsemi.symbolic import dom_set, format_sym, im_set
 from invsemi.closure import BLOCK_PRODUCTS, compose_rows, encode_rows
 from invsemi import constrained
 from invsemi.constrained import (
+    EMPTY_IDEAL,
+    FIN_IDEAL,
+    CollectionModel,
+    IdealModel,
     _as_descriptor,
     _composition_escape,
     _windowed_members,
+    check_collection_laws,
+    ideal_escape_witness,
+    in_co_constrained,
+    in_constrained,
     pivot_extension,
+    principal_plus_fin,
 )
 from invsemi.topology import BasicOpen, open_contains, random_basic_open
 from conftest import (

@@ -7,11 +7,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invsemi import SetDescriptor
 from invsemi.descriptors import (
     EMPTY,
     MAX_MODULUS,
     NATURALS,
+    SetDescriptor,
     _and_not,
     _minimal_period,
     _tail_mask,

@@ -12,25 +12,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invsemi import (
-    BlockFamily,
-    ChainCertificate,
-    InvalidFamilyError,
-    NotGeneratedError,
-    SetDescriptor,
-    chain_capacity_by_enumeration,
-    chain_capacity_matrix,
-    chain_certificates,
-    classify,
-    factorize,
-    find_chain,
-    fin_map,
-    is_generated,
-    partial_identity,
-    stratum_options,
-    verify_chain,
-    verify_factorization,
-)
 from invsemi.catalog import (
     bound_example,
     common_point_family,
@@ -42,8 +23,29 @@ from invsemi.catalog import (
     unequal_example,
     violating_family,
 )
-from invsemi.errors import ParseError
-from invsemi.symbolic import compose_chain, format_sym, parse_sym
+from invsemi.descriptors import SetDescriptor
+from invsemi.errors import InvalidFamilyError, NotGeneratedError, ParseError
+from invsemi.families import (
+    BlockFamily,
+    ChainCertificate,
+    chain_capacity_by_enumeration,
+    chain_capacity_matrix,
+    chain_certificates,
+    factorize,
+    find_chain,
+    is_generated,
+    stratum_options,
+    verify_chain,
+    verify_factorization,
+)
+from invsemi.symbolic import (
+    classify,
+    compose_chain,
+    fin_map,
+    format_sym,
+    parse_sym,
+    partial_identity,
+)
 
 from conftest import chain_capacity_by_literal_walk, is_generated_by_capacity, project_to_window
 

@@ -3,33 +3,43 @@ helper is read somewhere in the package, every parameter is read in its
 function, and every public name is read by the program.
 
 A stand-in for a linter's unused-import, unused-code and unused-argument
-checks, built on ``ast``.  Each module under src/invsemi except the
-package's re-exporting ``__init__.py``, and each module under tests,
-must read every name bound by an import as a name (an attribute base
-counts) or inside a quoted annotation.  Every module-level function or
-class whose name starts with ``_`` must be read, the same way or as an
-attribute, in some module of the package, so a refactor cannot leave
-one orphaned.  Every parameter of a function or lambda, apart from
-``self`` and ``cls``, must be read as a name in its body, so no caller
-passes a value nothing uses.  Every public module-level function or
-class, and every public method or property of a public class, must be
-read by the program (src, scripts or perfbench) and not only by its own
-tests, apart from a short list of names kept for a stated reason.  A
+checks, built on ``ast``.  Each module under src/invsemi, scripts and
+tests must read every name bound by an import as a name (an attribute
+base counts) or inside a quoted annotation.  Every module-level function
+or class whose name starts with ``_`` must be read, the same way or as
+an attribute, in some module of the package, so a refactor cannot leave
+one orphaned.  Every parameter of a function or lambda in src/invsemi or
+scripts, apart from ``self`` and ``cls``, must be read as a name in its
+body, so no caller passes a value nothing uses.  Every public
+module-level function or class, and every public method or property of
+a public class, must be read by the program (src, scripts or perfbench)
+and not only by its own tests, apart from a short list of names kept
+for a stated reason.  The package root re-exports nothing, so a name
+the program imports is imported from its own module, for its own use.  A
 method name that two public classes define, or that a builtin type such
 as ``set`` or ``str`` has, is shared: a read of it cannot say whose
 method it is, so it counts for no class, and a table names the classes
 whose method the program reads, each with one reading site.
+
+The import layering is checked in fresh interpreters: the package root
+loads no submodule, and the symbolic layer, from descriptors up to
+topology, loads no numpy.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "invsemi"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "invsemi"
+MODULES = sorted(PACKAGE.glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
@@ -67,7 +77,7 @@ def read_names(tree: ast.Module) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS + TESTS, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert sorted(imported_names(tree) - read_names(tree)) == []
@@ -84,7 +94,7 @@ def private_definitions(tree: ast.Module) -> set[str]:
 
 def package_reads() -> set[str]:
     names = set()
-    for path in PACKAGE.glob("*.py"):
+    for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         names |= read_names(tree)
         names.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
@@ -118,13 +128,12 @@ def unread_parameters(tree: ast.Module) -> list[str]:
     return out
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert unread_parameters(tree) == []
 
 
-ROOT = PACKAGE.parent.parent
 PROGRAM = [ROOT / "src", ROOT / "scripts", ROOT / "perfbench"]
 
 # Public names that no program code reads, each kept for a reason.
@@ -139,12 +148,19 @@ UNREAD_BY_THE_PROGRAM = {
     # closedness check's rework (ROADMAP item 1)
     "rows_closed_under_ops",
     "SetDescriptor.union",
+    # the convergence and bounded-union isolation checks, which
+    # `verify isolation` is to report (ROADMAP item 4)
+    "check_convergence",
+    "verify_family_certificate",
+    # a collection's four closure laws, for the S(C) rows of the paper
+    # table (ROADMAP item 19)
+    "check_collection_laws",
 }
 
 
 def program_reads() -> tuple[set[str], set[str]]:
     """(names read or `from`-imported, attributes taken) anywhere in the
-    program; the package's re-exports count as reads."""
+    program."""
     names, attributes = set(), set()
     for path in (p for tree in PROGRAM for p in tree.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -276,3 +292,26 @@ def test_every_public_definition_has_a_program_reader():
         if f"{owner}.{member}" not in methods
     ]
     assert stale == []
+
+
+def modules_loaded_by(statement: str) -> set[str]:
+    """The names in `sys.modules` after `statement` runs in a fresh
+    interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", f"{statement}\nimport sys\nprint(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    return set(out.stdout.split())
+
+
+def test_the_package_root_loads_no_submodule():
+    loaded = modules_loaded_by("import invsemi")
+    assert sorted(m for m in loaded if m.startswith("invsemi.")) == []
+
+
+@pytest.mark.parametrize(
+    "module", ["descriptors", "pbij", "symbolic", "families", "catalog", "topology"]
+)
+def test_the_symbolic_layer_loads_no_numpy(module):
+    assert "numpy" not in modules_loaded_by(f"import invsemi.{module}")

@@ -3,14 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from invsemi import (
-    BudgetExceededError,
-    NotInjectiveError,
-    PartialBijection,
-    WindowMismatchError,
-    all_partial_bijections,
-)
-from invsemi.pbij import parse_pairs
+from invsemi.errors import BudgetExceededError, NotInjectiveError, WindowMismatchError
+from invsemi.pbij import PartialBijection, all_partial_bijections, parse_pairs
 from conftest import compose_dicts, invert_dict, random_partial_injection
 
 

@@ -10,10 +10,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invsemi import (
+from invsemi.symbolic import (
     BlockPerm,
     IdFin,
-    SetDescriptor,
     StratumTag,
     block_perm,
     classify,
@@ -22,6 +21,7 @@ from invsemi import (
     empty_map,
     fin_map,
     format_sym,
+    im_set,
     parse_sym,
     partial_identity,
     sym_apply,
@@ -30,9 +30,9 @@ from invsemi import (
     sym_element,
     sym_graph,
     sym_inverse,
-    im_set,
 )
 from invsemi.catalog import common_point_family
+from invsemi.descriptors import SetDescriptor
 from invsemi.errors import ParseError
 
 from conftest import (

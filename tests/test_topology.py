@@ -11,22 +11,6 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invsemi import (
-    BasicOpen,
-    InvalidOpenError,
-    PartialBijection,
-    SetDescriptor,
-    check_convergence,
-    family_isolation,
-    open_contains,
-    random_basic_open,
-    rank_one_certificate,
-    rule_isolation,
-    rule_open_members,
-    shared_identity_interior_probe,
-    verify_family_certificate,
-    verify_rank_one_certificate,
-)
 from invsemi.catalog import (
     COMMON_POINT_RULE,
     DISJOINT_RULE,
@@ -37,8 +21,9 @@ from invsemi.catalog import (
     random_uniform_family,
 )
 from invsemi.closure import GROUP_ENUM_CAP, decode_row, group_rows
-from invsemi.descriptors import NATURALS
-from invsemi.errors import WindowMismatchError
+from invsemi.descriptors import NATURALS, SetDescriptor
+from invsemi.errors import InvalidOpenError, WindowMismatchError
+from invsemi.pbij import PartialBijection
 from invsemi.symbolic import (
     block_perm,
     empty_map,
@@ -48,14 +33,25 @@ from invsemi.symbolic import (
     sym_graph,
 )
 from invsemi.topology import (
+    BasicOpen,
     BlockIdentitySeq,
     GroupNeighborSeq,
     GrowingExtensionSeq,
     SingletonIdentitySeq,
     _member_pools,
+    check_convergence,
+    family_isolation,
     isolated_inverse_check,
     low_rank_open_members,
+    open_contains,
     open_members,
+    random_basic_open,
+    rank_one_certificate,
+    rule_isolation,
+    rule_open_members,
+    shared_identity_interior_probe,
+    verify_family_certificate,
+    verify_rank_one_certificate,
 )
 from invsemi import topology
 from conftest import (
@@ -619,7 +615,7 @@ def test_family_isolation_refuses_non_members_and_limit_points():
     with pytest.raises(ValueError, match="element is not isolated; nothing to verify"):
         verify_family_certificate(partial_identity(fam.blocks[0]), fam, 2)
     with pytest.raises(ValueError, match="element is not isolated; nothing to verify"):
-        verify_rank_one_certificate(partial_identity([0]))
+        verify_rank_one_certificate(partial_identity([0]), (12,))
     # the open without constraints admits every member, so none is its sole one
     assert open_members(BasicOpen(), enumerate(fam.blocks), 2).sole_member() is None
 
