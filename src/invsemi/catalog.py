@@ -240,6 +240,7 @@ def random_uniform_family(rng: random.Random) -> tuple[BlockFamily, int, int]:
     permutation groups stay enumerable.  Draws retry deterministically
     until the budgets hold.
     """
+    # imported here, not at the top, so `import invsemi.catalog` loads no numpy
     from .closure import minimal_window
 
     for _ in range(400):

@@ -29,7 +29,7 @@ from random import Random
 
 import numpy as np
 
-from .catalog import FAMILY_BUILDERS, named_family
+from .catalog import COMMON_POINT_RULE, FAMILY_BUILDERS, named_family
 from .closure import (
     check_closure_bound,
     closure_of,
@@ -52,10 +52,10 @@ from .families import (
     verify_chain,
     verify_factorization,
 )
-from .symbolic import classify, fin_map, format_sym, parse_sym
+from .symbolic import classify, fin_map, format_sym, parse_sym, sym_inverse
 from .topology import (
-    isolated_inverse_check,
     random_basic_open,
+    rule_isolation,
     shared_identity_interior_probe,
     verify_rank_one_certificate,
 )
@@ -433,9 +433,12 @@ def cmd_verify_pettis_witness(args) -> tuple[dict, dict, str, bool]:
         })
         certs_ok = certs_ok and chk.ok
 
-    contrast = isolated_inverse_check([fin_map([(0, 1)])])[0]
-    contrast_ok = (contrast.element_isolated and contrast.inverse_isolated
-                   and not contrast.product_isolated)
+    # a = 0 -> 1 and its inverse are isolated, but a^-1 a, the probe's
+    # product, is a limit point
+    a = fin_map([(0, 1)])
+    element, inverse, product = (rule_isolation(g, COMMON_POINT_RULE)
+                                 for g in (a, sym_inverse(a), probe.product_member))
+    contrast_ok = bool(element.isolated and inverse.isolated and not product.isolated)
 
     all_ok = probe.product_is_sole and probe.all_escaped and certs_ok and contrast_ok
     report = {
@@ -450,11 +453,11 @@ def cmd_verify_pettis_witness(args) -> tuple[dict, dict, str, bool]:
         },
         "isolation_certificates": certs,
         "inverse_contrast": {
-            "element_isolated": contrast.element_isolated,
-            "inverse_isolated": contrast.inverse_isolated,
-            "product": format_sym(contrast.product),
-            "product_isolated": contrast.product_isolated,
-            "product_schema": contrast.product_schema,
+            "element_isolated": bool(element.isolated),
+            "inverse_isolated": bool(inverse.isolated),
+            "product": format_sym(probe.product_member),
+            "product_isolated": bool(product.isolated),
+            "product_schema": product.schema_name(),
         },
         "all_ok": all_ok,
     }

@@ -34,6 +34,7 @@ from .errors import (
 )
 from .families import BlockFamily, chain_capacity_matrix
 from .pbij import PartialBijection
+from .symbolic import format_sym, partial_identity
 
 MAX_WINDOW = 120  # int8 rows: images must stay below 127
 
@@ -105,11 +106,23 @@ def unique_rows(rows: np.ndarray) -> np.ndarray:
 # -- encoding ----------------------------------------------------
 
 
+def _check_window(window: int) -> None:
+    if window > MAX_WINDOW:
+        raise BudgetExceededError(f"window {window} exceeds the int8 limit {MAX_WINDOW}")
+
+
+def _below(block: SetDescriptor, window: int) -> list[int]:
+    """The block's points below the window.  The builders list points
+    through here, so a window past the int8 limit is refused before any
+    block is listed."""
+    _check_window(window)
+    return block.below(window)
+
+
 def blank_rows(count: int, window: int) -> np.ndarray:
     """`count` empty maps.  The builders allocate through here, so the
     int8 window check comes before any point is written."""
-    if window > MAX_WINDOW:
-        raise BudgetExceededError(f"window {window} exceeds the int8 limit {MAX_WINDOW}")
+    _check_window(window)
     return np.full((count, window), -1, dtype=np.int8)
 
 
@@ -305,7 +318,7 @@ GROUP_ENUM_CAP = 7  # 7! = 5040 permutations; past this, enumeration is refused
 def group_rows(block: SetDescriptor, window: int) -> np.ndarray:
     """Every permutation of the block's points below the window, one row
     each, in `itertools.permutations` order."""
-    pts = block.below(window)
+    pts = _below(block, window)
     if len(pts) > GROUP_ENUM_CAP:
         raise BudgetExceededError(
             f"block has {len(pts)} points below {window}; refusing {len(pts)}! permutations"
@@ -330,7 +343,7 @@ def sparse_group_generators(block: SetDescriptor, window: int) -> np.ndarray:
     below the window, then the full cycle of them: enough to regrow the
     whole group.  Two points take the transposition alone, fewer the
     identity on them."""
-    pts = block.below(window)
+    pts = _below(block, window)
     n = len(pts)
     swap, cycle = [1, 0, *range(2, n)], [*range(1, n), 0]
     perms = [list(range(n))] if n < 2 else [swap, cycle][: n - 1]
@@ -359,7 +372,7 @@ def structural_parts(family: BlockFamily, window: int, capacity: list[list[int]]
     the empty map, then each stratum, with the repeats where strata share
     maps with each other or with a group."""
     parts = [group_rows(b, window) for b in family.blocks] + [blank_rows(1, window)]
-    pts = [np.asarray(b.below(window), dtype=np.intp) for b in family.blocks]
+    pts = [np.asarray(_below(b, window), dtype=np.intp) for b in family.blocks]
     for i, src in enumerate(pts):
         for j, dst in enumerate(pts):
             for k in range(1, min(capacity[i][j], len(src), len(dst)) + 1):
@@ -442,7 +455,7 @@ def union_generators(family: BlockFamily, n: int, window: int) -> np.ndarray:
     exactly when U is closed.  A is a subset of the all-pairs set, one
     map B_i[:k] -> B_j[:k] per ordered pair of blocks, which lies in U
     too and so decides the same statement."""
-    pts = [blk.below(window) for blk in family.blocks]
+    pts = [_below(blk, window) for blk in family.blocks]
     hub = max(pts, key=len)
     gens = [family_generators(family, window, sparse=True), blank_rows(1, window)]
     for src in pts:
@@ -580,7 +593,7 @@ def union_index(family: BlockFamily, n: int, window: int) -> RowIndex:
     more) with entries of at most 7 bits, so a block's word needs at most
     49 bits."""
     b = len(family.blocks)
-    blocks = [blk.below(window) for blk in family.blocks]
+    blocks = [_below(blk, window) for blk in family.blocks]
     live = sorted(set().union(*blocks))
     one_word = len(live) * window.bit_length() <= KEY_BITS
     rows = structural_parts(family, window, [[n] * b for _ in range(b)])
@@ -645,8 +658,6 @@ def check_closure_bound(family: BlockFamily, n: int, window: int | None = None) 
     escape.  So is a window below `minimal_window`, the default: it could
     leave overlap points out of the check.
     """
-    from .symbolic import format_sym, partial_identity
-
     if n < 0:
         raise InvalidBoundError(f"rank bound must be at least 0, got {n}")
     b = len(family.blocks)

@@ -47,6 +47,7 @@ from .symbolic import (
     sym_compose,
     sym_element,
 )
+from .topology import open_contains, random_basic_open
 
 SetLike = Union[SetDescriptor, frozenset, set, tuple, list]
 
@@ -289,8 +290,6 @@ def check_collection_laws(model: CollectionModel, window: int = 5,
     which is what makes collections like the initial segments
     informative.
     """
-    from .topology import open_contains, random_basic_open
-
     verdicts = []
 
     # law 1: subset-closed collections give composition-closed families
@@ -431,8 +430,6 @@ def ideal_escape_witness(v, ideal: IdealModel, pivot: SetDescriptor) -> EscapeWi
     element fixes the complement of `pivot` off the finitely many
     constrained points and adds the open's required pairs on top.
     """
-    from .topology import open_contains
-
     pivot_c, big = pivot_extension(ideal, pivot)
     srcs = [x for x, _ in v.positive]
     tgts = [y for _, y in v.positive]

@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -355,8 +356,6 @@ class SetDescriptor:
     @classmethod
     def from_text(cls, text: str) -> "SetDescriptor":
         """Parse the ``to_text`` grammar, e.g. ``finite {0,1} tail mod 6 residues [2] remove {4}``."""
-        import re
-
         s = text.strip()
         if s == "empty":
             return cls.empty()

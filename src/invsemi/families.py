@@ -6,14 +6,16 @@ finitely supported permutations; composing across blocks squeezes
 through the finite overlaps, and what survives is measured by chains of
 blocks whose consecutive overlaps stay large.  One chain search,
 `find_chain`, gives the chain capacities and their checkable
-certificates, decides membership in the subsemigroup the block groups
-generate, and routes the factoring of its finite elements back into
-block permutations; a walk over chains, `chain_capacity_by_enumeration`,
-checks the capacities independently.
+certificates.  One route search, `_route`, built on it, both decides
+membership in the subsemigroup the block groups generate and factors
+its finite elements back into block permutations, so the verdict and
+the factor list cannot disagree.  A walk over chains,
+`chain_capacity_by_enumeration`, checks the capacities independently.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .descriptors import SetDescriptor
@@ -23,7 +25,6 @@ from .symbolic import (
     block_perm,
     classify,
     compose_chain,
-    partial_identity,
     sym_graph,
 )
 
@@ -188,14 +189,7 @@ def verify_chain(family: BlockFamily, cert: ChainCertificate) -> bool:
 
 def find_chain(family: BlockFamily, i: int, j: int, m: int) -> ChainCertificate | None:
     """Shortest chain witnessing capacity m, or None when there is none."""
-    from collections import deque
-
     b = len(family.blocks)
-    if m <= 0:
-        if i != j:
-            return ChainCertificate(i, j, (j,), m)
-        other = 0 if i != 0 else 1
-        return ChainCertificate(i, j, (other,), m)
     ok = lambda a, c: a != c and family.intersection_size(a, c) >= m
     if i == j:
         for k in range(b):
@@ -263,18 +257,31 @@ def stratum_options(f: SymElement, family: BlockFamily) -> list[tuple[int, int]]
     return outs
 
 
+def _route(f: SymElement, family: BlockFamily) -> tuple[int, ...] | None:
+    """The blocks a finite f passes through, or None when f is not
+    generated.
+
+    For the first stratum (i, j) of a rank-k map (the empty map has rank
+    0) the route is (i, j) when k equals the overlap of blocks i and j,
+    the bounce (i, j, i, j) when k is smaller, and otherwise the chain
+    of capacity k from `find_chain`.  Another stratum (i', j') adds
+    nothing: f's domain lies in blocks i and i', and its image in
+    blocks j and j', so a chain from i' to j' extends to one from i to
+    j with no hop below k."""
+    k = len(sym_graph(f))
+    i, j = stratum_options(f, family)[0]
+    if i != j and k <= (n := family.intersection_size(i, j)):
+        return (i, j) if k == n else (i, j, i, j)
+    cert = find_chain(family, i, j, k)
+    return None if cert is None else (i, *cert.interior, j)
+
+
 def is_generated(f: SymElement, family: BlockFamily) -> bool:
     """Membership in the subsemigroup generated by the block groups: a
     rank-k map needs a chain of capacity k from its domain's block to
     its image's."""
-    tag = classify(f, family.blocks)
-    if tag.kind in ("group", "empty"):
-        return True
-    if tag.kind == "outside":
-        return False
-    k = tag.k
-    assert k is not None
-    return any(find_chain(family, i, j, k) is not None for i, j in stratum_options(f, family))
+    kind = classify(f, family.blocks).kind
+    return kind == "group" or (kind != "outside" and _route(f, family) is not None)
 
 
 # -- factorization ----------------------------------------------------
@@ -303,28 +310,6 @@ def _extend_in_block(block: SetDescriptor, mapping: dict[int, int]) -> SymElemen
     return block_perm(block, full.items())
 
 
-def _descent_factors(family: BlockFamily, i: int, j: int, fmap: dict[int, int]) -> list[SymElement]:
-    # Rank at most the overlap size, i != j: pad the map one point per
-    # round, with the pad sent outside block i so the identity factor
-    # kills it, until the padded rank fills the overlap and the direct
-    # route (i, j) carries it.
-    bi, bj = family.blocks[i], family.blocks[j]
-    meet = family.meet(i, j)
-    n = len(meet.points())
-    factors: list[SymElement] = []
-    current = dict(fmap)
-    while len(current) < n:
-        dom = sorted(current)
-        way = meet.first_members(len(current))
-        upper = _extend_in_block(bj, {v: current[x] for x, v in zip(dom, way)})
-        factors += [upper, partial_identity(bi)]
-        pad_src = bi.least_outside(current)
-        pad_tgt = bj.difference(bi).least_outside(current.values())
-        current = dict(zip(dom, way))
-        current[pad_src] = pad_tgt
-    return factors + _chain_factors(family, (i, j), current)
-
-
 def _chain_factors(
     family: BlockFamily, route: tuple[int, ...], fmap: dict[int, int]
 ) -> list[SymElement]:
@@ -333,7 +318,9 @@ def _chain_factors(
     # next block, so only the tracked waypoints survive to the end.  A
     # direct route (i, j) has no inner stage, so it is exact only when
     # the rank fills the overlap: then the first factor pushes the domain
-    # onto the whole overlap and nothing else gets through.
+    # onto the whole overlap and nothing else gets through.  Below that,
+    # the bounce (i, j, i, j) parks the rest of the overlap at B_j and
+    # again at B_i.
     k = len(fmap)
     dom = sorted(fmap)
     ways = [family.meet(a, c).first_members(k) for a, c in zip(route, route[1:])]
@@ -354,18 +341,6 @@ def _chain_factors(
     return factors
 
 
-def _empty_factors(family: BlockFamily) -> list[SymElement]:
-    b0, b1 = family.blocks[0], family.blocks[1]
-    meet = family.meet(0, 1)
-    if meet.is_empty():
-        return [partial_identity(b0), partial_identity(b1)]
-    pts = list(meet.points())
-    park = _fresh_points(b0.difference(b1), set(pts), len(pts))
-    swap = dict(zip(pts, park))
-    swap.update(zip(park, pts))
-    return [partial_identity(b1), block_perm(b0, swap.items()), partial_identity(b1)]
-
-
 def factorize(f: SymElement, family: BlockFamily) -> list[SymElement]:
     """Write f as a composition of block permutations and block identities.
 
@@ -377,20 +352,12 @@ def factorize(f: SymElement, family: BlockFamily) -> list[SymElement]:
     tag = classify(f, family.blocks)
     if tag.kind == "group":
         return [f]
-    if tag.kind == "empty":
-        return _empty_factors(family)
     if tag.kind == "outside":
         raise NotGeneratedError("element does not fit the block structure")
-    k = tag.k
-    assert k is not None and k >= 1
-    fmap = dict(sym_graph(f))
-    for i, j in stratum_options(f, family):
-        if i != j and k <= family.intersection_size(i, j):
-            return _descent_factors(family, i, j, fmap)
-        cert = find_chain(family, i, j, k)
-        if cert is not None:
-            return _chain_factors(family, (i,) + cert.interior + (j,), fmap)
-    raise NotGeneratedError(f"rank {k} exceeds every chain capacity for this element")
+    route = _route(f, family)
+    if route is None:
+        raise NotGeneratedError(f"rank {tag.k} exceeds every chain capacity for this element")
+    return _chain_factors(family, route, dict(sym_graph(f)))
 
 
 def verify_factorization(f: SymElement, factors: list[SymElement], family: BlockFamily) -> bool:

@@ -13,11 +13,12 @@ references for symbolic composition and inversion), and the
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import NotInjectiveError, ParseError, WindowMismatchError
+from .errors import BudgetExceededError, NotInjectiveError, ParseError, WindowMismatchError
 
 Pair = tuple[int, int]
 
@@ -101,10 +102,6 @@ def parse_pairs(body: str) -> list[Pair]:
 
 def all_partial_bijections(window: int) -> list[PartialBijection]:
     """Every partial bijection on the points below the window."""
-    import itertools
-
-    from .errors import BudgetExceededError
-
     if window > 6:
         raise BudgetExceededError("full enumeration is capped at window 6")
     pts = range(window)

@@ -22,6 +22,7 @@ infinitely included: the composite is again one of the two shapes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .descriptors import EMPTY, SetDescriptor
@@ -297,8 +298,6 @@ def format_sym(f: SymElement, blocks: tuple[SetDescriptor, ...] | None = None) -
 
 
 def _parse_carrier(name: str, blocks: tuple[SetDescriptor, ...] | None) -> SetDescriptor:
-    import re
-
     name = name.strip()
     m = re.match(r"^B(\d+)$", name)
     if m:
@@ -314,8 +313,6 @@ def _parse_carrier(name: str, blocks: tuple[SetDescriptor, ...] | None) -> SetDe
 def parse_sym(text: str, blocks: tuple[SetDescriptor, ...] | None = None) -> SymElement:
     """Parse element literals: ``empty``, ``fin(1->0)``, ``id(B2)``,
     ``perm(B0; 1->4, 4->1)``, ``idplus(tail mod 2 residues [0]; 1->3)``."""
-    import re
-
     s = text.strip()
     if s == "empty":
         return empty_map()

@@ -624,33 +624,6 @@ def shared_identity_interior_probe(trials: int, seed: int) -> InteriorProbeRepor
     return InteriorProbeReport(product, sole, trials, tuple(escapes), ok)
 
 
-@dataclass(frozen=True)
-class InverseProductVerdict:
-    element: SymElement
-    element_isolated: bool
-    inverse_isolated: bool
-    product: SymElement
-    product_isolated: bool
-    product_schema: str | None
-
-
-def isolated_inverse_check(elements: Iterable[SymElement]) -> list[InverseProductVerdict]:
-    """For each rank-one member of the common-point rule's union, report
-    whether it, its inverse, and the idempotent inverse-times-element
-    product are isolated.  The map 0 -> 1 shows the pattern: both
-    factors isolated, the product a limit point."""
-    out = []
-    for u in elements:
-        vu = rule_isolation(u, COMMON_POINT_RULE)
-        vi = rule_isolation(sym_inverse(u), COMMON_POINT_RULE)
-        prod = sym_compose(sym_inverse(u), u)
-        vp = rule_isolation(prod, COMMON_POINT_RULE)
-        out.append(InverseProductVerdict(
-            u, bool(vu.isolated), bool(vi.isolated), prod,
-            bool(vp.isolated), vp.schema_name()))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # isolation inside the bounded union of a finite block family
 

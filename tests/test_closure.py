@@ -906,6 +906,16 @@ def test_row_builders_refuse_windows_past_the_int8_limit():
     for sparse in (False, True):
         with pytest.raises(BudgetExceededError):
             family_generators(fam, MAX_WINDOW + 1, sparse=sparse)
+    # a huge window is refused before any block's points are listed, so
+    # the refusal names the int8 limit, not a block's point count
+    bound2, huge = bound_example(), 10**6
+    for sparse in (False, True):
+        with pytest.raises(BudgetExceededError, match="int8 limit"):
+            family_generators(bound2, huge, sparse=sparse)
+    with pytest.raises(BudgetExceededError, match="int8 limit"):
+        structural_rows(bound2, huge)
+    with pytest.raises(BudgetExceededError, match="int8 limit"):
+        check_closure_bound(bound2, 2, huge)
 
 
 # -- row input and the batch dedup ----------------------------------------------------

@@ -389,7 +389,7 @@ def test_overlap_swap_factors_through_one_block():
     assert_good_factors(f, factors, fam)
 
 
-def test_identity_descent_route():
+def test_overlap_point_identity_route():
     fam = bound_example()
     f = fin_map([(16, 16)])  # rank 1 below the overlap 2
     factors = factorize(f, fam)
@@ -433,11 +433,10 @@ FACTOR_PINS = [
     # rank 2 fills bound2's overlap: the direct route (0, 1)
     ("bound2", "fin(0->3, 16->17)",
      ["perm(B1; 3->16, 16->3)", "perm(B0; 0->16, 16->17, 17->0)"]),
-    # rank 1 below the overlap, one stratum (0, 1): one descent round,
-    # then the direct route
+    # rank 1 below the overlap, one stratum (0, 1): the bounce (0, 1, 0, 1)
     ("bound2", "fin(0->3)",
-     ["perm(B1; 3->16, 16->3)", "id(B0)", "perm(B1; 9->17, 17->9)",
-      "perm(B0; 0->16, 6->17, 16->0, 17->6)"]),
+     ["perm(B1; 3->16, 16->3)", "perm(B0; 0->17, 17->0)", "perm(B1; 3->17, 17->3)",
+      "perm(B0; 0->16, 16->0)"]),
     # inside the overlap, so stratum (0, 0) comes first: the chain (0, 1, 0)
     ("bound2", "fin(16->16)", ["id(B0)", "perm(B1; 3->17, 17->3)", "id(B0)"]),
     ("bound2", "fin(16->17, 17->16)", ["perm(B0; 16->17, 17->16)", "id(B1)", "id(B0)"]),
@@ -449,8 +448,13 @@ FACTOR_PINS = [
       "perm(B1; 1->5, 5->1, 6->8, 8->6)"]),
     # a single block: the chain (0, 1, 0)
     ("common-point:3", "fin(1->3)", ["perm(B0; 0->3, 3->0)", "id(B1)", "perm(B0; 0->1, 1->0)"]),
-    ("disjoint:3", "empty", ["id(B0)", "id(B1)"]),
-    ("common-point:3", "empty", ["id(B1)", "perm(B0; 0->1, 1->0)", "id(B1)"]),
+    # the empty map has rank 0 and stratum (0, 0) first: the chain (0, 1, 0)
+    ("disjoint:3", "empty", ["id(B0)", "id(B1)", "id(B0)"]),
+    ("common-point:3", "empty", ["id(B0)", "perm(B1; 0->2, 2->0)", "id(B0)"]),
+    # rank 1 against the overlap 3 of blocks 0 and 1: the bounce again
+    ("five-ring", "fin(0->1)",
+     ["perm(B1; 1->5, 5->1)", "perm(B0; 0->6, 6->0, 7->12, 12->7)",
+      "perm(B1; 1->6, 6->1, 8->12, 12->8)", "perm(B0; 0->5, 5->0)"]),
 ]
 
 

@@ -21,9 +21,10 @@ as ``set`` or ``str`` has, is shared: a read of it cannot say whose
 method it is, so it counts for no class, and a table names the classes
 whose method the program reads, each with one reading site.
 
-The import layering is checked in fresh interpreters: the package root
-loads no submodule, and the symbolic layer, from descriptors up to
-topology, loads no numpy.
+Every import in src/invsemi sits at the top of its module, apart from
+a listed few that keep the layering below.  The import layering is
+checked in fresh interpreters: the package root loads no submodule, and
+the symbolic layer, from descriptors up to topology, loads no numpy.
 """
 
 import ast
@@ -215,7 +216,7 @@ SHARED_READS = {
         "IdealModel",  # cli.cmd_verify_ideal_witness: extended.describe()
     },
     "difference": {
-        "SetDescriptor",  # families._descent_factors: bj.difference(bi)
+        "SetDescriptor",  # families._chain_factors: block.difference(nxt)
     },
     "element": {  # topology._spot_check: schema.element(n0 + off)
         "BlockIdentitySeq",
@@ -292,6 +293,44 @@ def test_every_public_definition_has_a_program_reader():
         if f"{owner}.{member}" not in methods
     ]
     assert stale == []
+
+
+def function_level_imports(tree: ast.Module) -> list[str]:
+    """`function: module` for each import inside a function body."""
+    out = []
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            elif isinstance(child, (ast.Import, ast.ImportFrom)) and owner is not None:
+                if isinstance(child, ast.ImportFrom):
+                    modules = ["." * child.level + (child.module or "")]
+                else:
+                    modules = [a.name for a in child.names]
+                out.extend(f"{owner}: {m}" for m in modules)
+            else:
+                visit(child, owner)
+
+    visit(tree, None)
+    return out
+
+
+# Function-level imports in src/invsemi, each kept for a reason.
+LAZY_IMPORTS = [
+    # the closure engine loads numpy, and `import invsemi.catalog` must
+    # not (test_the_symbolic_layer_loads_no_numpy[catalog])
+    "catalog.random_uniform_family: .closure",
+]
+
+
+def test_imports_sit_at_the_top_of_their_module():
+    found = [
+        f"{path.stem}.{entry}"
+        for path in MODULES
+        for entry in function_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sorted(found) == sorted(LAZY_IMPORTS)
 
 
 def modules_loaded_by(statement: str) -> set[str]:

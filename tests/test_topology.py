@@ -29,8 +29,10 @@ from invsemi.symbolic import (
     empty_map,
     fin_map,
     partial_identity,
+    sym_compose,
     sym_element,
     sym_graph,
+    sym_inverse,
 )
 from invsemi.topology import (
     BasicOpen,
@@ -41,7 +43,6 @@ from invsemi.topology import (
     _member_pools,
     check_convergence,
     family_isolation,
-    isolated_inverse_check,
     low_rank_open_members,
     open_contains,
     open_members,
@@ -575,17 +576,20 @@ def test_interior_probe_escapes_every_sampled_open():
 def test_inverse_products_collapse_at_the_shared_point():
     # maps out of the shared point: the idempotent u^-1 u is the
     # identity on {0}, which every block identity approaches
-    elements = [fin_map([(0, 1)]), fin_map([(0, 4)])]
-    for verdict in isolated_inverse_check(elements):
-        assert verdict.element_isolated and verdict.inverse_isolated
-        assert verdict.product == partial_identity([0])
-        assert verdict.product_isolated is False
-        assert verdict.product_schema is not None
+    for u in (fin_map([(0, 1)]), fin_map([(0, 4)])):
+        assert rule_isolation(u, COMMON_POINT_RULE).isolated
+        assert rule_isolation(sym_inverse(u), COMMON_POINT_RULE).isolated
+        product = sym_compose(sym_inverse(u), u)
+        assert product == partial_identity([0])
+        verdict = rule_isolation(product, COMMON_POINT_RULE)
+        assert verdict.isolated is False
+        assert verdict.schema_name() is not None
 
     # away from the shared point the product is isolated like anything else
-    (away,) = isolated_inverse_check([fin_map([(3, 5)])])
-    assert away.product == partial_identity([3])
-    assert away.product_isolated is True
+    away = fin_map([(3, 5)])
+    product = sym_compose(sym_inverse(away), away)
+    assert product == partial_identity([3])
+    assert rule_isolation(product, COMMON_POINT_RULE).isolated is True
 
 
 def test_group_scan_budget():
