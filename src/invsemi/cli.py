@@ -52,7 +52,8 @@ from .families import (
     verify_chain,
     verify_factorization,
 )
-from .symbolic import classify, fin_map, format_sym, parse_sym, sym_inverse
+from .symbolic import (classify, dom_set, fin_map, format_sym, parse_sym, sym_compose,
+                       sym_inverse)
 from .topology import (
     random_basic_open,
     rule_isolation,
@@ -347,12 +348,26 @@ def cmd_factorize(args) -> tuple[dict, dict, str, bool]:
     return config, report, f"{len(factors)} factors, recomposes: {ok}", ok
 
 
+def _escape_verified(witness: dict, fam: BlockFamily, bound: int) -> bool:
+    """Check an escape witness by a second route: its two factors parse as
+    block identities of the family, and `sym_compose` recomposes them into
+    the printed composite, a finite map of the printed rank above the
+    bound, which no map of the union has."""
+    left, right = (parse_sym(witness[side], fam.blocks) for side in ("left", "right"))
+    if any(classify(f, fam.blocks).kind != "group" for f in (left, right)):
+        return False
+    composite = sym_compose(left, right)
+    dom = dom_set(composite)
+    return (format_sym(composite, fam.blocks) == witness["composite"]
+            and not dom.is_infinite() and len(dom.points()) == witness["rank"] > bound)
+
+
 def cmd_verify_closure_bound(args) -> tuple[dict, dict, str, bool]:
     fam = _load_family(args.family)
     rep = check_closure_bound(fam, args.bound, args.window)
     verdict_ok = (rep.satisfied and rep.closed) or (
         not rep.satisfied and rep.witness is not None
-        and rep.witness["rank"] > args.bound)
+        and _escape_verified(rep.witness, fam, args.bound))
     report = {
         "bound": rep.n,
         "max_overlap": rep.max_overlap,
@@ -365,8 +380,12 @@ def cmd_verify_closure_bound(args) -> tuple[dict, dict, str, bool]:
         "verdict_ok": verdict_ok,
     }
     if rep.satisfied:
+        report["elements"] = rep.order
+        report["classes"] = None if rep.classes is None else [
+            {"rank": c.rank, "images": len(c.images), "group_order": c.group_order}
+            for c in rep.classes]
         summary = (f"overlaps within {args.bound}: union closed = {rep.closed} "
-                    f"({rep.products_checked} products)")
+                    f"({rep.order} elements, {rep.products_checked} orbit actions)")
     else:
         summary = (f"overlap {rep.max_overlap} exceeds {args.bound}: escape "
                     f"witness {rep.witness['composite'] if rep.witness else None}")

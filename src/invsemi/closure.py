@@ -3,16 +3,17 @@
 Everything here works on the points below a fixed window.  Maps are
 kept as int8 rows (entry x holds the image of x, -1 for undefined), so
 composing a batch against a batch is two numpy indexing operations.
-The closure routine and the closedness check of a known union run one
-breadth-first search (`_search`) with exact dedup; companion builders
-enumerate the structural candidate sets (windowed block groups plus
-finite strata) straight into rows, so the two routes are compared row
-by row.
+The closure routine runs one breadth-first search (`_search`) with
+exact dedup; companion builders enumerate the structural candidate
+sets (windowed block groups plus finite strata) straight into rows, so
+the two routes are compared row by row.  The closure bound is decided
+without listing the union: `union_classes` counts the Green's classes
+of the semigroup the union's generators generate (`green`) and
+compares them with the union's own.
 
 Rows are deduplicated and looked up by sortable keys in one format
-(`row_keys`); `RowIndex` keys a column group's entries under the
-group's tag in the same entry format.  Rows become
-``PartialBijection``s only when a caller asks to see the maps.
+(`row_keys`).  Rows become ``PartialBijection``s only when a caller
+asks to see the maps.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import (
     WindowMismatchError,
 )
 from .families import BlockFamily, chain_capacity_matrix
+from .green import DClass, d_classes
 from .pbij import PartialBijection
 from .symbolic import format_sym, partial_identity
 
@@ -65,10 +67,10 @@ def _key_shifts(window: int) -> np.ndarray:
     return out
 
 
-def _key_entries(rows: np.ndarray, dtype=np.int64) -> np.ndarray:
-    """The entries of int8 rows as `dtype`, -1 as all ones: an int8 -1 has
+def _key_entries(rows: np.ndarray) -> np.ndarray:
+    """The entries of int8 rows as int64, -1 as all ones: an int8 -1 has
     every bit set, and a point below the window none above its b bits."""
-    return (rows & np.int8((1 << rows.shape[1].bit_length()) - 1)).astype(dtype)
+    return (rows & np.int8((1 << rows.shape[1].bit_length()) - 1)).astype(np.int64)
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
@@ -76,11 +78,10 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     do (-1 after every point); `rows_from_keys` inverts it.
 
     A row of width w <= KEY_WINDOW keys as one int64 word: b =
-    w.bit_length() bits per entry, -1 as all ones, first column highest,
-    the format `RowIndex` packs under a group.  Every point is below
-    2^b - 1, so the empty map at width 15 has the largest key, 2^60 - 1.
-    A wider row keys as its bytes, one void scalar, which numpy compares
-    bytewise."""
+    w.bit_length() bits per entry, -1 as all ones, first column highest.
+    Every point is below 2^b - 1, so the empty map at width 15 has the
+    largest key, 2^60 - 1.  A wider row keys as its bytes, one void
+    scalar, which numpy compares bytewise."""
     window = rows.shape[1]
     if window <= KEY_WINDOW:
         return _key_entries(rows) @ (np.int64(1) << _key_shifts(window))
@@ -431,7 +432,7 @@ def composition_escape(rows: np.ndarray) -> tuple[int, np.ndarray | None]:
 
 def rows_closed_under_ops(rows: np.ndarray) -> tuple[bool, int]:
     """All-pairs check that a row set is closed under composition and
-    inverse: the reference oracle for `union_closed`.
+    inverse.
 
     Returns (closed, products_checked), with `composition_escape`'s count."""
     checked, escape = composition_escape(rows)
@@ -467,175 +468,65 @@ def union_generators(family: BlockFamily, n: int, window: int) -> np.ndarray:
     return np.concatenate(gens)
 
 
-KEY_BITS = 52  # widest key word that a float64 matmul forms exactly
-NO_KEY = np.iinfo(np.int64).max  # above every key: a row that no key group holds
+# -- the closure bound ----------------------------------------------------
+
+MAX_UNION_IMAGES = 100_000  # images of U: the orbit's length, and the classes' total size
 
 
-class RowIndex:
-    """One-word int64 keys for a fixed set U of rows, and lookup of other
-    rows in U.
+def union_table(family: BlockFamily, n: int, window: int) -> frozenset[DClass]:
+    """The D-classes of the rank-n union U, from the blocks' points below
+    the window alone: for each rank k <= n one class of every k-subset of
+    a block, with group Sym(k) (k = 0 is the empty map), and for each
+    block of more than n points one class of that block, with its whole
+    symmetric group.
 
-    The columns fall into key `groups` (column arrays, which may overlap),
-    and every row of U must lie in a group: no column outside it is
-    defined.  A row's key under group t is t, above the row's entries on
-    t's columns.  An entry takes b = window.bit_length() bits, -1 as all
-    ones, so it sorts after every point, and the entries are packed first
-    column highest: under one group the keys sort as `unique_rows` sorts
-    the rows.  The entries of a group must fit one 52-bit word, which a
-    float64 matmul forms exactly.
-
-    The rows may come in any order and with repeats.  `entries` holds U's
-    distinct rows, sorted by their key under the first group that holds
-    each.  A row that several groups hold (the empty map, a map defined on
-    overlap points only) is an alias: it is listed under each of them,
-    with one position.  A row that no group holds is not in U."""
-
-    def __init__(self, rows: np.ndarray, groups: Sequence[Sequence[int]]):
-        count, window = rows.shape
-        self.bits = window.bit_length()
-        self.ones = (1 << self.bits) - 1
-        self.groups = [np.unique(np.asarray(cols, dtype=np.intp)) for cols in groups]
-        g = len(self.groups)
-        width = self.bits * max(map(len, self.groups), default=0)
-        if width > KEY_BITS or width + (g - 1).bit_length() > 62:
-            raise ValueError(f"a key group needs {width} bits, more than one {KEY_BITS}-bit word")
-        self.tags = np.arange(g, dtype=np.int64) << width
-        # weights[x, t] places entry x within group t's word, and
-        # weights[x, g + t] is 1 where x lies outside group t
-        self.weights = np.zeros((window, 2 * g))
-        self.weights[:, g:] = 1
-        for t, cols in enumerate(self.groups):
-            self.weights[cols, t] = np.ldexp(1.0, self.bits * np.arange(len(cols))[::-1])
-            self.weights[cols, g + t] = 0
-        self.unset = self.ones * self.weights[:, g:].sum(axis=0)
-        entries = self.encode(rows)
-        inside, keys = self._group_keys(entries)
-        # tags rise with t, so a row's least key is its key under the
-        # first group that holds it
-        home = np.where(inside, keys, NO_KEY).min(axis=1)
-        if np.any(home == NO_KEY):
-            raise ValueError("a row of U lies in no key group")
-        order = np.argsort(home)
-        first = order[_run_starts(home[order])]  # one row per distinct key
-        self.entries = np.take(entries, first, axis=0)
-        self.keys, self.position = home[first], None
-        if inside.sum() > count:  # aliases: list each row under every group that holds it
-            at, group = np.nonzero(inside[first])
-            listed = keys[first[at], group]
-            by_key = np.argsort(listed)
-            self.keys, self.position = listed[by_key], at[by_key]
-
-    def encode(self, rows: np.ndarray) -> np.ndarray:
-        """The entries as float64, -1 as all ones (`_key_entries`)."""
-        return _key_entries(rows, np.float64)
-
-    def _group_keys(self, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(inside, keys), each (rows, groups), from one matmul: whether
-        the group holds the encoded row, that is whether the row's entries
-        outside the group are all ones, and the row's key under it."""
-        sums = entries @ self.weights
-        g = len(self.groups)
-        return sums[:, g:] == self.unset, sums[:, :g].astype(np.int64) + self.tags
-
-    def _positions(self, keys: np.ndarray) -> np.ndarray | None:
-        """The distinct sorted positions in U of these keys; None when one is
-        not in U."""
-        keys = _sorted_distinct(keys.ravel())
-        pos = np.searchsorted(self.keys, keys)
-        if len(pos) and (pos[-1] == len(self.keys) or np.any(self.keys[pos] != keys)):
-            return None
-        return pos if self.position is None else _sorted_distinct(self.position[pos])
-
-    def pack(self, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(M, c) such that, for k maps g_j that each lie in a group,
-        (encode(u) @ M) as int64, plus c, holds the one-word key of u o g_j
-        in column j, under the first group that holds g_j (`_pack`), which
-        holds u o g_j too.  A map that no group holds raises ValueError:
-        its products could leave U on a column no key reads."""
-        inside, _ = self._group_keys(self.encode(gens))
-        if not inside.any(axis=1).all():
-            raise ValueError("cannot pack a map that no key group holds")
-        home = inside.argmax(axis=1)
-        pack, unset = _pack(gens, self.weights[:, home].T)
-        return pack, unset + self.tags[home]
-
-    def products_in(
-        self, entries: np.ndarray, packed: tuple[np.ndarray, np.ndarray]
-    ) -> np.ndarray | None:
-        """The distinct sorted positions in U of the products u o g_j for
-        the rows u with these encoded entries and the maps g_j of
-        `packed` (`pack`); None when a product is not in U.  One matmul
-        forms every product's one-word key; the distinct keys are looked
-        up once each, in order, and positions are deduplicated only when
-        U has aliases."""
-        pack, offset = packed
-        keys = (entries @ pack).astype(np.int64)
-        keys += offset
-        return self._positions(keys)
-
-    def find(self, rows: np.ndarray) -> np.ndarray | None:
-        """The distinct sorted positions of `rows` in U; None when one is not
-        in U, as is every row that no group holds.  Each row is looked up
-        by its one-word key under the first group that holds it."""
-        inside, keys = self._group_keys(self.encode(rows))
-        return self._positions(np.where(inside, keys, NO_KEY).min(axis=1))
+    U has at most 1 + sum_i sum_{k <= n} C(|B_i|, k) images, one per
+    subset; past MAX_UNION_IMAGES the check is refused before any subset
+    is listed."""
+    pts = [_below(blk, window) for blk in family.blocks]
+    most = 1 + sum(math.comb(len(p), k) for p in pts for k in range(1, min(n, len(p)) + 1))
+    most += sum(len(p) > n for p in pts)
+    if most > MAX_UNION_IMAGES:
+        raise BudgetExceededError(
+            f"the rank-{n} union at window {window} may have {most} images; "
+            f"refusing more than {MAX_UNION_IMAGES}"
+        )
+    table = set()
+    for k in range(min(n, max(map(len, pts))) + 1):
+        images = {sum(1 << x for x in sub) for p in pts for sub in itertools.combinations(p, k)}
+        table.add(DClass(k, frozenset(images), math.factorial(k)))
+    for p in pts:
+        if len(p) > n:
+            table.add(DClass(len(p), frozenset([sum(1 << x for x in p)]), math.factorial(len(p))))
+    return frozenset(table)
 
 
-def union_index(family: BlockFamily, n: int, window: int) -> RowIndex:
-    """The `RowIndex` of the rank-n union U, built straight from the group
-    and stratum rows (`structural_parts`), so no bytewise sort of U runs.
+def union_classes(family: BlockFamily, n: int, window: int) -> tuple[bool, tuple[DClass, ...] | None, int]:
+    """(closed, classes, actions) for the rank-n union U: whether U is
+    closed, the D-classes of <A> for the generators A of
+    `union_generators` (None when <A> has more images than U), and the
+    generator actions their orbit applied.
 
-    U's live columns, the block points below the window, form one key
-    group when their entries fit one word.  Otherwise each block's points
-    form a group.  Every map of U, and every map of `union_generators`
-    and its inverse, has its domain inside one block, and a block has at
-    most GROUP_ENUM_CAP = 7 points below the window (`group_rows` refuses
-    more) with entries of at most 7 bits, so a block's word needs at most
-    49 bits."""
-    b = len(family.blocks)
-    blocks = [_below(blk, window) for blk in family.blocks]
-    live = sorted(set().union(*blocks))
-    one_word = len(live) * window.bit_length() <= KEY_BITS
-    rows = structural_parts(family, window, [[n] * b for _ in range(b)])
-    return RowIndex(rows, [live] if one_word else blocks)
-
-
-def union_closed(family: BlockFamily, n: int, window: int) -> tuple[bool, int]:
-    """(closed, products composed) for the rank-n union U: block groups,
-    strata of rank <= n and the empty map.
-
-    U is closed exactly when <A> = U for the generators A of
-    `union_generators`.  `_search` runs over the positions of U's index
-    (`union_index`), and a product outside U stops it; otherwise U is
-    closed when every position is reached, after |U| x |A u A^-1|
-    products.  Every product of every reached element is checked, so any
-    A inside U that generates U gives the same verdict."""
-    index = union_index(family, n, window)
+    <A> is counted, never listed (`green.d_classes` over A u A^-1).  When
+    its classes equal U's (`union_table`), <A> = U, so U is a semigroup;
+    this direction needs nothing about A but that it generates.  When
+    they differ, U is not closed, since every map of A lies in U and
+    every map of U is a product over A u A^-1."""
+    table = union_table(family, n, window)
     gens = union_generators(family, n, window)
     gens = unique_rows(np.concatenate([gens, invert_rows(gens)]))
-    frontier = index.find(gens)  # so each map packed below lies in a key group
-    if frontier is None:  # A lies in U by construction; "not closed" would be false
-        raise ValueError("a generator of the rank-n union lies outside it")
-    packed = index.pack(gens)
-    reached = np.zeros(len(index.entries), dtype=bool)
-    reached[frontier] = True
-
-    def grow(left: np.ndarray) -> np.ndarray | None:
-        found = index.products_in(np.take(index.entries, left, axis=0), packed)
-        if found is not None:
-            found = found[~reached[found]]
-            reached[found] = True
-        return found
-
-    _, products, closed = _search(frontier, len(gens), grow)
-    return closed and bool(reached.all()), products
-
-
-# -- the closure bound ----------------------------------------------------
+    classes, actions = d_classes(gens, sum(len(c.images) for c in table))
+    return classes is not None and frozenset(classes) == table, classes, actions
 
 
 @dataclass(frozen=True)
 class ClosureBoundReport:
+    """The closure-bound verdict.  Within the bound, `order` (the number
+    of maps) and `classes` describe <A> (`union_classes`), its classes
+    sorted by rank and least image, and `products_checked` counts the
+    orbit's generator actions; past it, both are None, `products_checked`
+    is 0 and `witness` holds the escape."""
+
     satisfied: bool
     closed: bool
     n: int
@@ -644,19 +535,22 @@ class ClosureBoundReport:
     bad_pair: tuple[int, int] | None
     witness: dict | None
     products_checked: int
+    order: int | None
+    classes: tuple[DClass, ...] | None
 
 
 def check_closure_bound(family: BlockFamily, n: int, window: int | None = None) -> ClosureBoundReport:
     """Test whether the rank-n union is a subsemigroup.
 
     When every pairwise overlap has at most n points, the windowed union
-    is verified closed under composition and inverse by `union_closed`.
-    When some overlap is larger, the product of the two block identities
-    escapes every stratum of the union; the report carries that witness
-    in exact (unwindowed) form.  A negative n is refused: the union
-    always holds the empty map, which a bound below 0 would report as an
-    escape.  So is a window below `minimal_window`, the default: it could
-    leave overlap points out of the check.
+    is decided by counting the Green's classes of the semigroup its
+    generators generate (`union_classes`).  When some overlap is larger,
+    the product of the two block identities escapes every stratum of
+    the union; the report carries that witness in exact (unwindowed)
+    form.  A negative n is refused: the union always holds the empty
+    map, which a bound below 0 would report as an escape.  So is a
+    window below `minimal_window`, the default: it could leave overlap
+    points out of the check.
     """
     if n < 0:
         raise InvalidBoundError(f"rank bound must be at least 0, got {n}")
@@ -690,6 +584,8 @@ def check_closure_bound(family: BlockFamily, n: int, window: int | None = None) 
             bad_pair=(i, j),
             witness=witness,
             products_checked=0,
+            order=None,
+            classes=None,
         )
     least = minimal_window(family, [[n] * b for _ in range(b)])
     window = least if window is None else window
@@ -697,16 +593,20 @@ def check_closure_bound(family: BlockFamily, n: int, window: int | None = None) 
         raise WindowMismatchError(
             f"window {window} is below the minimal window {least} of this family at bound {n}"
         )
-    ok, checked = union_closed(family, n, window)
+    closed, classes, actions = union_classes(family, n, window)
+    if classes is not None:
+        classes = tuple(sorted(classes, key=lambda c: (c.rank, min(c.images))))
     return ClosureBoundReport(
         satisfied=True,
-        closed=ok,
+        closed=closed,
         n=n,
         window=window,
         max_overlap=max_overlap,
         bad_pair=None,
         witness=None,
-        products_checked=checked,
+        products_checked=actions,
+        order=None if classes is None else sum(c.size() for c in classes),
+        classes=classes,
     )
 
 

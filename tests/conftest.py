@@ -8,6 +8,7 @@ against these, never the other way around.
 import itertools
 import math
 import random
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -17,6 +18,11 @@ from invsemi.closure import (
     BLOCK_PRODUCTS,
     GROUP_ENUM_CAP,
     MAX_WINDOW,
+    _key_entries,
+    _pack,
+    _run_starts,
+    _search,
+    _sorted_distinct,
     blank_rows,
     closure_of,
     compose_rows,
@@ -366,7 +372,7 @@ def minimal_window_by_scan(family: BlockFamily, rank_matrix: list[list[int]]) ->
 def capped_rows(family: BlockFamily, window: int, capacity) -> np.ndarray:
     """`structural_rows` under a given capacity matrix in place of the
     family's chain capacities: with every entry n, the rank-n union U
-    that `union_closed` tests."""
+    that `union_closed` and `union_classes` test."""
     return unique_rows(structural_parts(family, window, capacity))
 
 
@@ -405,6 +411,220 @@ def union_generators_all_pairs(family: BlockFamily, n: int, window: int) -> np.n
                 stratum[r:, src[r]] = dst[r]
             gens.append(stratum)
     return np.concatenate(gens)
+
+
+# -- the closedness index: the enumerating oracle for the counting route ---------------------
+
+
+KEY_BITS = 52  # widest key word that a float64 matmul forms exactly
+NO_KEY = np.iinfo(np.int64).max  # above every key: a row that no key group holds
+
+
+class RowIndex:
+    """One-word int64 keys for a fixed set U of rows, and lookup of other
+    rows in U.
+
+    The columns fall into key `groups` (column arrays, which may overlap),
+    and every row of U must lie in a group: no column outside it is
+    defined.  A row's key under group t is t, above the row's entries on
+    t's columns.  An entry takes b = window.bit_length() bits, -1 as all
+    ones, so it sorts after every point, and the entries are packed first
+    column highest: under one group the keys sort as `unique_rows` sorts
+    the rows.  The entries of a group must fit one 52-bit word, which a
+    float64 matmul forms exactly.
+
+    The rows may come in any order and with repeats.  `entries` holds U's
+    distinct rows, sorted by their key under the first group that holds
+    each.  A row that several groups hold (the empty map, a map defined on
+    overlap points only) is an alias: it is listed under each of them,
+    with one position.  A row that no group holds is not in U."""
+
+    def __init__(self, rows: np.ndarray, groups: Sequence[Sequence[int]]):
+        count, window = rows.shape
+        self.bits = window.bit_length()
+        self.ones = (1 << self.bits) - 1
+        self.groups = [np.unique(np.asarray(cols, dtype=np.intp)) for cols in groups]
+        g = len(self.groups)
+        width = self.bits * max(map(len, self.groups), default=0)
+        if width > KEY_BITS or width + (g - 1).bit_length() > 62:
+            raise ValueError(f"a key group needs {width} bits, more than one {KEY_BITS}-bit word")
+        self.tags = np.arange(g, dtype=np.int64) << width
+        # weights[x, t] places entry x within group t's word, and
+        # weights[x, g + t] is 1 where x lies outside group t
+        self.weights = np.zeros((window, 2 * g))
+        self.weights[:, g:] = 1
+        for t, cols in enumerate(self.groups):
+            self.weights[cols, t] = np.ldexp(1.0, self.bits * np.arange(len(cols))[::-1])
+            self.weights[cols, g + t] = 0
+        self.unset = self.ones * self.weights[:, g:].sum(axis=0)
+        entries = self.encode(rows)
+        inside, keys = self._group_keys(entries)
+        # tags rise with t, so a row's least key is its key under the
+        # first group that holds it
+        home = np.where(inside, keys, NO_KEY).min(axis=1)
+        if np.any(home == NO_KEY):
+            raise ValueError("a row of U lies in no key group")
+        order = np.argsort(home)
+        first = order[_run_starts(home[order])]  # one row per distinct key
+        self.entries = np.take(entries, first, axis=0)
+        self.keys, self.position = home[first], None
+        if inside.sum() > count:  # aliases: list each row under every group that holds it
+            at, group = np.nonzero(inside[first])
+            listed = keys[first[at], group]
+            by_key = np.argsort(listed)
+            self.keys, self.position = listed[by_key], at[by_key]
+
+    def encode(self, rows: np.ndarray) -> np.ndarray:
+        """The entries as float64, -1 as all ones (`_key_entries`)."""
+        return _key_entries(rows).astype(np.float64)
+
+    def _group_keys(self, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(inside, keys), each (rows, groups), from one matmul: whether
+        the group holds the encoded row, that is whether the row's entries
+        outside the group are all ones, and the row's key under it."""
+        sums = entries @ self.weights
+        g = len(self.groups)
+        return sums[:, g:] == self.unset, sums[:, :g].astype(np.int64) + self.tags
+
+    def _positions(self, keys: np.ndarray) -> np.ndarray | None:
+        """The distinct sorted positions in U of these keys; None when one is
+        not in U."""
+        keys = _sorted_distinct(keys.ravel())
+        pos = np.searchsorted(self.keys, keys)
+        if len(pos) and (pos[-1] == len(self.keys) or np.any(self.keys[pos] != keys)):
+            return None
+        return pos if self.position is None else _sorted_distinct(self.position[pos])
+
+    def pack(self, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(M, c) such that, for k maps g_j that each lie in a group,
+        (encode(u) @ M) as int64, plus c, holds the one-word key of u o g_j
+        in column j, under the first group that holds g_j (`_pack`), which
+        holds u o g_j too.  A map that no group holds raises ValueError:
+        its products could leave U on a column no key reads."""
+        inside, _ = self._group_keys(self.encode(gens))
+        if not inside.any(axis=1).all():
+            raise ValueError("cannot pack a map that no key group holds")
+        home = inside.argmax(axis=1)
+        pack, unset = _pack(gens, self.weights[:, home].T)
+        return pack, unset + self.tags[home]
+
+    def products_in(
+        self, entries: np.ndarray, packed: tuple[np.ndarray, np.ndarray]
+    ) -> np.ndarray | None:
+        """The distinct sorted positions in U of the products u o g_j for
+        the rows u with these encoded entries and the maps g_j of
+        `packed` (`pack`); None when a product is not in U.  One matmul
+        forms every product's one-word key; the distinct keys are looked
+        up once each, in order, and positions are deduplicated only when
+        U has aliases."""
+        pack, offset = packed
+        keys = (entries @ pack).astype(np.int64)
+        keys += offset
+        return self._positions(keys)
+
+    def find(self, rows: np.ndarray) -> np.ndarray | None:
+        """The distinct sorted positions of `rows` in U; None when one is not
+        in U, as is every row that no group holds.  Each row is looked up
+        by its one-word key under the first group that holds it."""
+        inside, keys = self._group_keys(self.encode(rows))
+        return self._positions(np.where(inside, keys, NO_KEY).min(axis=1))
+
+
+def union_index(family: BlockFamily, n: int, window: int) -> RowIndex:
+    """The `RowIndex` of the rank-n union U, built straight from the group
+    and stratum rows (`structural_parts`), so no bytewise sort of U runs.
+
+    U's live columns, the block points below the window, form one key
+    group when their entries fit one word.  Otherwise each block's points
+    form a group.  Every map of U, and every map of `union_generators`
+    and its inverse, has its domain inside one block, and a block has at
+    most GROUP_ENUM_CAP = 7 points below the window (`group_rows` refuses
+    more) with entries of at most 7 bits, so a block's word needs at most
+    49 bits."""
+    b = len(family.blocks)
+    blocks = [blk.below(window) for blk in family.blocks]
+    live = sorted(set().union(*blocks))
+    one_word = len(live) * window.bit_length() <= KEY_BITS
+    rows = structural_parts(family, window, [[n] * b for _ in range(b)])
+    return RowIndex(rows, [live] if one_word else blocks)
+
+
+def union_closed(family: BlockFamily, n: int, window: int) -> tuple[bool, int]:
+    """Reference for `closure.union_classes`: (closed, products composed)
+    for the rank-n union U, block groups, strata of rank <= n and the
+    empty map, by enumerating U.
+
+    U is closed exactly when <A> = U for the generators A of
+    `union_generators`.  `_search` runs over the positions of U's index
+    (`union_index`), and a product outside U stops it; otherwise U is
+    closed when every position is reached, after |U| x |A u A^-1|
+    products.  Every product of every reached element is checked, so any
+    A inside U that generates U gives the same verdict."""
+    index = union_index(family, n, window)
+    gens = union_generators(family, n, window)
+    gens = unique_rows(np.concatenate([gens, invert_rows(gens)]))
+    frontier = index.find(gens)  # so each map packed below lies in a key group
+    if frontier is None:  # A lies in U by construction; "not closed" would be false
+        raise ValueError("a generator of the rank-n union lies outside it")
+    packed = index.pack(gens)
+    reached = np.zeros(len(index.entries), dtype=bool)
+    reached[frontier] = True
+
+    def grow(left: np.ndarray) -> np.ndarray | None:
+        found = index.products_in(np.take(index.entries, left, axis=0), packed)
+        if found is not None:
+            found = found[~reached[found]]
+            reached[found] = True
+        return found
+
+    _, products, closed = _search(frontier, len(gens), grow)
+    return closed and bool(reached.all()), products
+
+
+def group_order_by_closure(gens, degree: int) -> int:
+    """Reference for `green.group_order`: every product of the generators,
+    grown breadth-first from the identity as tuples of images."""
+    found = {tuple(range(degree))}
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[x] for x in p)
+                if q not in found:
+                    found.add(q)
+                    fresh.append(q)
+        frontier = fresh
+    return len(found)
+
+def d_classes_by_enumeration(rows: np.ndarray) -> set[tuple[int, frozenset[int], int]]:
+    """Reference for `green.d_classes`: the closure of `rows` listed by
+    `closure_of`, each map's domain and image as bitmasks, the classes
+    as the components of the domain-image pairs, and each class's group
+    order as the number of maps with domain and image its first image.
+    One (rank, images, group order) triple per class."""
+    parent: dict[int, int] = {}
+
+    def root(y):
+        while parent.setdefault(y, y) != y:
+            y = parent[y]
+        return y
+
+    pairs = []
+    for row in closure_of(rows).rows.tolist():
+        dom = sum(1 << x for x, y in enumerate(row) if y >= 0)
+        im = sum(1 << y for y in row if y >= 0)
+        pairs.append((dom, im))
+        parent[root(dom)] = root(im)
+    members: dict[int, set[int]] = {}
+    for y in list(parent):
+        members.setdefault(root(y), set()).add(y)
+    out = set()
+    for images in members.values():
+        first = min(images)
+        order = sum(dom == im == first for dom, im in pairs)
+        out.add((bin(first).count("1"), frozenset(images), order))
+    return out
 
 
 def group_rows_by_loop(block: SetDescriptor, window: int) -> np.ndarray:

@@ -311,6 +311,38 @@ def test_verify_closure_bound_violated(capsys):
     assert rep["verdict_ok"] is True
 
 
+def test_a_tampered_escape_witness_fails_its_recheck(monkeypatch, capsys):
+    # the witness is recomposed by `sym_compose`, not trusted for its
+    # rank: each tampered field fails the verdict
+    real = cli.check_closure_bound
+    tampered = [
+        {"rank": 3},  # not the composite's rank
+        {"composite": "id(finite {16})"},  # not what the factors compose to
+        {"left": "id(B0)"},  # id(B0) o id(B0) is no finite map
+        # a finite partial identity is no block identity, though it
+        # composes with id(B0) into the printed rank-2 composite
+        {"left": "id(finite {16,17})"},
+    ]
+    for change in tampered:
+        def stub(*args, change=change, **kwargs):
+            rep = real(*args, **kwargs)
+            return dataclasses.replace(rep, witness=dict(rep.witness, **change))
+
+        monkeypatch.setattr(cli, "check_closure_bound", stub)
+        code, doc = run(capsys, "verify", "closure-bound", "--family", "bound2", "--bound", "1")
+        assert code == 2 and report_of(doc)["verdict_ok"] is False, change
+
+
+def test_verify_closure_bound_refuses_a_union_past_the_image_budget(capsys):
+    # disjoint:2's blocks hold 60 and 30 points below 120: at bound 4 the
+    # union may have 555,618 images; at bound 3 it is counted
+    argv = ["verify", "closure-bound", "--family", "disjoint:2", "--window", "120"]
+    assert main(argv + ["--bound", "4"]) == 1
+    assert capsys.readouterr().out == ""
+    code, doc = run(capsys, *argv, "--bound", "3")
+    assert code == 0 and report_of(doc)["union_closed"] is True
+
+
 def test_verify_ideal_witness(capsys):
     code, doc = run(
         capsys, "verify", "ideal-witness", "--trials", "5", "--seed", "3"
@@ -402,9 +434,13 @@ README_REPORT_DIGESTS = {
     'factorize --family common-point:3 --element "fin(5->6)"':
         "e8d3373a9220bc42177e1c5f2de53d8c1e4f8fe3d870f1cfb2bd80b385b02921",
     "verify closure-bound --family bound2 --bound 2":
-        "aef5ccf4a169a07357a62835dbb20cb75526053762440fb610094b6557755fb9",
+        "caa68f7c444143db46aade03faac584af7b15daa12fc313af9b6a207bf8a3e2a",
     "verify closure-bound --family bound2 --bound 1":
         "0a12327446169a14d3c87baf9045fda479ada5d8f8577f965bbb7f2737833678",
+    "verify closure-bound --family five-ring --bound 3":
+        "d9fae22362a3a3012981f9c1fb4472754d94d2cc2302f3391783d511b8229577",
+    "verify closure-bound --family disjoint:4 --bound 0":
+        "419e06391c49f9edea4ee1b0fdeff46ccd4083e42578804bfb16406e774c780b",
     "verify ideal-witness --trials 50 --seed 7":
         "cc1862b5180d7e06f0af9f6535156cd60212ee1cf4d64968fb2b8a3d328a607f",
     "verify ideal-witness --ideal empty --trials 50 --seed 7":

@@ -2,6 +2,7 @@
 structural description of the generated union."""
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -12,16 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import conftest
 import invsemi.closure
 from invsemi.pbij import PartialBijection
 from invsemi.closure import (
     BLOCK_PRODUCTS,
     MAX_WINDOW,
-    KEY_BITS,
     KEY_WINDOW,
-    NO_KEY,
     ClosureResult,
-    RowIndex,
     _sorted_distinct,
     blank_rows,
     check_closure_bound,
@@ -40,9 +39,9 @@ from invsemi.closure import (
     sparse_group_generators,
     structural_parts,
     structural_rows,
-    union_closed,
+    union_classes,
     union_generators,
-    union_index,
+    union_table,
     unique_rows,
 )
 from invsemi.catalog import (
@@ -63,6 +62,9 @@ from invsemi.errors import (
 )
 from invsemi.families import BlockFamily, chain_capacity_matrix
 from conftest import (
+    KEY_BITS,
+    NO_KEY,
+    RowIndex,
     capped_rows,
     closure_by_row_scan,
     closure_dicts,
@@ -73,8 +75,10 @@ from conftest import (
     random_partial_injection,
     rows_by_bytes,
     structural_rows_by_loop,
+    union_closed,
     union_closed_by_search,
     union_generators_all_pairs,
+    union_index,
     unique_rows_by_bytes,
     windowed_block_group,
 )
@@ -278,12 +282,18 @@ def test_closure_bound_satisfied_branch():
     assert report.satisfied and report.closed
     assert report.max_overlap == 2
     assert report.bad_pair is None and report.witness is None
-    # each element of U is composed once with every map of A u A^-1
+    # every map of A u A^-1 acts once on each of U's 42 images, and the
+    # classes count U's 3,223 maps; the enumerating oracle composes each
+    # map of U once with every map of A u A^-1
     rows = capped_rows(fam, report.window, [[2, 2], [2, 2]])
     gens = union_generators(fam, 2, report.window)
     both = unique_rows(np.concatenate([gens, invert_rows(gens)]))
     assert (len(rows), len(both)) == (3223, 13)
-    assert report.products_checked == len(rows) * len(both) == 41899
+    assert report.order == len(rows)
+    assert [(c.rank, len(c.images), c.group_order) for c in report.classes] == [
+        (0, 1, 1), (1, 10, 1), (2, 29, 2), (6, 1, 720), (6, 1, 720)]
+    assert report.products_checked == 42 * len(both) == 546
+    assert union_closed(fam, 2, report.window) == (True, len(rows) * len(both)) == (True, 41899)
 
 
 def test_closure_bound_refuses_a_negative_bound():
@@ -298,12 +308,39 @@ def test_closure_bound_refuses_a_window_below_the_minimal_one():
     # bound2's overlap points 16 and 17 lie outside window 3
     fam = bound_example()
     least = minimal_window(fam, [[2, 2], [2, 2]])
-    assert check_closure_bound(fam, 2, least).products_checked == 41899
+    assert check_closure_bound(fam, 2, least).products_checked == 546
     for window in (3, least - 1):
         with pytest.raises(WindowMismatchError, match=f"window {window} .* {least}"):
             check_closure_bound(fam, 2, window)
     # the violated branch needs no window
     assert not check_closure_bound(fam, 1, 3).satisfied
+
+
+def test_closure_bound_refuses_a_union_past_the_image_budget(monkeypatch):
+    # disjoint:2 at window 120: blocks of 60 and 30 points.  At bound 4
+    # the union may have 1 + 2 + sum_{k <= 4} (C(60, k) + C(30, k)) =
+    # 555,618 images, and the check is refused before any orbit step; at
+    # bound 3 it has 40,578 and is counted, in under a second
+    fam = named_family("disjoint:2")
+    assert [len(b.below(120)) for b in fam.blocks] == [60, 30]
+    real = invsemi.closure.d_classes
+    monkeypatch.setattr(invsemi.closure, "d_classes", None)
+    with pytest.raises(BudgetExceededError, match="may have 555618 images; refusing more than 100000"):
+        check_closure_bound(fam, 4, 120)
+    monkeypatch.setattr(invsemi.closure, "d_classes", real)
+    report = check_closure_bound(fam, 3, 120)
+    assert report.closed and sum(len(c.images) for c in report.classes) == 40578
+    assert [c.group_order for c in report.classes[-2:]] == [math.factorial(30), math.factorial(60)]
+
+
+def test_closure_bound_counts_unions_past_the_enumeration_cap():
+    # blocks of more than GROUP_ENUM_CAP points below the default window:
+    # 11 in five-ring at 41, 12 in disjoint:4 at 25
+    for spec, n, window, order in (("five-ring", 3, 41, 93_674_084),
+                                   ("disjoint:4", 0, 25, 479_002_329)):
+        report = check_closure_bound(named_family(spec), n)
+        assert (report.window, report.closed, report.order) == (window, True, order)
+        assert report.order == sum(c.size() for c in report.classes)
 
 
 def test_closure_bound_violated_branch():
@@ -397,7 +434,7 @@ def test_union_closed_refuses_a_generator_outside_the_union(monkeypatch):
         extra[0, [0, 6]] = [3, 9]  # B0's first two points onto B1's, rank 2 > n = 1
         return np.concatenate([real(family, n, window), extra])
 
-    monkeypatch.setattr(invsemi.closure, "union_generators", with_rank_two)
+    monkeypatch.setattr(conftest, "union_generators", with_rank_two)
     with pytest.raises(ValueError, match="outside"):
         union_closed(fam, 1, window)
 
@@ -425,6 +462,7 @@ def _union_cases():
         fam, bound, window = random_uniform_family(random.Random(4000 + seed))
         for n in range(max(bound - 1, 0), bound + 1):
             yield pytest.param(fam, n, window, id=f"uniform-{seed}-n{n}")
+    yield pytest.param(bound_example(), 0, 22, id="bound2-n0")
     yield pytest.param(bound_example(), 1, 22, id="bound2-n1")
     yield pytest.param(bound_example(), 2, 22, id="bound2-n2")
     for n in (0, 1):
@@ -443,6 +481,36 @@ def test_union_closed_matches_the_closure_search(fam, n, window):
         assert products == want_products
 
 
+@pytest.mark.parametrize("fam, n, window", _union_cases())
+def test_counting_matches_the_closedness_index(fam, n, window, monkeypatch):
+    closed, classes, actions = union_classes(fam, n, window)
+    assert closed == union_closed(fam, n, window)[0]
+    gens = union_generators(fam, n, window)
+    if closed:
+        table = union_table(fam, n, window)
+        assert frozenset(classes) == table
+        # every map of A u A^-1 acts once on each image of U
+        both = unique_rows(np.concatenate([gens, invert_rows(gens)]))
+        assert actions == sum(len(c.images) for c in table) * len(both)
+    # the classes count <A> as its enumeration lists it
+    if classes is not None:
+        assert sum(c.size() for c in classes) == closure_of(gens).size()
+    # the all-pairs generators decide the same
+    monkeypatch.setattr(invsemi.closure, "union_generators", union_generators_all_pairs)
+    assert union_classes(fam, n, window)[0] == closed
+
+
+def test_counting_matches_the_closedness_index_on_seeded_draws():
+    verdicts = []
+    for seed in range(60):
+        fam, bound, window = random_uniform_family(random.Random(7000 + seed))
+        for n in range(max(bound - 1, 0), bound + 1):
+            closed = union_classes(fam, n, window)[0]
+            assert closed == union_closed(fam, n, window)[0], (seed, n)
+            verdicts.append(closed)
+    assert set(verdicts) == {True, False}
+
+
 def _row_set(rows):
     return {r.tobytes() for r in rows}
 
@@ -453,7 +521,7 @@ def test_hub_generators_match_all_pairs(fam, n, window, monkeypatch):
     all_pairs = union_generators_all_pairs(fam, n, window)
     assert _row_set(hub) <= _row_set(all_pairs)
     closed, products = union_closed(fam, n, window)
-    monkeypatch.setattr(invsemi.closure, "union_generators", union_generators_all_pairs)
+    monkeypatch.setattr(conftest, "union_generators", union_generators_all_pairs)
     closed_all, products_all = union_closed(fam, n, window)
     assert closed == closed_all
     if closed:
@@ -701,8 +769,9 @@ def test_union_index_keys_wide_unions_by_block():
     index = union_index(fam, 1, 18)
     assert [g.tolist() for g in index.groups] == [blk.below(18) for blk in fam.blocks]
     assert index.position is not None and len(index.keys) > len(index.entries)
+    assert union_closed(fam, 1, 18) == (True, 64100)
     report = check_closure_bound(fam, 1)
-    assert (report.window, report.closed, report.products_checked) == (18, True, 64100)
+    assert (report.window, report.closed, report.products_checked) == (18, True, 460)
 
 
 @pytest.mark.parametrize("window, span", _INDEX_WINDOWS)

@@ -227,17 +227,11 @@ SHARED_READS = {
     "empty": {
         "SetDescriptor",  # descriptors.SetDescriptor.from_text: cls.empty()
     },
-    "encode": {
-        "RowIndex",  # closure.RowIndex.__init__: self.encode(rows)
-    },
     "eventual": {  # topology.check_convergence: schema.eventual(x)
         "BlockIdentitySeq",
         "GroupNeighborSeq",
         "GrowingExtensionSeq",
         "SingletonIdentitySeq",
-    },
-    "find": {
-        "RowIndex",  # closure.union_closed: index.find(gens)
     },
     "from_config": {
         "BlockFamily",  # cli._load_family: BlockFamily.from_config(...)
@@ -249,6 +243,7 @@ SHARED_READS = {
     },
     "size": {
         "ClosureResult",  # cli.cmd_closure_run: result.size()
+        "DClass",  # closure.check_closure_bound: c.size()
     },
     "to_config": {
         "BlockFamily",  # perfbench/workloads._violating_configs: fam.to_config()

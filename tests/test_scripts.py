@@ -26,7 +26,7 @@ def test_research_script_runs(argv, line):
     assert line in out.stdout
     if argv[0] == "report_digests.py":
         # one line per README command, and its two passes agree
-        assert len(out.stdout.splitlines()) == 13
+        assert len(out.stdout.splitlines()) == 15
         assert "second pass differs" not in out.stderr
     if argv == ["chain_report.py"]:
         # the whole catalog, byte for byte: every matrix and every route
